@@ -18,9 +18,9 @@ import (
 	"sqlclean"
 	"sqlclean/internal/colstore"
 	"sqlclean/internal/core"
-	"sqlclean/internal/journal"
 	"sqlclean/internal/dedup"
 	"sqlclean/internal/exec"
+	"sqlclean/internal/journal"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/overlap"
@@ -999,12 +999,8 @@ func benchColstoreSetup(b *testing.B) (walDir string, walBytes int64, classify c
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf []byte
-	for _, e := range log {
-		buf = journal.EncodeEntry(buf[:0], e)
-		if _, err := jw.Append(buf); err != nil {
-			b.Fatal(err)
-		}
+	if _, _, err := jw.AppendBatch(log); err != nil {
+		b.Fatal(err)
 	}
 	if err := jw.Close(); err != nil {
 		b.Fatal(err)

@@ -44,15 +44,21 @@ type ImplicitColumnsRule struct {
 // Kind implements Rule.
 func (r *ImplicitColumnsRule) Kind() Kind { return ImplicitColumns }
 
-// Detect implements Rule.
+// Detect implements Rule. Only statements whose select-list skeleton starts
+// with a bare star are re-parsed to inspect their select list and FROM
+// clause.
 func (r *ImplicitColumnsRule) Detect(pl parsedlog.Log, sess session.Session) []Instance {
 	var out []Instance
 	for _, idx := range sess.Indices {
 		e := pl[idx]
-		if e.Info == nil || len(e.Info.Stmt.From) != 1 {
+		if e.Info == nil || !strings.HasPrefix(e.Info.SSC, "*") {
 			continue
 		}
-		tr, ok := e.Info.Stmt.From[0].(*sqlast.TableRef)
+		stmt, err := parsedlog.Tree(e.Info)
+		if err != nil || len(stmt.From) != 1 || !isBareStar(stmt.Items) {
+			continue
+		}
+		tr, ok := stmt.From[0].(*sqlast.TableRef)
 		if !ok {
 			continue
 		}
@@ -60,9 +66,6 @@ func (r *ImplicitColumnsRule) Detect(pl parsedlog.Log, sess session.Session) []I
 			if _, known := r.Catalog.Table(tr.Name); !known {
 				continue
 			}
-		}
-		if !isBareStar(e.Info.Stmt.Items) {
-			continue
 		}
 		skel := e.Info.SkeletonText()
 		out = append(out, Instance{
@@ -93,16 +96,21 @@ type LeadingWildcardRule struct{}
 // Kind implements Rule.
 func (r *LeadingWildcardRule) Kind() Kind { return LeadingWildcard }
 
-// Detect implements Rule.
+// Detect implements Rule. Only statements whose WHERE skeleton holds a LIKE
+// are re-parsed to inspect the pattern literals.
 func (r *LeadingWildcardRule) Detect(pl parsedlog.Log, sess session.Session) []Instance {
 	var out []Instance
 	for _, idx := range sess.Indices {
 		e := pl[idx]
-		if e.Info == nil || e.Info.Stmt.Where == nil {
+		if e.Info == nil || !strings.Contains(e.Info.SWC, " LIKE ") {
+			continue
+		}
+		stmt, err := parsedlog.Tree(e.Info)
+		if err != nil {
 			continue
 		}
 		found := false
-		sqlast.Walk(e.Info.Stmt.Where, func(n sqlast.Node) bool {
+		sqlast.Walk(stmt.Where, func(n sqlast.Node) bool {
 			if found {
 				return false
 			}

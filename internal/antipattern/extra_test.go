@@ -19,6 +19,9 @@ func TestImplicitColumnsDetection(t *testing.T) {
 	if !instances[0].Solvable {
 		t.Error("with a catalog the star is solvable")
 	}
+	if n := kindsOf(detectExtra(t, "SELECT * AS e FROM Employee WHERE empId = 8"))[ImplicitColumns]; n != 1 {
+		t.Error("aliased star not flagged")
+	}
 }
 
 func TestImplicitColumnsSkipsQualifiedStarAndLists(t *testing.T) {

@@ -50,14 +50,15 @@ func (r *StifleRule) qualifies(in *skeleton.Info) (skeleton.Predicate, bool) {
 }
 
 // relation classifies the clause relation between two qualifying queries; ""
-// means none of the Stifle classes applies.
+// means none of the Stifle classes applies. Concrete clauses are compared
+// by their hashes.
 func relation(a, b *skeleton.Info) Kind {
 	switch {
-	case a.SC == b.SC && a.FC == b.FC && a.SWC == b.SWC && a.WC != b.WC:
+	case a.SCHash == b.SCHash && a.FCHash == b.FCHash && a.SWC == b.SWC && a.WCHash != b.WCHash:
 		return DWStifle
-	case a.SSC != b.SSC && a.FC == b.FC && a.WC == b.WC:
+	case a.SSC != b.SSC && a.FCHash == b.FCHash && a.WCHash == b.WCHash:
 		return DSStifle
-	case a.FC != b.FC && a.WC == b.WC && a.WC != "":
+	case a.FCHash != b.FCHash && a.WCHash == b.WCHash && a.HasWhere():
 		return DFStifle
 	}
 	return ""

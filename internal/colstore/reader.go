@@ -96,14 +96,13 @@ func ReadBlockIndex(path string) (*Block, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != blockMagic {
-		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
+	sr, err := newSectionReader(f)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
 	}
 	b := &Block{secs: map[byte]rawSection{}}
 	for len(b.secs) < 2 {
-		typ, sec, err := readSection(br)
+		typ, sec, err := sr.next()
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
 		}
@@ -113,9 +112,7 @@ func ReadBlockIndex(path string) (*Block, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
 	}
 	b.Meta.Path = path
-	if fi, err := f.Stat(); err == nil {
-		b.Meta.Bytes = fi.Size()
-	}
+	b.Meta.Bytes = sr.size
 	return b, nil
 }
 
@@ -147,21 +144,51 @@ func decodeBlock(data []byte, _ int) (*Block, error) {
 	return b, nil
 }
 
-// readSection reads one framed section from a stream.
-func readSection(br *bufio.Reader) (byte, rawSection, error) {
+// sectionReader reads the framed sections of a block file in order. It
+// knows how many bytes the file has left, so a corrupt length field is
+// refused before it can size an allocation.
+type sectionReader struct {
+	br   *bufio.Reader
+	size int64 // file size
+	left int64 // bytes after the read position
+}
+
+// newSectionReader checks the block magic of f and positions the reader at
+// the first section.
+func newSectionReader(f *os.File) (*sectionReader, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	sr := &sectionReader{br: bufio.NewReaderSize(f, 1<<16), size: fi.Size(), left: fi.Size()}
+	var magic [8]byte
+	if _, err := io.ReadFull(sr.br, magic[:]); err != nil || magic != blockMagic {
+		return nil, errors.New("bad magic")
+	}
+	sr.left -= int64(len(magic))
+	return sr, nil
+}
+
+// next reads one framed section.
+func (sr *sectionReader) next() (byte, rawSection, error) {
 	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(sr.br, hdr[:]); err != nil {
 		return 0, rawSection{}, errors.New("truncated section header")
 	}
+	sr.left -= int64(len(hdr))
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
 	if length < 2 {
 		return 0, rawSection{}, errors.New("short section")
 	}
+	if int64(length) > sr.left {
+		return 0, rawSection{}, fmt.Errorf("section length %d exceeds the %d bytes left in the file", length, sr.left)
+	}
 	body := make([]byte, length)
-	if _, err := io.ReadFull(br, body); err != nil {
+	if _, err := io.ReadFull(sr.br, body); err != nil {
 		return 0, rawSection{}, errors.New("truncated section body")
 	}
+	sr.left -= int64(length)
 	if crc32.Checksum(body, castagnoli) != wantCRC {
 		return 0, rawSection{}, errors.New("section CRC mismatch")
 	}
@@ -265,13 +292,12 @@ func (b *Block) loadSectionsThrough(typ byte) error {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != blockMagic {
-		return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(b.Meta.Path))
+	sr, err := newSectionReader(f)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(b.Meta.Path), err)
 	}
 	for {
-		t, sec, err := readSection(br)
+		t, sec, err := sr.next()
 		if err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(b.Meta.Path), err)
 		}

@@ -57,12 +57,8 @@ func writeWAL(t *testing.T, dir string, entries []logmodel.Entry, segBytes int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	for _, e := range entries {
-		buf = journal.EncodeEntry(buf[:0], e)
-		if _, err := jw.Append(buf); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := jw.AppendBatch(entries); err != nil {
+		t.Fatal(err)
 	}
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@
 // across the whole journal, which makes truncation ("everything below the
 // snapshot is disposable") a pure segment-name comparison.
 //
-// Durability. Append buffers; Commit flushes to the OS (surviving a killed
+// Durability. AppendBatch buffers; Commit flushes to the OS (surviving a killed
 // process) and fsyncs according to the configured policy (surviving a killed
 // machine): FsyncAlways syncs every commit, FsyncInterval syncs at most once
 // per interval (a background syncer bounds the tail), FsyncNever leaves
@@ -130,7 +130,7 @@ type segment struct {
 // coalescing factor of the cross-request group commit.
 var groupCommitBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 
-// Writer appends frames to the journal. Safe for concurrent use; Append
+// Writer appends frames to the journal. Safe for concurrent use; AppendBatch
 // assigns LSNs under the writer's lock, so journal order is LSN order.
 type Writer struct {
 	opt Options
@@ -255,17 +255,6 @@ func (w *Writer) LastLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.lastLSN
-}
-
-// Append writes one frame and returns its LSN. The frame is buffered; call
-// Commit before acknowledging it to a client.
-func (w *Writer) Append(payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, errors.New("journal: writer closed")
-	}
-	return w.appendFrameLocked(payload)
 }
 
 // appendFrameLocked frames one payload into the buffered writer, rotating

@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,23 +16,39 @@ import (
 	"sqlclean/internal/obs"
 )
 
+// textEntry is a journal entry carrying just a statement text.
+func textEntry(text string) logmodel.Entry {
+	return logmodel.Entry{Time: time.Unix(1060000000, 0).UTC(), Statement: text}
+}
+
+// appendText appends one entry carrying text with a single-entry AppendBatch.
+func appendText(t *testing.T, w *Writer, text string) {
+	t.Helper()
+	if _, _, err := w.AppendBatch([]logmodel.Entry{textEntry(text)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func appendN(t *testing.T, w *Writer, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		if _, err := w.Append([]byte(fmt.Sprintf("payload-%04d", i))); err != nil {
-			t.Fatal(err)
-		}
+		appendText(t, w, fmt.Sprintf("payload-%04d", i))
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// replayAll replays the journal into "lsn:statement" lines.
 func replayAll(t *testing.T, dir string, from uint64) ([]string, ReplayResult) {
 	t.Helper()
 	var got []string
 	res, err := Replay(dir, from, func(lsn uint64, payload []byte) error {
-		got = append(got, fmt.Sprintf("%d:%s", lsn, payload))
+		e, err := DecodeEntry(payload)
+		if err != nil {
+			return err
+		}
+		got = append(got, fmt.Sprintf("%d:%s", lsn, e.Statement))
 		return nil
 	})
 	if err != nil {
@@ -150,7 +168,7 @@ func TestCorruptedFrameStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one byte in the middle frame's payload.
-	frame := frameHeader + len("payload-0000")
+	frame := frameHeader + len(EncodeEntry(nil, textEntry("payload-0000")))
 	data[frame+frameHeader+3] ^= 0xff
 	if err := os.WriteFile(segs[0].path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -259,9 +277,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	const frames, commits = 100, 10
 	for i := 0; i < frames; i++ {
-		if _, err := w.Append([]byte(fmt.Sprintf("gc-%04d", i))); err != nil {
-			t.Fatal(err)
-		}
+		appendText(t, w, fmt.Sprintf("gc-%04d", i))
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, commits)
@@ -310,7 +326,7 @@ func TestGroupCommitConcurrentAppendCommit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := w.Append([]byte(fmt.Sprintf("w%02d-%04d", g, i))); err != nil {
+				if _, _, err := w.AppendBatch([]logmodel.Entry{textEntry(fmt.Sprintf("w%02d-%04d", g, i))}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -340,7 +356,8 @@ func TestGroupCommitConcurrentAppendCommit(t *testing.T) {
 
 // TestAppendBatchMatchesPerEntryAppend pins byte-identical journal output:
 // the batched, scratch-buffer encode path must produce exactly the segment
-// bytes the per-entry Append(EncodeEntry(nil, e)) path does.
+// bytes of framing EncodeEntry(nil, e) for each entry by hand — length,
+// CRC-32C over LSN and payload, LSN, payload.
 func TestAppendBatchMatchesPerEntryAppend(t *testing.T) {
 	entries := make([]logmodel.Entry, 50)
 	for i := range entries {
@@ -354,18 +371,18 @@ func TestAppendBatchMatchesPerEntryAppend(t *testing.T) {
 		}
 	}
 
-	dirA, dirB := t.TempDir(), t.TempDir()
-	wa, err := Open(Options{Dir: dirA, Policy: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
+	var a []byte
+	for i, e := range entries {
+		payload := EncodeEntry(nil, e)
+		var hdr [frameHeader]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint64(hdr[8:16], uint64(i+1))
+		crc := crc32.Update(crc32.Checksum(hdr[8:16], castagnoli), castagnoli, payload)
+		binary.LittleEndian.PutUint32(hdr[4:8], crc)
+		a = append(append(a, hdr[:]...), payload...)
 	}
-	for _, e := range entries {
-		if _, err := wa.Append(EncodeEntry(nil, e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wa.Close()
 
+	dirB := t.TempDir()
 	wb, err := Open(Options{Dir: dirB, Policy: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -382,12 +399,10 @@ func TestAppendBatchMatchesPerEntryAppend(t *testing.T) {
 	}
 	wb.Close()
 
-	segsA, _ := listSegments(dirA)
 	segsB, _ := listSegments(dirB)
-	if len(segsA) != 1 || len(segsB) != 1 {
-		t.Fatalf("segments: %d vs %d, want 1 each", len(segsA), len(segsB))
+	if len(segsB) != 1 {
+		t.Fatalf("segments: %d, want 1", len(segsB))
 	}
-	a, _ := os.ReadFile(segsA[0].path)
 	b, _ := os.ReadFile(segsB[0].path)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("batched journal bytes differ from per-entry bytes (%d vs %d bytes)", len(a), len(b))

@@ -25,11 +25,11 @@ func EncodeEntry(dst []byte, e logmodel.Entry) []byte {
 	return dst
 }
 
-// AppendBatch frames a batch of entries — one frame per entry, identical to
-// Append(EncodeEntry(nil, e)) for each — under a single lock acquisition,
-// encoding into the writer's reused scratch buffer so the accept path pays no
-// per-entry payload allocation. Frames are buffered like Append's; call
-// Commit before acknowledging them.
+// AppendBatch frames a batch of entries — one frame per entry, holding
+// EncodeEntry(nil, e) — under a single lock acquisition, encoding into the
+// writer's reused scratch buffer so the accept path pays no per-entry
+// payload allocation. It is the journal's only append. Frames are buffered;
+// call Commit before acknowledging them.
 //
 // On an I/O error mid-batch it returns how many leading entries were framed:
 // the journal holds exactly that prefix, so the caller can acknowledge it and

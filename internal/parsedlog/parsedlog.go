@@ -4,15 +4,17 @@
 // statement texts share one parse result, which matters a lot on real logs
 // where a handful of templates cover millions of entries.
 //
-// The Parser is safe for concurrent use and its hit path is contention-free:
-// each shard publishes an immutable read map (RCU-style), so a cache hit is
-// one atomic load plus a map lookup with no lock and no shared-cacheline
-// write. Misses take the shard mutex, land in a dirty map, and are
-// periodically promoted into a fresh read snapshot; a per-statement
-// singleflight guarantees each unique text is parsed exactly once even when
-// many goroutines race on it — so the "identical texts share one
-// *skeleton.Info" invariant holds under ParseParallel exactly as it does
-// serially.
+// A parse result is small: the statement's class, its skeleton.Info (the
+// fingerprint, concrete-clause hashes and predicates) and a pointer to the
+// Skeleton record that all statements of one masked skeleton share. No
+// syntax tree is kept; Tree re-parses a statement for the few callers that
+// rewrite one.
+//
+// The Parser is safe for concurrent use. Its cache is split into shards of
+// one mutex-guarded map each; a per-statement singleflight guarantees each
+// unique text is parsed exactly once even when many goroutines race on it —
+// so the "identical texts share one *skeleton.Info" invariant holds under
+// ParseParallel exactly as it does serially.
 //
 // The cache also interns statement texts: every Entry returned for the same
 // statement carries the first-seen string instance, so dedup keys, template
@@ -39,7 +41,8 @@ type Entry struct {
 	Class sqlast.StatementClass
 	// Info is the skeleton summary; nil unless Class is ClassSelect. It is
 	// shared between entries with identical statement text — treat it as
-	// immutable and clone the AST before rewriting.
+	// immutable. Tree(Info) re-parses the statement when a rewrite needs
+	// the syntax tree.
 	Info *skeleton.Info
 	// Err is the parse error for ClassError entries.
 	Err error
@@ -85,55 +88,35 @@ func (s *Stats) Add(o Stats) {
 	s.Errors += o.Errors
 }
 
-type cached struct {
-	class sqlast.StatementClass
-	info  *skeleton.Info
-	err   error
-}
-
 // result is one cache slot with singleflight semantics: the goroutine that
 // inserted the slot (or any later one — sync.Once picks a single winner)
 // parses; everyone else blocks on the Once and then reads the shared value.
 // done flips after the parse completed, so an instrumented lookup can tell
 // a plain cache hit from a singleflight wait.
 type result struct {
-	once sync.Once
-	done atomic.Bool
-	// stmt is the interned statement text: the first string instance that
-	// reached the cache. Every Entry for this slot carries it, so all
-	// downstream stages share one string per distinct statement.
-	stmt string
-	c    cached
+	once  sync.Once
+	done  atomic.Bool
+	class sqlast.StatementClass
+	err   error
+	// info.Statement is the interned statement text — the first string
+	// instance that reached the cache — for every class; the rest of info
+	// is filled in for SELECTs only. Every Entry for this slot carries
+	// info.Statement, so all downstream stages share one string per
+	// distinct statement.
+	info skeleton.Info
 }
 
 // shardCount shards the statement-text cache. 32 is a power of two (cheap
 // masking) comfortably above the core counts we target, so two workers
-// rarely contend on one shard's miss lock, while the per-shard map overhead
-// stays negligible. The hit path never locks at all.
+// rarely contend on one shard's lock, while the per-shard map overhead
+// stays negligible.
 const shardCount = 32
 
-// shard is one cache partition with an RCU read path: read holds an
-// immutable snapshot consulted without any lock, dirty (guarded by mu) is
-// the authoritative map that accumulates misses. When dirty has outgrown
-// the last snapshot enough, a fresh copy is published — the copy cost
-// amortizes to O(1) per insert under the doubling policy in lookup.
+// shard is one cache partition: one map, guarded by mu for hits and misses
+// alike. The lock is held for a map lookup only, never for a parse.
 type shard struct {
-	read atomic.Pointer[map[string]*result]
-
-	mu        sync.Mutex
-	dirty     map[string]*result
-	published int // len(dirty) at the last snapshot publish
-}
-
-// publishLocked snapshots dirty into a fresh immutable read map. Caller
-// holds mu.
-func (sh *shard) publishLocked() {
-	m := make(map[string]*result, 2*len(sh.dirty))
-	for k, v := range sh.dirty {
-		m[k] = v
-	}
-	sh.read.Store(&m)
-	sh.published = len(sh.dirty)
+	mu sync.Mutex
+	m  map[string]*result
 }
 
 // hashSeed makes shard selection consistent within a process. It only picks
@@ -155,6 +138,9 @@ type parserMetrics struct {
 // concurrent use by multiple goroutines.
 type Parser struct {
 	shards [shardCount]shard
+	// skeletons holds one record per distinct masked skeleton, shared by
+	// every parse result of that skeleton.
+	skeletons skeleton.Skeletons
 	// met is nil unless Instrument attached a registry. It is read without
 	// synchronization, so Instrument must be called before parsing starts.
 	met *parserMetrics
@@ -180,33 +166,20 @@ func (p *Parser) Instrument(reg *obs.Registry) {
 func NewParser() *Parser {
 	p := &Parser{}
 	for i := range p.shards {
-		p.shards[i].dirty = map[string]*result{}
+		p.shards[i].m = map[string]*result{}
 	}
 	return p
 }
 
 // lookup returns the cache slot for a statement, creating it if needed, and
-// reports whether this caller created it. The fast path — the statement is
-// in the shard's published read snapshot — is lock-free: one hash, one
-// atomic load, one map lookup.
+// reports whether this caller created it.
 func (p *Parser) lookup(stmt string) (*result, bool) {
 	sh := &p.shards[maphash.String(hashSeed, stmt)&(shardCount-1)]
-	if m := sh.read.Load(); m != nil {
-		if r, ok := (*m)[stmt]; ok {
-			return r, false
-		}
-	}
 	sh.mu.Lock()
-	r, ok := sh.dirty[stmt]
+	r, ok := sh.m[stmt]
 	if !ok {
-		r = &result{stmt: stmt}
-		sh.dirty[stmt] = r
-		// Publish a fresh read snapshot once dirty has roughly doubled
-		// since the last publish (the +8 floor keeps tiny caches from
-		// republishing on every insert). Total copy work is O(n) amortized.
-		if len(sh.dirty) >= 2*sh.published+8 {
-			sh.publishLocked()
-		}
+		r = &result{info: skeleton.Info{Statement: stmt}}
+		sh.m[stmt] = r
 	}
 	sh.mu.Unlock()
 	return r, !ok
@@ -229,11 +202,15 @@ func (p *Parser) ParseEntry(e logmodel.Entry) Entry {
 		}
 	}
 	r.once.Do(func() {
-		r.c = parseOne(r.stmt)
+		p.parseInto(r)
 		r.done.Store(true)
 	})
-	e.Statement = r.stmt
-	return Entry{Entry: e, Class: r.c.class, Info: r.c.info, Err: r.c.err}
+	e.Statement = r.info.Statement
+	pe := Entry{Entry: e, Class: r.class, Err: r.err}
+	if r.class == sqlast.ClassSelect {
+		pe.Info = &r.info
+	}
+	return pe
 }
 
 // Intern returns the cache's canonical string instance for a statement text
@@ -241,23 +218,34 @@ func (p *Parser) ParseEntry(e logmodel.Entry) Entry {
 // equal to stmt; only the backing allocation is shared.
 func (p *Parser) Intern(stmt string) string {
 	r, _ := p.lookup(stmt)
-	return r.stmt
+	return r.info.Statement
 }
 
-func parseOne(stmt string) cached {
-	st, err := sqlparser.Parse(stmt)
+func (p *Parser) parseInto(r *result) {
+	st, err := sqlparser.Parse(r.info.Statement)
 	if err != nil {
-		return cached{class: sqlast.ClassError, err: err}
+		r.class, r.err = sqlast.ClassError, err
+		return
 	}
 	switch s := st.(type) {
 	case *sqlast.SelectStatement:
-		return cached{class: sqlast.ClassSelect, info: skeleton.Analyze(s)}
+		r.class = sqlast.ClassSelect
+		p.skeletons.Summarize(&r.info, s)
 	case *sqlast.InsertStatement, *sqlast.UpdateStatement, *sqlast.DeleteStatement:
-		return cached{class: sqlast.ClassDML}
+		r.class = sqlast.ClassDML
 	case *sqlast.OtherStatement:
-		return cached{class: s.Class}
+		r.class = s.Class
+	default:
+		r.class = sqlast.ClassError
 	}
-	return cached{class: sqlast.ClassError}
+}
+
+// Tree re-parses a SELECT's statement text into a fresh syntax tree, which
+// the caller owns and may rewrite. Parse results keep no tree, so every call
+// parses again: use it to rewrite a statement or to inspect a few, never to
+// scan a log.
+func Tree(in *skeleton.Info) (*sqlast.SelectStatement, error) {
+	return sqlparser.ParseSelect(in.Statement)
 }
 
 // Parse annotates a whole log on the calling goroutine, reusing the

@@ -9,12 +9,10 @@ import (
 	"sqlclean/internal/logmodel"
 )
 
-// TestParserReadPathHammer races the RCU read path (run with -race): a
-// pre-warmed parser serves hits from its published read snapshots while
-// other goroutines keep inserting fresh statements, forcing concurrent
-// snapshot republishes. Every hit must return the interned first-seen
-// statement string (same backing array, not just equal content) and the
-// shared *skeleton.Info.
+// TestParserReadPathHammer races the hit path (run with -race): a
+// pre-warmed parser serves hits while other goroutines keep inserting fresh
+// statements into the same shard maps. Every hit must return the interned
+// first-seen statement string (same backing array, not just equal content).
 func TestParserReadPathHammer(t *testing.T) {
 	const goroutines = 16
 	const warm = 200
@@ -36,8 +34,8 @@ func TestParserReadPathHammer(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 2000; k++ {
 				if g%4 == 0 && k%5 == 0 {
-					// Writer goroutines keep the dirty maps growing so read
-					// snapshots republish while readers are mid-lookup.
+					// Writer goroutines keep the shard maps growing while
+					// readers are mid-lookup.
 					s := soupStatement(warm + g*2000 + k)
 					p.ParseEntry(logmodel.Entry{Statement: s})
 					continue
@@ -80,10 +78,9 @@ func TestIntern(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotPromotion checks the publish policy actually promotes
-// entries into the lock-free read map: after enough inserts into one shard,
-// a lookup must be served from the read snapshot (observable as hit metrics
-// continuing to work and the slot surviving across publishes).
+// TestReadSnapshotPromotion checks that cache slots are stable: after 1000
+// inserts spread over every shard, re-parsing each statement returns the
+// same interned instance and Info as the first pass.
 func TestReadSnapshotPromotion(t *testing.T) {
 	p := NewParser()
 	stmts := make([]string, 1000)
@@ -91,22 +88,11 @@ func TestReadSnapshotPromotion(t *testing.T) {
 		stmts[i] = fmt.Sprintf("SELECT a FROM t WHERE id = %d", i)
 		p.ParseEntry(logmodel.Entry{Statement: stmts[i]})
 	}
-	published := 0
-	for i := range p.shards {
-		if m := p.shards[i].read.Load(); m != nil {
-			published += len(*m)
-		}
-	}
-	if published == 0 {
-		t.Fatal("no shard ever published a read snapshot after 1000 inserts")
-	}
-	// Slots must be stable across publishes: re-parsing returns the same
-	// interned instance and Info as the first pass.
 	for _, s := range stmts {
 		e1 := p.ParseEntry(logmodel.Entry{Statement: s})
 		e2 := p.ParseEntry(logmodel.Entry{Statement: string([]byte(s))})
 		if e1.Info != e2.Info || unsafe.StringData(e1.Statement) != unsafe.StringData(e2.Statement) {
-			t.Fatalf("slot for %q not stable across snapshot publishes", s)
+			t.Fatalf("slot for %q not stable across inserts", s)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sqlclean/internal/parallel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/session"
+	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 )
 
@@ -133,7 +134,7 @@ func TemplatesParallel(pl parsedlog.Log, workers int) []TemplateStats {
 				a = newTmplAgg(e, i)
 				byFP[fp] = a
 			}
-			a.observe(e.User, hashStr(e.Info.WC))
+			a.observe(e.User, e.Info.WCHash)
 		}
 	}
 
@@ -209,23 +210,11 @@ func mergeTmpl(dst, src map[uint64]*tmplAgg) {
 }
 
 // HashWhere is the hash the template miner applies to concrete WHERE
-// clauses when counting DistinctWhere. It is part of the streaming
-// contract: the sketch layer's SWS evidence must hash WHERE texts with
-// exactly this function, or its drain-time DisjointRatio would diverge
-// from the batch pipeline's.
-func HashWhere(wc string) uint64 { return hashStr(wc) }
-
-// hashStr is an inline FNV-1a over the string bytes — hash/fnv's
-// interface-based writer escapes to the heap, which showed up as one
-// allocation per log entry in the aggregation loop.
-func hashStr(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
+// clauses when counting DistinctWhere; parse results carry it precomputed
+// as skeleton.Info.WCHash. It is part of the streaming contract: the sketch
+// layer's SWS evidence must hash WHERE texts with exactly this function, or
+// its drain-time DisjointRatio would diverge from the batch pipeline's.
+func HashWhere(wc string) uint64 { return skeleton.HashClause(wc) }
 
 // ---------------------------------------------------------------------------
 // Multi-template sequence patterns

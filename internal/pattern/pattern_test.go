@@ -7,6 +7,9 @@ import (
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/session"
+	"sqlclean/internal/sqlast"
+	"sqlclean/internal/sqlparser"
+	"sqlclean/internal/workload"
 )
 
 func buildLog(entries ...logmodel.Entry) (parsedlog.Log, []session.Session) {
@@ -212,5 +215,35 @@ func TestSequencesUserPopularity(t *testing.T) {
 	seqs := Sequences(pl, sess, 2)
 	if len(seqs) != 1 || seqs[0].Frequency != 2 || seqs[0].UserPopularity != 2 {
 		t.Fatalf("seqs: %+v", seqs)
+	}
+}
+
+// TestWCHashIsHashWhere pins the SWS evidence contract on parse results:
+// Info.WCHash equals HashWhere of the rendered concrete WHERE clause
+// (identifiers normalized, literals kept) for every SELECT of a generated
+// log, so WHERE hashes stored in existing snapshots stay valid.
+func TestWCHashIsHashWhere(t *testing.T) {
+	l, _ := workload.Generate(workload.DefaultConfig().Scale(0.3))
+	pl, _ := parsedlog.Parse(l)
+	n := 0
+	for _, pe := range pl {
+		if pe.Info == nil {
+			continue
+		}
+		sel, err := sqlparser.ParseSelect(pe.Statement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc := ""
+		if sel.Where != nil {
+			wc = sqlast.PrintExpr(sel.Where, sqlast.PrintOptions{NormalizeIdents: true})
+		}
+		if got, want := pe.Info.WCHash, HashWhere(wc); got != want {
+			t.Fatalf("%q: WCHash %x, HashWhere(%q) = %x", pe.Statement, got, wc, want)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("generated log has no SELECTs")
 	}
 }

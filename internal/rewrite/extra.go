@@ -18,11 +18,14 @@ func (*ImplicitColumnsSolver) Kind() antipattern.Kind { return antipattern.Impli
 
 // Solve implements Solver.
 func (s *ImplicitColumnsSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, error) {
-	in := pl[inst.Indices[0]].Info
-	if in == nil || len(in.Stmt.From) != 1 {
+	stmt, err := memberTree(pl, inst, inst.Indices[0])
+	if err != nil {
+		return "", err
+	}
+	if len(stmt.From) != 1 {
 		return "", errInstance(inst, "not a single-table select")
 	}
-	tr, ok := in.Stmt.From[0].(*sqlast.TableRef)
+	tr, ok := stmt.From[0].(*sqlast.TableRef)
 	if !ok {
 		return "", errInstance(inst, "FROM entry is not a base table")
 	}
@@ -30,7 +33,6 @@ func (s *ImplicitColumnsSolver) Solve(pl parsedlog.Log, inst antipattern.Instanc
 	if !ok {
 		return "", errInstance(inst, "table %s not in catalog", tr.Name)
 	}
-	stmt := sqlast.CloneSelect(in.Stmt)
 	stmt.Items = stmt.Items[:0]
 	for _, c := range table.Columns {
 		stmt.Items = append(stmt.Items, sqlast.SelectItem{Expr: &sqlast.ColumnRef{Name: c.Name}})

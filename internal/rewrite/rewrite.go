@@ -19,8 +19,9 @@ import (
 // Solver rewrites instances of one antipattern kind into a single statement.
 type Solver interface {
 	Kind() antipattern.Kind
-	// Solve produces the replacement statement for the instance. It must
-	// not mutate the shared ASTs in the parsed log.
+	// Solve produces the replacement statement for the instance. The parsed
+	// log keeps no syntax trees; a solver re-parses the members it rewrites
+	// (parsedlog.Tree) and owns the trees it gets.
 	Solve(pl parsedlog.Log, inst antipattern.Instance) (string, error)
 }
 
@@ -188,6 +189,20 @@ func sumRows(pl parsedlog.Log, idxs []int) int64 {
 }
 
 var printOpts = sqlast.PrintOptions{} // preserve original identifier case
+
+// memberTree re-parses the statement of the instance member at log index
+// idx.
+func memberTree(pl parsedlog.Log, inst antipattern.Instance, idx int) (*sqlast.SelectStatement, error) {
+	in := pl[idx].Info
+	if in == nil {
+		return nil, errInstance(inst, "member %d not parsed", idx)
+	}
+	stmt, err := parsedlog.Tree(in)
+	if err != nil {
+		return nil, errInstance(inst, "member %d: %v", idx, err)
+	}
+	return stmt, nil
+}
 
 func errInstance(inst antipattern.Instance, format string, args ...any) error {
 	return fmt.Errorf("rewrite %s (%d queries): %s", inst.Kind, len(inst.Indices), fmt.Sprintf(format, args...))

@@ -381,13 +381,14 @@ func TestImplicitColumnsSolver(t *testing.T) {
 
 func parseInfos(t *testing.T, stmts ...string) []*skeleton.Info {
 	t.Helper()
+	p := parsedlog.NewParser()
 	var infos []*skeleton.Info
 	for _, s := range stmts {
-		sel, err := sqlparser.ParseSelect(s)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
+		pe := p.ParseEntry(logmodel.Entry{Statement: s})
+		if pe.Info == nil {
+			t.Fatalf("parse %q: %v", s, pe.Err)
 		}
-		infos = append(infos, skeleton.Analyze(sel))
+		infos = append(infos, pe.Info)
 	}
 	return infos
 }

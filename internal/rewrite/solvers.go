@@ -6,7 +6,6 @@ import (
 	"sqlclean/internal/antipattern"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/schema"
-	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 )
 
@@ -46,7 +45,10 @@ func (*DWSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, err
 		values = append(values, &l)
 	}
 
-	stmt := sqlast.CloneSelect(first.Stmt)
+	stmt, err := memberTree(pl, inst, inst.Indices[0])
+	if err != nil {
+		return "", err
+	}
 	col, ok := findEqPredicateColumn(stmt.Where)
 	if !ok {
 		return "", errInstance(inst, "cannot locate the equality predicate in WHERE")
@@ -106,15 +108,18 @@ func (*DSSolver) Kind() antipattern.Kind { return antipattern.DSStifle }
 
 // Solve implements Solver.
 func (*DSSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, error) {
-	first := pl[inst.Indices[0]].Info
-	if first == nil {
-		return "", errInstance(inst, "first member not parsed")
-	}
-	stmt := sqlast.CloneSelect(first.Stmt)
+	var stmt *sqlast.SelectStatement
 	seen := map[string]bool{}
 	var items []sqlast.SelectItem
-	appendItems := func(in *skeleton.Info) {
-		for _, it := range in.Stmt.Items {
+	for _, idx := range inst.Indices {
+		m, err := memberTree(pl, inst, idx)
+		if err != nil {
+			return "", err
+		}
+		if stmt == nil {
+			stmt = m
+		}
+		for _, it := range m.Items {
 			key := sqlast.PrintExpr(it.Expr, sqlast.PrintOptions{NormalizeIdents: true})
 			if it.Alias != "" {
 				key += " as " + strings.ToLower(it.Alias)
@@ -123,15 +128,8 @@ func (*DSSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, err
 				continue
 			}
 			seen[key] = true
-			items = append(items, sqlast.SelectItem{Expr: sqlast.CloneExpr(it.Expr), Alias: it.Alias})
+			items = append(items, it)
 		}
-	}
-	for _, idx := range inst.Indices {
-		in := pl[idx].Info
-		if in == nil {
-			return "", errInstance(inst, "member %d not parsed", idx)
-		}
-		appendItems(in)
 	}
 	stmt.Items = items
 	return sqlast.Print(stmt, printOpts), nil
@@ -155,21 +153,21 @@ func (*DFSolver) Kind() antipattern.Kind { return antipattern.DFStifle }
 // Solve implements Solver.
 func (s *DFSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, error) {
 	type member struct {
-		info  *skeleton.Info
+		stmt  *sqlast.SelectStatement
 		table *sqlast.TableRef
 		alias string
 	}
 	var members []member
 	seenTables := map[string]bool{}
 	for _, idx := range inst.Indices {
-		in := pl[idx].Info
-		if in == nil {
-			return "", errInstance(inst, "member %d not parsed", idx)
+		stmt, err := memberTree(pl, inst, idx)
+		if err != nil {
+			return "", err
 		}
-		if len(in.Stmt.From) != 1 {
-			return "", errInstance(inst, "member reads from %d FROM entries; need exactly one table", len(in.Stmt.From))
+		if len(stmt.From) != 1 {
+			return "", errInstance(inst, "member reads from %d FROM entries; need exactly one table", len(stmt.From))
 		}
-		tr, ok := in.Stmt.From[0].(*sqlast.TableRef)
+		tr, ok := stmt.From[0].(*sqlast.TableRef)
 		if !ok {
 			return "", errInstance(inst, "member FROM entry is not a base table")
 		}
@@ -182,7 +180,7 @@ func (s *DFSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, e
 		if alias == "" {
 			alias = tr.Name
 		}
-		members = append(members, member{info: in, table: tr, alias: alias})
+		members = append(members, member{stmt: stmt, table: tr, alias: alias})
 	}
 	if len(members) < 2 {
 		return "", errInstance(inst, "fewer than two distinct tables")
@@ -202,8 +200,8 @@ func (s *DFSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, e
 	stmt := &sqlast.SelectStatement{}
 	seenItems := map[string]bool{}
 	for _, m := range members {
-		for _, it := range m.info.Stmt.Items {
-			e := qualify(sqlast.CloneExpr(it.Expr), m.alias)
+		for _, it := range m.stmt.Items {
+			e := qualify(it.Expr, m.alias)
 			key := sqlast.PrintExpr(e, sqlast.PrintOptions{NormalizeIdents: true})
 			if seenItems[key] {
 				continue
@@ -228,7 +226,7 @@ func (s *DFSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, e
 		}
 	}
 	stmt.From = []sqlast.TableSource{src}
-	stmt.Where = qualify(sqlast.CloneExpr(members[0].info.Stmt.Where), members[0].alias)
+	stmt.Where = qualify(members[0].stmt.Where, members[0].alias)
 	return sqlast.Print(stmt, printOpts), nil
 }
 
@@ -267,11 +265,10 @@ func (*SNCSolver) Kind() antipattern.Kind { return antipattern.SNC }
 
 // Solve implements Solver.
 func (*SNCSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, error) {
-	in := pl[inst.Indices[0]].Info
-	if in == nil {
-		return "", errInstance(inst, "member not parsed")
+	stmt, err := memberTree(pl, inst, inst.Indices[0])
+	if err != nil {
+		return "", err
 	}
-	stmt := sqlast.CloneSelect(in.Stmt)
 	stmt.Where = fixNullCompare(stmt.Where)
 	return sqlast.Print(stmt, printOpts), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 )
@@ -75,7 +76,10 @@ func UnionTemplate(infos []*skeleton.Info) (string, error) {
 	}
 
 	// Rewrite the first statement's WHERE with the hull bounds.
-	stmt := sqlast.CloneSelect(first.Stmt)
+	stmt, err := parsedlog.Tree(first)
+	if err != nil {
+		return "", fmt.Errorf("rewrite: re-parse: %w", err)
+	}
 	if stmt.Where != nil {
 		var rewriteBounds func(e sqlast.Expr) error
 		rewriteBounds = func(e sqlast.Expr) error {

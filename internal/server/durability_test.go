@@ -110,13 +110,20 @@ func feedStrict(t *testing.T, s *Server, url string, log logmodel.Log) {
 	t.Helper()
 	for i := range log {
 		postIngest(t, url, ndjsonBody(log[i:i+1]))
-		deadline := time.Now().Add(10 * time.Second)
-		for s.pending.Load() != 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("feedStrict: entry never applied")
-			}
-			time.Sleep(20 * time.Microsecond)
+		waitApplied(t, s)
+	}
+}
+
+// waitApplied waits until the engine has applied every acknowledged entry:
+// an ingest is acknowledged once journaled, and applied asynchronously.
+func waitApplied(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pending.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("acknowledged entries never applied")
 		}
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 

@@ -379,6 +379,7 @@ func TestIngestTSV(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || ir.Accepted != 2 {
 		t.Fatalf("tsv ingest: status %d, %+v", resp.StatusCode, ir)
 	}
+	waitApplied(t, s)
 	if st := s.Engine().Stats(); st.In != 2 {
 		t.Errorf("engine saw %d entries, want 2", st.In)
 	}

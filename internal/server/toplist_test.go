@@ -17,10 +17,11 @@ import (
 func TestToplistEndpoint(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.05))
 	log.SortStable()
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Stream: stream.ShardedConfig{Config: stream.Config{Sketches: sketch.Config{TopK: 16}}},
 	})
 	postIngest(t, ts.URL, ndjsonBody(log))
+	waitApplied(t, s)
 
 	var p ToplistPayload
 	getJSON(t, ts.URL+"/toplist?k=5", &p)

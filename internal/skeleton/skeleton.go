@@ -3,11 +3,18 @@
 // SELECT statement, split into the three clause skeletons SFC, SWC and SSC,
 // plus the predicate summary (count CP, operator θ, filter column) that the
 // antipattern definitions (Defs 11 and 15) are stated over.
+//
+// A summary keeps no syntax tree. What all statements of one masked
+// skeleton share — the clause skeletons, the full skeleton text, the select
+// columns and the table names — lives in one Skeleton record; the
+// per-statement Info adds the fingerprint, hashes of the concrete clauses
+// and the predicates. A caller that needs the tree re-parses Info.Statement.
 package skeleton
 
 import (
 	"hash/fnv"
 	"strings"
+	"sync"
 
 	"sqlclean/internal/sqlast"
 )
@@ -42,24 +49,12 @@ func (p Predicate) IsValueFilter() bool {
 	return p.Column != "" && p.OtherColumn == "" && p.Op != "complex"
 }
 
-// Info is the parsed-and-summarized form of one SELECT statement: the query
-// template (SFC, SWC, SSC), the concrete clauses (FC, WC, SC), and the
-// predicate summary. It retains the AST for rewriting.
-type Info struct {
-	Stmt *sqlast.SelectStatement
-
-	// Skeleton clause texts (literals masked, identifiers normalized) —
-	// Definition 2.
+// Skeleton is one skeleton query (Definition 2) and what every statement
+// with that skeleton shares. Records are immutable; a Skeletons table hands
+// out one per distinct masked skeleton.
+type Skeleton struct {
+	// Clause skeleton texts (literals masked, identifiers normalized).
 	SFC, SWC, SSC string
-	// Concrete clause texts (identifiers normalized, literals kept) —
-	// Definition 3.
-	FC, WC, SC string
-
-	// Fingerprint identifies the template (SFC, SWC, SSC) — Definition 4/5.
-	Fingerprint uint64
-
-	// Predicates are the top-level AND-connected conjuncts of WHERE.
-	Predicates []Predicate
 	// SelectCols are the canonical names of plain columns in the select
 	// list ("*" for star). Columns inside function calls are included too,
 	// because CTH detection asks whether an output attribute feeds a later
@@ -69,23 +64,40 @@ type Info struct {
 	// the statement, deduplicated, in encounter order.
 	TableNames []string
 
-	// skel memoizes SkeletonText — sequence mining asks for it once per
-	// collapsed block, far more often than once per distinct statement.
-	skel string
+	text string // the full skeleton-query text
+	fp   uint64 // fingerprint(SFC, SWC, SSC)
+}
+
+// SkeletonText returns the full skeleton-query text (all clauses).
+func (s *Skeleton) SkeletonText() string { return s.text }
+
+// Info is the summary of one SELECT statement: its template through the
+// shared Skeleton record, hashes of its concrete clauses, and its predicate
+// summary.
+type Info struct {
+	// Statement is the statement text; parse results from package
+	// parsedlog carry the interned instance, Analyze leaves it empty.
+	Statement string
+
+	// Fingerprint identifies the template (SFC, SWC, SSC) — Definition 4/5.
+	Fingerprint uint64
+	// SCHash, FCHash and WCHash are HashClause of the concrete clause texts
+	// (identifiers normalized, literals kept) — Definition 3. Their readers
+	// only compare them for equality; WCHash is also the key under which
+	// distinct WHERE clauses are counted (pattern.HashWhere).
+	SCHash, FCHash, WCHash uint64
+
+	// Predicates are the top-level AND-connected conjuncts of WHERE.
+	Predicates []Predicate
+
+	*Skeleton
 }
 
 // CP returns the count of predicates (Definition 11's CP).
 func (in *Info) CP() int { return len(in.Predicates) }
 
-// SkeletonText returns the full skeleton-query text (all clauses). For an
-// Analyze-produced Info this is memoized; hand-built Infos fall back to
-// printing the AST.
-func (in *Info) SkeletonText() string {
-	if in.skel != "" {
-		return in.skel
-	}
-	return sqlast.Canonical(in.Stmt)
-}
+// HasWhere reports whether the statement has a WHERE clause.
+func (in *Info) HasWhere() bool { return in.SWC != "" }
 
 // TemplateEqual reports whether two statements have equal skeletons
 // (Definition 5: SFC, SWC and SSC all equal).
@@ -93,50 +105,112 @@ func TemplateEqual(a, b *Info) bool {
 	return a.SFC == b.SFC && a.SWC == b.SWC && a.SSC == b.SSC
 }
 
+// HashClause is the 64-bit FNV-1a hash of a clause text, inlined because
+// hash/fnv's interface-based writer escapes to the heap.
+func HashClause(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// Skeletons is a table of Skeleton records, one per distinct masked
+// skeleton: a log of millions of statements over a few templates keeps a
+// few records. Safe for concurrent use; the zero value is ready.
+type Skeletons struct {
+	mu sync.Mutex
+	m  map[skelKey]*Skeleton
+}
+
+type skelKey struct{ ssc, sfc, swc, text string }
+
+// record returns the table's Skeleton for k, building it from sel on first
+// sight. A nil table shares nothing: every call builds a fresh record.
+func (t *Skeletons) record(k skelKey, sel *sqlast.SelectStatement) *Skeleton {
+	if t == nil {
+		return newSkeleton(k, sel)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sk, ok := t.m[k]
+	if !ok {
+		// k slices the caller's render buffer, which also holds the
+		// concrete clause texts; the record keeps copies of the masked ones
+		// only.
+		k = skelKey{strings.Clone(k.ssc), strings.Clone(k.sfc), strings.Clone(k.swc), strings.Clone(k.text)}
+		sk = newSkeleton(k, sel)
+		if t.m == nil {
+			t.m = map[skelKey]*Skeleton{}
+		}
+		t.m[k] = sk
+	}
+	return sk
+}
+
+func newSkeleton(k skelKey, sel *sqlast.SelectStatement) *Skeleton {
+	return &Skeleton{
+		SFC: k.sfc, SWC: k.swc, SSC: k.ssc,
+		SelectCols: selectColumns(sel),
+		TableNames: tableNames(sel),
+		text:       k.text,
+		fp:         fingerprint(k.sfc, k.swc, k.ssc),
+	}
+}
+
 var (
 	maskOpts     = sqlast.PrintOptions{MaskLiterals: true, NormalizeIdents: true}
 	concreteOpts = sqlast.PrintOptions{MaskLiterals: false, NormalizeIdents: true}
 )
 
-// Analyze computes the Info summary for a parsed SELECT statement.
-//
-// All seven derived texts (SSC/SC, SFC/FC, SWC/WC and the full skeleton) are
-// rendered into one pre-grown builder and sliced out of its final string:
-// the alloc profile showed per-clause builders regrowing mid-print as the
-// single largest allocation source on template-heavy logs. The slices pin
-// the one backing array, which is fine — they live and die together in the
-// Info.
+// Analyze computes the Info summary for a parsed SELECT statement, with a
+// Skeleton record of its own. Parsers that summarize many statements use
+// Skeletons.Summarize, which shares records.
 func Analyze(sel *sqlast.SelectStatement) *Info {
-	in := &Info{Stmt: sel}
+	in := &Info{}
+	fillInfo(in, sel, nil)
+	return in
+}
+
+// Summarize fills in the summary of a parsed SELECT statement (all fields
+// but Statement), sharing the Skeleton record with every earlier statement
+// of the same masked skeleton.
+func (t *Skeletons) Summarize(in *Info, sel *sqlast.SelectStatement) {
+	fillInfo(in, sel, t)
+}
+
+// fillInfo renders the four masked texts (SSC, SFC, SWC and the full
+// skeleton) and the three concrete clauses into one pre-grown builder and
+// slices them out of its final string: the alloc profile showed per-clause
+// builders regrowing mid-print as the single largest allocation source on
+// template-heavy logs. Only the hashes of the concrete clauses are kept, so
+// the buffer is garbage once a shared record exists.
+func fillInfo(in *Info, sel *sqlast.SelectStatement, t *Skeletons) {
 	var b strings.Builder
 	b.Grow(512)
 	appendSelectList(&b, sel, true)
 	o1 := b.Len()
-	appendSelectList(&b, sel, false)
-	o2 := b.Len()
 	appendFromList(&b, sel, true)
-	o3 := b.Len()
-	appendFromList(&b, sel, false)
-	o4 := b.Len()
+	o2 := b.Len()
 	if sel.Where != nil {
 		sqlast.AppendExpr(&b, sel.Where, maskOpts)
 	}
+	o3 := b.Len()
+	sqlast.AppendSelect(&b, sel, maskOpts)
+	o4 := b.Len()
+	appendSelectList(&b, sel, false)
 	o5 := b.Len()
+	appendFromList(&b, sel, false)
+	o6 := b.Len()
 	if sel.Where != nil {
 		sqlast.AppendExpr(&b, sel.Where, concreteOpts)
 	}
-	o6 := b.Len()
-	sqlast.AppendSelect(&b, sel, maskOpts)
 	s := b.String()
-	in.SSC, in.SC = s[:o1], s[o1:o2]
-	in.SFC, in.FC = s[o2:o3], s[o3:o4]
-	in.SWC, in.WC = s[o4:o5], s[o5:o6]
-	in.skel = s[o6:]
-	in.Fingerprint = fingerprint(in.SFC, in.SWC, in.SSC)
+	in.Skeleton = t.record(skelKey{ssc: s[:o1], sfc: s[o1:o2], swc: s[o2:o3], text: s[o3:o4]}, sel)
+	in.Fingerprint = in.Skeleton.fp
+	in.SCHash, in.FCHash, in.WCHash = HashClause(s[o4:o5]), HashClause(s[o5:o6]), HashClause(s[o6:])
 	in.Predicates = ExtractPredicates(sel.Where)
-	in.SelectCols = selectColumns(sel)
-	in.TableNames = tableNames(sel)
-	return in
 }
 
 func fingerprint(sfc, swc, ssc string) uint64 {

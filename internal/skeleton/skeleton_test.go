@@ -1,18 +1,39 @@
 package skeleton
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"sqlclean/internal/sqlast"
 	"sqlclean/internal/sqlparser"
 )
 
-func analyze(t *testing.T, q string) *Info {
+// analyzed is an Info plus the concrete clause texts (Definition 3) that
+// Info keeps only as hashes.
+type analyzed struct {
+	*Info
+	SC, FC, WC string
+}
+
+func analyze(t *testing.T, q string) analyzed {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	return Analyze(sel)
+	var sc, fc strings.Builder
+	appendSelectList(&sc, sel, false)
+	appendFromList(&fc, sel, false)
+	a := analyzed{Info: Analyze(sel), SC: sc.String(), FC: fc.String()}
+	if sel.Where != nil {
+		a.WC = sqlast.PrintExpr(sel.Where, concreteOpts)
+	}
+	if a.SCHash != HashClause(a.SC) || a.FCHash != HashClause(a.FC) || a.WCHash != HashClause(a.WC) {
+		t.Fatalf("%q: clause hashes do not match the concrete clause texts", q)
+	}
+	return a
 }
 
 func TestClauseSkeletons(t *testing.T) {
@@ -42,7 +63,7 @@ func TestFingerprintEqualityAcrossValuesAndCase(t *testing.T) {
 	if a.Fingerprint != b.Fingerprint {
 		t.Error("fingerprints differ for similar queries")
 	}
-	if !TemplateEqual(a, b) {
+	if !TemplateEqual(a.Info, b.Info) {
 		t.Error("TemplateEqual must hold")
 	}
 	c := analyze(t, "SELECT a, b FROM T WHERE a = 0 AND b > 3") // >= vs >
@@ -225,5 +246,75 @@ func TestNotInIsComplex(t *testing.T) {
 	in := analyze(t, "SELECT a FROM t WHERE id NOT IN (1, 2)")
 	if in.Predicates[0].Op != "complex" {
 		t.Errorf("NOT IN must be complex: %+v", in.Predicates[0])
+	}
+}
+
+// TestSkeletonsShareRecords pins the record table: statements that differ
+// only in literal values and identifier case share one Skeleton, a
+// different clause gets its own, and Analyze shares nothing.
+func TestSkeletonsShareRecords(t *testing.T) {
+	var tab Skeletons
+	summarize := func(q string) *Info {
+		t.Helper()
+		sel, err := sqlparser.ParseSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &Info{Statement: q}
+		tab.Summarize(in, sel)
+		return in
+	}
+	a := summarize("SELECT ra FROM PhotoObj WHERE objid = 1")
+	b := summarize("select RA from photoobj where objID = 2")
+	c := summarize("SELECT ra FROM photoobj WHERE objid = 1 ORDER BY ra")
+	if a.Skeleton != b.Skeleton {
+		t.Error("same skeleton, two records")
+	}
+	if a.Skeleton == c.Skeleton || len(tab.m) != 2 {
+		t.Errorf("ORDER BY must give its own record (%d records)", len(tab.m))
+	}
+	if a.Statement != "SELECT ra FROM PhotoObj WHERE objid = 1" || a.WCHash == b.WCHash || a.SCHash != b.SCHash {
+		t.Errorf("per-statement fields: %+v / %+v", a, b)
+	}
+	sel, _ := sqlparser.ParseSelect("SELECT ra FROM photoobj WHERE objid = 1")
+	if Analyze(sel).Skeleton == a.Skeleton {
+		t.Error("Analyze must not share the table's records")
+	}
+}
+
+// TestSkeletonsConcurrent races Summarize on one table (run with -race):
+// every goroutine must get the same record for the same skeleton.
+func TestSkeletonsConcurrent(t *testing.T) {
+	var tab Skeletons
+	const goroutines, perG = 8, 200
+	recs := make([][]*Skeleton, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				q := fmt.Sprintf("SELECT c%d FROM t WHERE id = %d", i%5, g*perG+i)
+				sel, err := sqlparser.ParseSelect(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				in := &Info{}
+				tab.Summarize(in, sel)
+				recs[g] = append(recs[g], in.Skeleton)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(tab.m) != 5 {
+		t.Fatalf("%d records for 5 skeletons", len(tab.m))
+	}
+	for g := range recs {
+		for i, r := range recs[g] {
+			if r != recs[0][i%5] {
+				t.Fatalf("goroutine %d statement %d: record differs", g, i)
+			}
+		}
 	}
 }

@@ -240,12 +240,11 @@ func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
 	sh.mu.Lock()
 	before := len(sh.p.open)
 	out, err := sh.p.Add(e)
-	delta := len(sh.p.open) - before
+	s.noteOpenDelta(len(sh.p.open) - before)
 	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	s.noteOpenDelta(delta)
 	if s.adds.Add(1)%int64(s.cfg.SweepEvery) == 0 {
 		if more := s.sweep(); len(more) > 0 {
 			out = append(out, more...)
@@ -278,6 +277,11 @@ func (s *Sharded) raiseWatermark(ns int64) {
 	}
 }
 
+// noteOpenDelta applies one shard's change in open sessions to the global
+// count. Callers hold that shard's lock, so a sweep's close and a later
+// Add's reopen of the same session reach the count in the order they
+// happened: applied out of order, the pair would overshoot the high-water
+// mark.
 func (s *Sharded) noteOpenDelta(d int) {
 	if d == 0 {
 		return
@@ -305,9 +309,8 @@ func (s *Sharded) sweep() logmodel.Log {
 		sh.mu.Lock()
 		before := len(sh.p.open)
 		closed := sh.p.Advance(t)
-		delta := len(sh.p.open) - before
+		s.noteOpenDelta(len(sh.p.open) - before)
 		sh.mu.Unlock()
-		s.noteOpenDelta(delta)
 		out = append(out, closed...)
 	}
 	return out
@@ -323,9 +326,8 @@ func (s *Sharded) Close() logmodel.Log {
 		sh.mu.Lock()
 		before := len(sh.p.open)
 		outs[i] = sh.p.Close()
-		delta := len(sh.p.open) - before
+		s.noteOpenDelta(len(sh.p.open) - before)
 		sh.mu.Unlock()
-		s.noteOpenDelta(delta)
 	})
 	var n int
 	for _, o := range outs {
@@ -471,9 +473,8 @@ func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) 
 			sh.mu.Lock()
 			before := len(sh.p.open)
 			emitted, err := sh.p.Add(l[idx])
-			delta := len(sh.p.open) - before
+			s.noteOpenDelta(len(sh.p.open) - before)
 			sh.mu.Unlock()
-			s.noteOpenDelta(delta)
 			if err != nil {
 				errs[i] = err
 				return

@@ -89,11 +89,11 @@ type ProcessorSnapshot struct {
 	Sketches *sketch.Snapshot `json:"sketches,omitempty"`
 }
 
-// Snapshot serializes the processor's state. The dedup window is pruned to
+// Snapshot serializes the processor's state. The dedup window is cut to
 // entries still reachable by a future in-order entry: anything older than
 // watermark − gap − threshold can never match again, so a restore without it
-// is byte-identical in outcome (the full map would otherwise grow with every
-// distinct (user, statement) pair ever seen).
+// is byte-identical in outcome. (The live map drops such slots only when it
+// has doubled, so it may still hold some.)
 func (p *Processor) Snapshot() ProcessorSnapshot {
 	s := ProcessorSnapshot{Stats: p.stats}
 	if !p.watermark.IsZero() {
@@ -108,7 +108,7 @@ func (p *Processor) Snapshot() ProcessorSnapshot {
 		s.Open = append(s.Open, ss)
 	}
 	sort.Slice(s.Open, func(i, j int) bool { return s.Open[i].User < s.Open[j].User })
-	horizon := p.watermark.Add(-p.cfg.SessionGap - p.cfg.DuplicateThreshold)
+	horizon := p.dedupHorizon()
 	for k, last := range p.lastSeen {
 		if last.Before(horizon) {
 			continue
@@ -175,6 +175,7 @@ func (p *Processor) Restore(s ProcessorSnapshot) error {
 	for _, d := range s.Dedup {
 		p.lastSeen[dupKey{user: d.User, stmt: d.Statement}] = time.Unix(0, d.LastNS).UTC()
 	}
+	p.dedupPruned = len(p.lastSeen)
 	p.templateAgg = make(map[uint64]*templateAgg, len(s.Templates))
 	for _, t := range s.Templates {
 		a := &templateAgg{skeleton: t.Skeleton, count: t.Count, users: make(map[string]struct{}, len(t.Users))}

@@ -1,10 +1,21 @@
-// Package stream processes a query log incrementally with bounded memory.
-// The batch pipeline (internal/core) holds the whole log; the paper's real
-// subject — a 42-million-entry SkyServer log — wants a streaming pass. The
-// key observation: every detection window (Definition 8) is confined to one
-// user session, so once a user's stream has been silent for longer than the
-// session gap, that session can be detected, solved and emitted without
-// ever seeing the rest of the log. Only the open sessions stay in memory.
+// Package stream processes a query log incrementally, without holding the
+// log. The batch pipeline (internal/core) holds the whole log; the paper's
+// real subject — a 42-million-entry SkyServer log — wants a streaming pass.
+// The key observation: every detection window (Definition 8) is confined to
+// one user session, so once a user's stream has been silent for longer than
+// the session gap, that session can be detected, solved and emitted without
+// ever seeing the rest of the log.
+//
+// Of the log's entries, only the open sessions stay in memory. The rest of
+// the state grows with what the log contains, not with its length:
+//
+//   - the dedup window, pruned to the (user, statement) slots a future entry
+//     can still duplicate;
+//   - the template aggregates: one per template, with the set of its users;
+//   - the sketches, bounded by their configuration;
+//   - the parse cache, which keeps a small summary of every distinct
+//     statement text for the parser's lifetime. On a log of mostly distinct
+//     statements it is the largest part.
 //
 // Input must be time-ordered. Output is emitted session by session, in
 // session-close order. Template statistics accumulate across the whole
@@ -127,8 +138,11 @@ type Processor struct {
 
 	// open holds each user's current session.
 	open map[string]*openSession
-	// lastSeen tracks (user, statement) → last time, for dedup.
-	lastSeen map[dupKey]time.Time
+	// lastSeen tracks (user, statement) → last time, for dedup. Slots past
+	// the dedup horizon are pruned whenever the map has doubled since the
+	// last prune, which left dedupPruned slots.
+	lastSeen    map[dupKey]time.Time
+	dedupPruned int
 	// watermark is the max event time seen.
 	watermark time.Time
 
@@ -257,6 +271,9 @@ func (p *Processor) Add(e logmodel.Entry) (logmodel.Log, error) {
 		k := dupKey{user: e.User, stmt: e.Statement}
 		prev, seen := p.lastSeen[k]
 		p.lastSeen[k] = e.Time
+		if len(p.lastSeen) >= 2*p.dedupPruned+minDedupPrune {
+			p.pruneDedup()
+		}
 		if seen && e.Time.Sub(prev) <= p.cfg.DuplicateThreshold {
 			p.stats.Duplicates++
 			p.met.dups.Inc()
@@ -296,6 +313,32 @@ func (p *Processor) Add(e logmodel.Entry) (logmodel.Log, error) {
 	p.met.open.Set(int64(len(p.open)))
 	sortByTime(out)
 	return out, nil
+}
+
+// minDedupPrune is the dedup-window growth below which pruning is not worth
+// a pass over the map.
+const minDedupPrune = 1024
+
+// dedupHorizon is the oldest last-seen time a future entry can still
+// duplicate: entries arrive at most SessionGap behind the watermark, and a
+// duplicate follows its predecessor within DuplicateThreshold. A slot older
+// than the horizon can never match again, so dropping it changes no output.
+func (p *Processor) dedupHorizon() time.Time {
+	return p.watermark.Add(-p.cfg.SessionGap - p.cfg.DuplicateThreshold)
+}
+
+// pruneDedup drops the dedup slots older than the horizon. Survivors move to
+// a fresh map because a Go map never returns the memory of deleted slots.
+func (p *Processor) pruneDedup() {
+	horizon := p.dedupHorizon()
+	live := make(map[dupKey]time.Time, len(p.lastSeen)/2)
+	for k, last := range p.lastSeen {
+		if !last.Before(horizon) {
+			live[k] = last
+		}
+	}
+	p.lastSeen = live
+	p.dedupPruned = len(live)
 }
 
 // Watermark returns the max event time this stream has seen (zero before the
@@ -370,7 +413,7 @@ func (p *Processor) closeSession(os *openSession) logmodel.Log {
 		// the whole session lands in one event-time window.
 		ts := os.last.UnixNano()
 		for _, pe := range os.entries {
-			if n := p.sk.SWS.Observe(ts, pe.Info.Fingerprint, pe.User, pattern.HashWhere(pe.Info.WC)); n > 0 {
+			if n := p.sk.SWS.Observe(ts, pe.Info.Fingerprint, pe.User, pe.Info.WCHash); n > 0 {
 				p.met.swsFlush.Add(int64(n))
 			}
 		}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -294,5 +295,108 @@ func TestStreamHighWaterMarkGauge(t *testing.T) {
 	}
 	if got := reg.Counter("stream_sessions_emitted_total").Value(); got != int64(totalSessions) {
 		t.Errorf("emitted counter %d, want %d", got, totalSessions)
+	}
+}
+
+// TestDedupWindowStaysBounded streams distinct statements across many
+// session gaps: the live dedup map must stay near the slots a future entry
+// can still match, and pruning it must not change what Run and RunSharded
+// emit. One user's duplicates arrive late, behind every other entry of
+// their round, so a prune horizon without the session-gap allowance for
+// late entries would miss them.
+func TestDedupWindowStaysBounded(t *testing.T) {
+	const users, rounds = 20, 60
+	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
+	stmt := func(round, k int) string {
+		return fmt.Sprintf("SELECT name FROM Employees WHERE id = %d", round*10+k)
+	}
+	var log logmodel.Log
+	for r := 0; r < rounds; r++ {
+		start := base.Add(time.Duration(r) * 10 * time.Minute)
+		round := logmodel.Log{{Time: start, User: "late", Statement: stmt(r, 7)}}
+		for u := 0; u < users; u++ {
+			t0 := start.Add(time.Duration(u+1) * 10 * time.Millisecond)
+			add := func(off time.Duration, s string) {
+				round = append(round, logmodel.Entry{Time: t0.Add(off), User: fmt.Sprintf("user%02d", u), Statement: s})
+			}
+			add(0, stmt(r, 0))
+			add(500*time.Millisecond, stmt(r, 0)) // duplicate within the 1 s threshold
+			for k := 1; k < 5; k++ {
+				add(time.Duration(k)*2*time.Second, stmt(r, k))
+			}
+			if r > 0 {
+				add(11*time.Second, stmt(r-1, 1)) // repeat from the previous round: not a duplicate
+			}
+		}
+		round.SortStable()
+		// The late user's duplicate, 500 ms after its original but sent
+		// after the rest of the round.
+		round = append(round, logmodel.Entry{Time: start.Add(500 * time.Millisecond), User: "late", Statement: stmt(r, 7)})
+		log = append(log, round...)
+	}
+	for i := range log {
+		log[i].Seq = int64(i)
+	}
+
+	run := func(p *Processor) (logmodel.Log, int) {
+		var out logmodel.Log
+		peak := 0
+		for _, e := range log {
+			emitted, err := p.Add(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, emitted...)
+			peak = max(peak, len(p.lastSeen))
+		}
+		return append(out, p.Close()...), peak
+	}
+	unpruned := New(Config{})
+	unpruned.dedupPruned = len(log) // never reaches the prune threshold
+	want, slots := run(unpruned)
+	pruned := New(Config{})
+	got, peak := run(pruned)
+
+	if want := (users*5 + 1) * rounds; slots != want {
+		t.Fatalf("unpruned window holds %d slots, want every distinct pair (%d)", slots, want)
+	}
+	if peak > 2*(users*6+1)+minDedupPrune {
+		t.Fatalf("dedup window peaked at %d slots of %d distinct pairs", peak, slots)
+	}
+	if want := (users + 1) * rounds; unpruned.Stats().Duplicates != want || pruned.Stats().Duplicates != want {
+		t.Fatalf("duplicates: unpruned %d, pruned %d, want %d", unpruned.Stats().Duplicates, pruned.Stats().Duplicates, want)
+	}
+	same := func(name string, got logmodel.Log) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s emitted %d entries, unpruned %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s entry %d: %+v, unpruned %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	same("pruned processor", got)
+	ran, st, err := Run(log, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Run", ran)
+	if !reflect.DeepEqual(st, unpruned.Stats()) || !reflect.DeepEqual(pruned.Stats(), unpruned.Stats()) {
+		t.Fatalf("stats: Run %+v, pruned %+v, unpruned %+v", st, pruned.Stats(), unpruned.Stats())
+	}
+	sharded, sst, err := RunSharded(log, ShardedConfig{Shards: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, mw := statementMultiset(sharded), statementMultiset(want)
+	if len(ms) != len(mw) || sst.Duplicates != st.Duplicates || sst.Out != st.Out {
+		t.Fatalf("RunSharded: %d distinct out, %d duplicates; unpruned %d, %d", len(ms), sst.Duplicates, len(mw), st.Duplicates)
+	}
+	for s, n := range mw {
+		if ms[s] != n {
+			t.Fatalf("RunSharded statement %q: %d, unpruned %d", s, ms[s], n)
+		}
 	}
 }

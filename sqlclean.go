@@ -46,6 +46,7 @@ import (
 	"sqlclean/internal/session"
 	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sketch"
+	"sqlclean/internal/sqlast"
 	"sqlclean/internal/stream"
 	"sqlclean/internal/traffic"
 	"sqlclean/internal/workload"
@@ -94,8 +95,15 @@ type Catalog = schema.Catalog
 type Column = schema.Column
 
 // QueryInfo is the parsed-and-summarized form of one SELECT statement (its
-// skeleton clauses, template fingerprint, and predicate summary).
+// skeleton clauses, template fingerprint, and predicate summary). It keeps
+// no syntax tree: QueryTree re-parses the statement on every call, so
+// custom rules should decide from the summary fields and re-parse only the
+// statements that pass them.
 type QueryInfo = skeleton.Info
+
+// QueryTree re-parses a SELECT statement into a fresh syntax tree that the
+// caller owns. Each call parses the statement text again.
+func QueryTree(in *QueryInfo) (*sqlast.SelectStatement, error) { return parsedlog.Tree(in) }
 
 // ParsedEntry is one log entry annotated with its parse result; custom
 // rules receive the parsed log.

@@ -141,10 +141,14 @@ func (customRule) Detect(pl sqlclean.ParsedLog, sess sqlclean.Session) []sqlclea
 	var out []sqlclean.Instance
 	for _, idx := range sess.Indices {
 		e := pl[idx]
-		if e.Info == nil {
+		if e.Info == nil || e.Info.HasWhere() {
 			continue
 		}
-		if len(e.Info.Stmt.OrderBy) > 0 && e.Info.Stmt.Where == nil {
+		stmt, err := sqlclean.QueryTree(e.Info)
+		if err != nil {
+			continue
+		}
+		if len(stmt.OrderBy) > 0 {
 			skel := e.Info.SkeletonText()
 			out = append(out, sqlclean.Instance{
 				Kind: "OrderByEverything", Indices: []int{idx}, User: sess.User,
