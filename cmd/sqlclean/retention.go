@@ -5,6 +5,7 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"time"
@@ -66,10 +67,17 @@ func runScan(retainDir, from, to string, template uint64) {
 		opts.Templates = map[uint64]bool{template: true}
 	}
 	n := 0
+	out := bufio.NewWriter(os.Stdout)
+	var line []byte
 	err = colstore.NewReader(retainDir).Scan(opts, func(_ uint64, e logmodel.Entry) error {
 		n++
-		return logmodel.WriteTSV(os.Stdout, logmodel.Log{e})
+		line = logmodel.AppendTSV(line[:0], e)
+		_, err := out.Write(line)
+		return err
 	})
+	if err == nil {
+		err = out.Flush()
+	}
 	if err != nil {
 		fatal(err)
 	}

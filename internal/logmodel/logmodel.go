@@ -179,11 +179,29 @@ func (l Log) Clone() Log {
 // TimeFormat is the on-disk timestamp layout.
 const TimeFormat = "2006-01-02T15:04:05.000"
 
-// escape replaces tab and newline characters inside statements so one entry
-// stays one TSV line.
-func escape(s string) string {
-	r := strings.NewReplacer("\\", `\\`, "\t", `\t`, "\n", `\n`, "\r", `\r`)
-	return r.Replace(s)
+// appendEscaped appends s with backslashes, tabs and line breaks escaped,
+// so one entry stays one TSV line. Runs without any of those characters,
+// nearly all of a field, are copied in one piece.
+func appendEscaped(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var c byte
+		switch s[i] {
+		case '\\':
+			c = '\\'
+		case '\t':
+			c = 't'
+		case '\n':
+			c = 'n'
+		case '\r':
+			c = 'r'
+		default:
+			continue
+		}
+		b = append(append(b, s[start:i]...), '\\', c)
+		start = i + 1
+	}
+	return append(b, s[start:]...)
 }
 
 func unescape(s string) string {
@@ -216,17 +234,28 @@ func unescape(s string) string {
 // time, user, session, rows, statement.
 func WriteTSV(w io.Writer, l Log) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, e := range l {
-		rows := ""
-		if e.Rows >= 0 {
-			rows = strconv.FormatInt(e.Rows, 10)
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%s\n",
-			e.Time.UTC().Format(TimeFormat), escape(e.User), escape(e.Session), rows, escape(e.Statement)); err != nil {
+		line = AppendTSV(line[:0], e)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// AppendTSV appends e as one WriteTSV line, newline included. Writers that
+// emit entries one at a time use it with a buffer of their own.
+func AppendTSV(b []byte, e Entry) []byte {
+	b = e.Time.UTC().AppendFormat(b, TimeFormat)
+	b = appendEscaped(append(b, '\t'), e.User)
+	b = appendEscaped(append(b, '\t'), e.Session)
+	b = append(b, '\t')
+	if e.Rows >= 0 {
+		b = strconv.AppendInt(b, e.Rows, 10)
+	}
+	b = appendEscaped(append(b, '\t'), e.Statement)
+	return append(b, '\n')
 }
 
 // LineError is a TSV parse failure that knows which input line it came

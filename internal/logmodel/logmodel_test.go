@@ -2,7 +2,10 @@ package logmodel
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,5 +163,41 @@ func TestUnescapeOddTrailingBackslash(t *testing.T) {
 	}
 	if got := unescape(`a\x`); got != `a\x` {
 		t.Errorf("unknown escape: got %q", got)
+	}
+}
+
+// TestWriteTSVAllocsPerEntry pins what writing costs: the writer and its
+// line buffer are allocated per call, nothing per entry or per field. The
+// bytes are those of the field-by-field strings.Replacer encoding.
+func TestWriteTSVAllocsPerEntry(t *testing.T) {
+	l := sample()
+	l = append(l, Entry{Time: time.Unix(7, 0), User: `u\1`, Session: "s\t2", Rows: 12, Statement: "a\\b\rc\n"})
+	esc := strings.NewReplacer("\\", `\\`, "\t", `\t`, "\n", `\n`, "\r", `\r`)
+	var want strings.Builder
+	for _, e := range l {
+		rows := ""
+		if e.Rows >= 0 {
+			rows = strconv.FormatInt(e.Rows, 10)
+		}
+		fmt.Fprintf(&want, "%s\t%s\t%s\t%s\t%s\n", e.Time.UTC().Format(TimeFormat), esc.Replace(e.User), esc.Replace(e.Session), rows, esc.Replace(e.Statement))
+	}
+	var buf bytes.Buffer
+	if err := WriteTSV(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("WriteTSV wrote\n%q\nwant\n%q", buf.String(), want.String())
+	}
+
+	for len(l) < 1000 {
+		l = append(l, l...)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := WriteTSV(io.Discard, l); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perEntry := allocs / float64(len(l)); perEntry > 0.01 {
+		t.Fatalf("WriteTSV allocates %.3f times per entry (%.0f per call of %d entries)", perEntry, allocs, len(l))
 	}
 }

@@ -10,6 +10,16 @@
 // syntax tree is kept; Tree re-parses a statement for the few callers that
 // rewrite one.
 //
+// Most distinct statements of a log differ from an earlier one only in their
+// literal values, and a cache miss need not parse those. The Parser keeps a
+// table of SELECT shapes, keyed by the token sequence with the values of
+// number and string tokens cut out; each entry is a skeleton.Shape, the
+// summary of the first statement of that shape with holes where its literals
+// were. A miss tokenizes the statement once. If its shape is known, the
+// summary is bound from the tokens: no parser and no printer runs. Otherwise
+// the statement is parsed from the same tokens and, if it is a SELECT,
+// records its shape. The table holds at most maxShapes entries.
+//
 // The Parser is safe for concurrent use. Its cache is split into shards of
 // one mutex-guarded map each; a per-statement singleflight guarantees each
 // unique text is parsed exactly once even when many goroutines race on it —
@@ -33,6 +43,7 @@ import (
 	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 	"sqlclean/internal/sqlparser"
+	"sqlclean/internal/sqltoken"
 )
 
 // Entry is one log entry plus its parse result.
@@ -132,6 +143,8 @@ type parserMetrics struct {
 	misses  *obs.Counter // this call created the slot and parses
 	hits    *obs.Counter // slot existed with a finished parse
 	waits   *obs.Counter // slot existed but the parse was in flight (singleflight wait)
+	binds   *obs.Counter // misses bound from a known shape instead of parsed
+	shapes  *obs.Gauge   // entries in the shape table
 }
 
 // Parser parses log entries with a statement-text cache. It is safe for
@@ -141,6 +154,8 @@ type Parser struct {
 	// skeletons holds one record per distinct masked skeleton, shared by
 	// every parse result of that skeleton.
 	skeletons skeleton.Skeletons
+	// shapes holds one skeleton.Shape per SELECT token shape.
+	shapes shapeTable
 	// met is nil unless Instrument attached a registry. It is read without
 	// synchronization, so Instrument must be called before parsing starts.
 	met *parserMetrics
@@ -148,7 +163,9 @@ type Parser struct {
 
 // Instrument attaches cache-effectiveness counters (parse_entries_total,
 // parse_cache_hits_total, parse_cache_misses_total,
-// parse_singleflight_waits_total) to the parser. Call before the first
+// parse_singleflight_waits_total, parse_shape_binds_total) and the
+// parse_shapes gauge to the parser. Misses that ran the parser number
+// parse_cache_misses_total − parse_shape_binds_total. Call before the first
 // ParseEntry; a nil registry leaves the parser on the zero-overhead path.
 func (p *Parser) Instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -159,6 +176,8 @@ func (p *Parser) Instrument(reg *obs.Registry) {
 		misses:  reg.Counter("parse_cache_misses_total"),
 		hits:    reg.Counter("parse_cache_hits_total"),
 		waits:   reg.Counter("parse_singleflight_waits_total"),
+		binds:   reg.Counter("parse_shape_binds_total"),
+		shapes:  reg.Gauge("parse_shapes"),
 	}
 }
 
@@ -221,8 +240,36 @@ func (p *Parser) Intern(stmt string) string {
 	return r.info.Statement
 }
 
+// parseInto fills in a slot: it tokenizes the statement, binds the summary
+// of a SELECT whose shape the table knows, and parses everything else from
+// the tokens, recording the shapes of new SELECTs while the table has room.
 func (p *Parser) parseInto(r *result) {
-	st, err := sqlparser.Parse(r.info.Statement)
+	src := r.info.Statement
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	toks, err := sqltoken.TokenizeAppend(sc.toks[:0], src)
+	sc.toks = toks[:0]
+	if err != nil {
+		r.class, r.err = sqlast.ClassError, err
+		return
+	}
+	var lits map[*sqlast.Literal]int
+	if len(toks) > 0 && toks[0].Kind == sqltoken.Keyword && toks[0].Val == "SELECT" {
+		sc.key = appendShapeKey(sc.key[:0], toks)
+		sh, full := p.shapes.find(sc.key, toks)
+		if sh != nil {
+			r.class = sqlast.ClassSelect
+			sh.Bind(&r.info, toks)
+			if m := p.met; m != nil {
+				m.binds.Inc()
+			}
+			return
+		}
+		if !full {
+			lits = map[*sqlast.Literal]int{}
+		}
+	}
+	st, err := sqlparser.ParseTokens(src, toks, lits)
 	if err != nil {
 		r.class, r.err = sqlast.ClassError, err
 		return
@@ -230,7 +277,16 @@ func (p *Parser) parseInto(r *result) {
 	switch s := st.(type) {
 	case *sqlast.SelectStatement:
 		r.class = sqlast.ClassSelect
-		p.skeletons.Summarize(&r.info, s)
+		if lits == nil {
+			p.skeletons.Summarize(&r.info, s)
+			return
+		}
+		if sh := p.skeletons.SummarizeShape(&r.info, s, lits); sh != nil {
+			n := p.shapes.add(sc.key, toks, lits, sh)
+			if m := p.met; m != nil {
+				m.shapes.Set(int64(n))
+			}
+		}
 	case *sqlast.InsertStatement, *sqlast.UpdateStatement, *sqlast.DeleteStatement:
 		r.class = sqlast.ClassDML
 	case *sqlast.OtherStatement:

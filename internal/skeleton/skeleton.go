@@ -107,14 +107,20 @@ func TemplateEqual(a, b *Info) bool {
 
 // HashClause is the 64-bit FNV-1a hash of a clause text, inlined because
 // hash/fnv's interface-based writer escapes to the heap.
-func HashClause(s string) uint64 {
-	h := uint64(14695981039346656037)
+func HashClause(s string) uint64 { return fnvString(fnvOffset, s) }
+
+// fnvOffset is FNV-1a's initial state; fnvString and fnvByte continue a
+// hash, so a text can be hashed piece by piece.
+const fnvOffset uint64 = 14695981039346656037
+
+func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+		h = fnvByte(h, s[i])
 	}
 	return h
 }
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * 1099511628211 }
 
 // Skeletons is a table of Skeleton records, one per distinct masked
 // skeleton: a log of millions of statements over a few templates keeps a
@@ -169,7 +175,7 @@ var (
 // Skeletons.Summarize, which shares records.
 func Analyze(sel *sqlast.SelectStatement) *Info {
 	in := &Info{}
-	fillInfo(in, sel, nil)
+	fillInfo(in, sel, nil, nil)
 	return in
 }
 
@@ -177,7 +183,7 @@ func Analyze(sel *sqlast.SelectStatement) *Info {
 // but Statement), sharing the Skeleton record with every earlier statement
 // of the same masked skeleton.
 func (t *Skeletons) Summarize(in *Info, sel *sqlast.SelectStatement) {
-	fillInfo(in, sel, t)
+	fillInfo(in, sel, t, nil)
 }
 
 // fillInfo renders the four masked texts (SSC, SFC, SWC and the full
@@ -185,13 +191,22 @@ func (t *Skeletons) Summarize(in *Info, sel *sqlast.SelectStatement) {
 // slices them out of its final string: the alloc profile showed per-clause
 // builders regrowing mid-print as the single largest allocation source on
 // template-heavy logs. Only the hashes of the concrete clauses are kept, so
-// the buffer is garbage once a shared record exists.
-func fillInfo(in *Info, sel *sqlast.SelectStatement, t *Skeletons) {
+// the buffer is garbage once a shared record exists — unless lits is
+// non-nil: then fillInfo also returns the statement's Shape, built from the
+// concrete clauses and the literal origins in lits.
+func fillInfo(in *Info, sel *sqlast.SelectStatement, t *Skeletons, lits map[*sqlast.Literal]int) *Shape {
+	conc := concreteOpts
+	var spans []sqlast.LiteralSpan
+	var from []*sqlast.Literal
+	var fromp *[]*sqlast.Literal
+	if lits != nil {
+		conc.Spans, fromp = &spans, &from
+	}
 	var b strings.Builder
 	b.Grow(512)
-	appendSelectList(&b, sel, true)
+	appendSelectList(&b, sel, maskOpts)
 	o1 := b.Len()
-	appendFromList(&b, sel, true)
+	appendFromList(&b, sel, maskOpts)
 	o2 := b.Len()
 	if sel.Where != nil {
 		sqlast.AppendExpr(&b, sel.Where, maskOpts)
@@ -199,18 +214,22 @@ func fillInfo(in *Info, sel *sqlast.SelectStatement, t *Skeletons) {
 	o3 := b.Len()
 	sqlast.AppendSelect(&b, sel, maskOpts)
 	o4 := b.Len()
-	appendSelectList(&b, sel, false)
+	appendSelectList(&b, sel, conc)
 	o5 := b.Len()
-	appendFromList(&b, sel, false)
+	appendFromList(&b, sel, conc)
 	o6 := b.Len()
 	if sel.Where != nil {
-		sqlast.AppendExpr(&b, sel.Where, concreteOpts)
+		sqlast.AppendExpr(&b, sel.Where, conc)
 	}
 	s := b.String()
 	in.Skeleton = t.record(skelKey{ssc: s[:o1], sfc: s[o1:o2], swc: s[o2:o3], text: s[o3:o4]}, sel)
 	in.Fingerprint = in.Skeleton.fp
 	in.SCHash, in.FCHash, in.WCHash = HashClause(s[o4:o5]), HashClause(s[o5:o6]), HashClause(s[o6:])
-	in.Predicates = ExtractPredicates(sel.Where)
+	in.Predicates = extractPredicates(sel.Where, fromp)
+	if lits == nil {
+		return nil
+	}
+	return newShape(in, s, [4]int{o4, o5, o6, len(s)}, spans, from, lits)
 }
 
 func fingerprint(sfc, swc, ssc string) uint64 {
@@ -227,11 +246,7 @@ func fingerprint(sfc, swc, ssc string) uint64 {
 // Exposed for tests and for the loose-matching ablation.
 func FingerprintOf(sfc, swc, ssc string) uint64 { return fingerprint(sfc, swc, ssc) }
 
-func appendSelectList(b *strings.Builder, sel *sqlast.SelectStatement, masked bool) {
-	o := concreteOpts
-	if masked {
-		o = maskOpts
-	}
+func appendSelectList(b *strings.Builder, sel *sqlast.SelectStatement, o sqlast.PrintOptions) {
 	for i, it := range sel.Items {
 		if i > 0 {
 			b.WriteString(", ")
@@ -244,11 +259,7 @@ func appendSelectList(b *strings.Builder, sel *sqlast.SelectStatement, masked bo
 	}
 }
 
-func appendFromList(b *strings.Builder, sel *sqlast.SelectStatement, masked bool) {
-	o := concreteOpts
-	if masked {
-		o = maskOpts
-	}
+func appendFromList(b *strings.Builder, sel *sqlast.SelectStatement, o sqlast.PrintOptions) {
 	for i, ts := range sel.From {
 		if i > 0 {
 			b.WriteString(", ")
@@ -259,7 +270,12 @@ func appendFromList(b *strings.Builder, sel *sqlast.SelectStatement, masked bool
 
 // ExtractPredicates flattens a WHERE expression over AND and summarizes each
 // conjunct. A nil expression yields nil.
-func ExtractPredicates(where sqlast.Expr) []Predicate {
+func ExtractPredicates(where sqlast.Expr) []Predicate { return extractPredicates(where, nil) }
+
+// extractPredicates is ExtractPredicates that, given a non-nil from, also
+// appends the node each predicate literal was copied from, in the order the
+// literals appear across the predicates.
+func extractPredicates(where sqlast.Expr, from *[]*sqlast.Literal) []Predicate {
 	if where == nil {
 		return nil
 	}
@@ -267,9 +283,18 @@ func ExtractPredicates(where sqlast.Expr) []Predicate {
 	flattenAnd(where, &conjuncts)
 	preds := make([]Predicate, 0, len(conjuncts))
 	for _, c := range conjuncts {
-		preds = append(preds, summarize(c))
+		preds = append(preds, summarize(c, from))
 	}
 	return preds
+}
+
+// addLiteral appends lit's value to p's literals and, when from is
+// non-nil, lit itself to from.
+func addLiteral(p *Predicate, lit *sqlast.Literal, from *[]*sqlast.Literal) {
+	p.Literals = append(p.Literals, *lit)
+	if from != nil {
+		*from = append(*from, lit)
+	}
 }
 
 // countConjuncts sizes flattenAnd's output exactly, so the conjunct slice
@@ -301,7 +326,7 @@ func flattenAnd(e sqlast.Expr, out *[]sqlast.Expr) {
 	*out = append(*out, e)
 }
 
-func summarize(e sqlast.Expr) Predicate {
+func summarize(e sqlast.Expr, from *[]*sqlast.Literal) Predicate {
 	switch x := e.(type) {
 	case *sqlast.BinaryExpr:
 		switch x.Op {
@@ -310,11 +335,11 @@ func summarize(e sqlast.Expr) Predicate {
 			if !colOK {
 				// value op column — normalize by flipping.
 				if rcol, ok := asColumn(x.Right); ok {
-					return summarizeCmp(rcol, flipOp(x.Op), x.Left)
+					return summarizeCmp(rcol, flipOp(x.Op), x.Left, from)
 				}
 				return Predicate{Op: "complex"}
 			}
-			return summarizeCmp(col, x.Op, x.Right)
+			return summarizeCmp(col, x.Op, x.Right, from)
 		}
 		return Predicate{Op: "complex"}
 	case *sqlast.InExpr:
@@ -325,7 +350,7 @@ func summarize(e sqlast.Expr) Predicate {
 		p := Predicate{Qualifier: canon(col.Qualifier), Column: canon(col.Name), Op: "IN"}
 		for _, it := range x.List {
 			if lit, ok := it.(*sqlast.Literal); ok {
-				p.Literals = append(p.Literals, *lit)
+				addLiteral(&p, lit, from)
 			}
 		}
 		return p
@@ -336,10 +361,10 @@ func summarize(e sqlast.Expr) Predicate {
 		}
 		p := Predicate{Qualifier: canon(col.Qualifier), Column: canon(col.Name), Op: "BETWEEN"}
 		if lo, ok := x.Lo.(*sqlast.Literal); ok {
-			p.Literals = append(p.Literals, *lo)
+			addLiteral(&p, lo, from)
 		}
 		if hi, ok := x.Hi.(*sqlast.Literal); ok {
-			p.Literals = append(p.Literals, *hi)
+			addLiteral(&p, hi, from)
 		}
 		return p
 	case *sqlast.IsNullExpr:
@@ -359,23 +384,23 @@ func summarize(e sqlast.Expr) Predicate {
 		}
 		p := Predicate{Qualifier: canon(col.Qualifier), Column: canon(col.Name), Op: "LIKE"}
 		if lit, ok := x.Pattern.(*sqlast.Literal); ok {
-			p.Literals = append(p.Literals, *lit)
+			addLiteral(&p, lit, from)
 		}
 		return p
 	case *sqlast.ParenExpr:
-		return summarize(x.X)
+		return summarize(x.X, from)
 	}
 	return Predicate{Op: "complex"}
 }
 
-func summarizeCmp(col *sqlast.ColumnRef, op string, rhs sqlast.Expr) Predicate {
+func summarizeCmp(col *sqlast.ColumnRef, op string, rhs sqlast.Expr, from *[]*sqlast.Literal) Predicate {
 	p := Predicate{Qualifier: canon(col.Qualifier), Column: canon(col.Name), Op: op}
 	switch r := rhs.(type) {
 	case *sqlast.Literal:
 		if r.Kind == "null" {
 			p.NullCompare = op == "=" || op == "<>"
 		}
-		p.Literals = []sqlast.Literal{*r}
+		addLiteral(&p, r, from)
 	case *sqlast.ColumnRef:
 		if !r.Star {
 			p.OtherColumn = canon(r.Name)

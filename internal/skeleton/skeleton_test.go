@@ -24,8 +24,8 @@ func analyze(t *testing.T, q string) analyzed {
 		t.Fatalf("parse %q: %v", q, err)
 	}
 	var sc, fc strings.Builder
-	appendSelectList(&sc, sel, false)
-	appendFromList(&fc, sel, false)
+	appendSelectList(&sc, sel, concreteOpts)
+	appendFromList(&fc, sel, concreteOpts)
 	a := analyzed{Info: Analyze(sel), SC: sc.String(), FC: fc.String()}
 	if sel.Where != nil {
 		a.WC = sqlast.PrintExpr(sel.Where, concreteOpts)

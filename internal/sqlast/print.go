@@ -17,6 +17,17 @@ type PrintOptions struct {
 	// case-insensitive) so that textually different but equivalent queries
 	// print identically. Used for fingerprinting.
 	NormalizeIdents bool
+	// Spans, when non-nil and MaskLiterals is off, collects where each
+	// number and string Literal lands in the output, in print order.
+	// Offsets count from the start of the builder, so texts rendered one
+	// after another into one builder get offsets into the final string.
+	Spans *[]LiteralSpan
+}
+
+// LiteralSpan is the byte range [Start, End) a printed Literal occupies.
+type LiteralSpan struct {
+	Lit        *Literal
+	Start, End int
 }
 
 // Canonical prints a statement in fully normalized form (masked literals,
@@ -387,15 +398,26 @@ func (p *printer) literal(l *Literal) {
 			p.ws("<str>")
 			return
 		}
+		start := p.b.Len()
 		p.ws("'")
 		p.ws(strings.ReplaceAll(l.Val, "'", "''"))
 		p.ws("'")
+		p.span(l, start)
 	default: // num
 		if p.o.MaskLiterals {
 			p.ws("<num>")
 			return
 		}
+		start := p.b.Len()
 		p.ws(l.Val)
+		p.span(l, start)
+	}
+}
+
+// span records that l was printed from start to the current end of output.
+func (p *printer) span(l *Literal, start int) {
+	if p.o.Spans != nil {
+		*p.o.Spans = append(*p.o.Spans, LiteralSpan{Lit: l, Start: start, End: p.b.Len()})
 	}
 }
 

@@ -5,11 +5,14 @@ import (
 
 	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
+	"sqlclean/internal/sqltoken"
 )
 
 // FuzzParse throws arbitrary bytes at the parser: it must never panic, and
 // whenever it accepts a SELECT, the printer's output must reparse to the
-// same canonical form (the round-trip invariant). Run with
+// same canonical form (the round-trip invariant) and ParseTokens must map
+// every number and string literal of the tree to the token it came from,
+// which the parse cache's shape table relies on. Run with
 // `go test -fuzz=FuzzParse ./internal/sqlparser` for real fuzzing; under
 // plain `go test` the seed corpus below is exercised.
 func FuzzParse(f *testing.F) {
@@ -29,6 +32,7 @@ func FuzzParse(f *testing.F) {
 		"",
 		"@@",
 		"SELECT a FROM t WHERE a IN (SELECT b FROM u)",
+		"SELECT TOP 3 a FROM t WHERE a = -5 AND b > - -2 AND c < -+0x1F",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -50,6 +54,7 @@ func FuzzParse(f *testing.F) {
 		if c1, c2 := sqlast.Canonical(sel), sqlast.Canonical(re); c1 != c2 {
 			t.Fatalf("canonical form unstable:\n1: %s\n2: %s", c1, c2)
 		}
+		checkLiteralOrigins(t, src)
 		// Skeleton analysis must not panic on anything the parser accepts.
 		in := skeleton.Analyze(sel)
 		if in.Fingerprint == 0 && in.SkeletonText() != "" {
@@ -57,6 +62,49 @@ func FuzzParse(f *testing.F) {
 			// as corruption.
 			t.Fatalf("zero fingerprint for %q", printed)
 		}
+	})
+}
+
+// checkLiteralOrigins fails unless ParseTokens maps each number and string
+// literal of src's tree to a distinct token of the same kind whose value is
+// the literal's, or the literal's without a folded unary minus.
+func checkLiteralOrigins(t *testing.T, src string) {
+	t.Helper()
+	toks, err := sqltoken.Tokenize(src)
+	if err != nil {
+		t.Fatalf("%q parses but does not lex: %v", src, err)
+	}
+	lits := map[*sqlast.Literal]int{}
+	st, err := ParseTokens(src, toks, lits)
+	if err != nil {
+		t.Fatalf("%q parses but not from its tokens: %v", src, err)
+	}
+	seen := map[int]bool{}
+	check := func(l *sqlast.Literal) {
+		if l.Kind == "null" {
+			return
+		}
+		i, ok := lits[l]
+		if !ok || seen[i] {
+			t.Fatalf("%q: literal %+v has no token of its own", src, *l)
+		}
+		seen[i] = true
+		tok := toks[i]
+		kindOK := (l.Kind == "num" && tok.Kind == sqltoken.Number) || (l.Kind == "str" && tok.Kind == sqltoken.String)
+		if !kindOK || (l.Val != tok.Val && l.Val != "-"+tok.Val) {
+			t.Fatalf("%q: literal %+v maps to token %v", src, *l, tok)
+		}
+	}
+	sqlast.Walk(st, func(n sqlast.Node) bool {
+		switch x := n.(type) {
+		case *sqlast.Literal:
+			check(x)
+		case *sqlast.SelectStatement:
+			if x.Top != nil {
+				check(x.Top)
+			}
+		}
+		return true
 	})
 }
 

@@ -36,16 +36,28 @@ var tokenBufs = sync.Pool{
 func Parse(src string) (sqlast.Statement, error) {
 	bp := tokenBufs.Get().(*[]sqltoken.Token)
 	toks, err := sqltoken.TokenizeAppend((*bp)[:0], src)
-	if err != nil {
-		*bp = toks[:0]
-		tokenBufs.Put(bp)
-		return nil, err
+	var st sqlast.Statement
+	if err == nil {
+		st, err = ParseTokens(src, toks, nil)
 	}
-	p := &parser{toks: toks, src: src}
-	st, err := p.parseStatement()
 	*bp = toks[:0]
 	tokenBufs.Put(bp)
 	return st, err
+}
+
+// ParseTokens parses a statement from its tokens, as sqltoken.Tokenize
+// returns them for src. A SELECT's tree depends only on the kinds and
+// values of its tokens: src supplies the raw text of non-SELECT statements
+// and the offset of an error at the end of the input, nothing else.
+//
+// When lits is non-nil, every Literal node built from a Number or String
+// token is mapped to that token's index in toks. Those are the only places
+// where a number or string value reaches the tree through a Literal; the
+// other Number tokens, CAST type arguments and the CONVERT style, are kept
+// as they are or dropped.
+func ParseTokens(src string, toks []sqltoken.Token, lits map[*sqlast.Literal]int) (sqlast.Statement, error) {
+	p := &parser{toks: toks, src: src, lits: lits}
+	return p.parseStatement()
 }
 
 // ParseSelect parses src, requiring it to be a SELECT statement.
@@ -84,6 +96,17 @@ type parser struct {
 	toks []sqltoken.Token
 	pos  int
 	src  string
+	lits map[*sqlast.Literal]int // see ParseTokens; nil records nothing
+}
+
+// literal builds the Literal for the Number or String token just consumed
+// and records where it came from.
+func (p *parser) literal(kind, val string) *sqlast.Literal {
+	lit := &sqlast.Literal{Kind: kind, Val: val}
+	if p.lits != nil {
+		p.lits[lit] = p.pos - 1
+	}
+	return lit
 }
 
 func (p *parser) cur() sqltoken.Token {
@@ -232,7 +255,7 @@ func (p *parser) parseSelect() (*sqlast.SelectStatement, error) {
 			return nil, p.errf("expected number after TOP, found %s", p.describeCur())
 		}
 		p.advance()
-		s.Top = &sqlast.Literal{Kind: "num", Val: t.Val}
+		s.Top = p.literal("num", t.Val)
 		if paren {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
@@ -810,10 +833,12 @@ func (p *parser) parseUnary() (sqlast.Expr, error) {
 		}
 		// Fold unary minus into a numeric literal so that "-5" skeletonizes
 		// to a single <num> placeholder. Already-negative literals are left
-		// as a unary expression ("--5" would lex as a comment).
+		// as a unary expression ("--5" would lex as a comment). The fold
+		// keeps the node, so it still maps to its token.
 		if t.Val == "-" {
 			if lit, ok := x.(*sqlast.Literal); ok && lit.Kind == "num" && !strings.HasPrefix(lit.Val, "-") {
-				return &sqlast.Literal{Kind: "num", Val: "-" + lit.Val}, nil
+				lit.Val = "-" + lit.Val
+				return lit, nil
 			}
 		}
 		if t.Val == "+" {
@@ -831,10 +856,10 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 	switch t.Kind {
 	case sqltoken.Number:
 		p.advance()
-		return &sqlast.Literal{Kind: "num", Val: t.Val}, nil
+		return p.literal("num", t.Val), nil
 	case sqltoken.String:
 		p.advance()
-		return &sqlast.Literal{Kind: "str", Val: t.Val}, nil
+		return p.literal("str", t.Val), nil
 	case sqltoken.Variable:
 		p.advance()
 		return &sqlast.Variable{Name: t.Val}, nil
