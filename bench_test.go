@@ -501,8 +501,8 @@ func BenchmarkClusterBoxes(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterBoxesGrid is the bucketed replacement on the same inputs
-// (serial grid; the parallel driver is exercised by the pipeline benches).
+// BenchmarkClusterBoxesGrid is the clustering path on the same inputs: one
+// worker, so it times the signature pass, the dedup and the serial grid.
 func BenchmarkClusterBoxesGrid(b *testing.B) {
 	for _, c := range []struct {
 		name        string
@@ -517,7 +517,7 @@ func BenchmarkClusterBoxesGrid(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(overlap.ClusterBoxesGrid(boxes, 0.9)) == 0 {
+				if len(overlap.ClusterBoxesFastGrid(boxes, 0.9, 1, nil)) == 0 {
 					b.Fatal("no clusters")
 				}
 			}
@@ -926,8 +926,9 @@ func BenchmarkRecommendContamination(b *testing.B) {
 }
 
 // BenchmarkAblationClusterFastVsSlow compares the naive O(n·k) leader
-// clustering against the identical-box-deduplicated variant that exploits
-// the paper's observation that distances are almost always 0 or 1.
+// clustering against the clustering path, whose identical-box dedup
+// exploits the paper's observation that distances are almost always 0 or 1
+// (and whose grid prunes the leader scan over the distinct boxes).
 func BenchmarkAblationClusterFastVsSlow(b *testing.B) {
 	_, res := benchSetup(b)
 	boxes := clusterBoxes(b, res.PreClean)
@@ -942,7 +943,7 @@ func BenchmarkAblationClusterFastVsSlow(b *testing.B) {
 	b.Run("dedup", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(overlap.ClusterBoxesFast(boxes, 0.9)) == 0 {
+			if len(overlap.ClusterBoxesFastGrid(boxes, 0.9, 1, nil)) == 0 {
 				b.Fatal("no clusters")
 			}
 		}

@@ -202,10 +202,9 @@ func main() {
 	for _, s := range res.Report.SolveStats {
 		fmt.Printf("solved %-10s: %d instances, %d → %d queries\n", s.Kind, s.Solved, s.QueriesBefore, s.QueriesAfter)
 	}
-	// The per-run Overlap-call count depends on worker scheduling (the
-	// parallel driver probes pre-batch clusters the serial order would
-	// short-circuit), so the report prints only worker-invariant figures:
-	// the clustering itself and the leader-scan counterfactual.
+	// The report prints the clustering and the leader-scan counterfactual;
+	// the grid's own Overlap-call counts go to -json
+	// (cluster_comparisons*). Every figure is the same at any -workers.
 	if *clusterT > 0 {
 		fmt.Printf("clusters (threshold %g): %d, avg size %.1f (grid pruned a %d-comparison leader scan)\n",
 			*clusterT, res.Report.ClusterCount, res.Report.ClusterAvgSize,

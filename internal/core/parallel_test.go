@@ -24,6 +24,7 @@ func TestRunParallelDeterminism(t *testing.T) {
 		{"sws-exclude", Config{SWSMode: SWSExclude}},
 		{"sws-union", Config{SWSMode: SWSUnion}},
 		{"no-dedup", Config{NoDedup: true}},
+		{"cluster", Config{ClusterThreshold: 0.9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,6 +72,9 @@ func TestRunParallelDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(serial.PreClean, par.PreClean) {
 				t.Errorf("PreClean differs")
+			}
+			if !reflect.DeepEqual(serial.Clusters, par.Clusters) {
+				t.Errorf("Clusters differ (serial %d, parallel %d)", len(serial.Clusters), len(par.Clusters))
 			}
 		})
 	}

@@ -77,8 +77,9 @@ type Config struct {
 	// predicate boxes (§6.9): each query joins the first cluster whose
 	// representative's region is at overlap distance below the threshold.
 	// Zero — the default — skips the stage; the paper's operating point is
-	// 0.9. Clustering runs on the grid-pruned parallel path, whose output
-	// is identical to the quadratic leader scan.
+	// 0.9. Clustering runs on overlap.ClusterBoxesFastGrid (signature
+	// dedup, then the exact grid), whose output is identical to the
+	// quadratic leader scan; Workers fans out only its signature pass.
 	ClusterThreshold float64
 	// Workers is the degree of parallelism for the embarrassingly parallel
 	// stages (statement parsing, per-session antipattern detection,

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"sqlclean/internal/parallel"
 )
 
 // The paper observes that the overlap distance "very often yields 0 (queries
@@ -12,9 +14,10 @@ import (
 // clustering path exploits that: identical boxes are grouped by a canonical
 // signature first, leader clustering runs over the (few) distinct boxes
 // only, and every member inherits its representative's cluster. The result
-// is identical to ClusterBoxes for every threshold, because a box is always
-// at distance 0 from an identical box and the leader algorithm assigns each
-// distinct box deterministically.
+// is identical to ClusterBoxes for every threshold, because a box that is at
+// distance 0 from itself joins the same cluster as every earlier copy of it
+// (the leader algorithm assigns each distinct box deterministically), and
+// the one box that is not, one with an empty interval, is never grouped.
 
 // Signature canonically encodes a box: identical boxes — and only identical
 // boxes — share a signature. Callers use it to deduplicate boxes before
@@ -60,45 +63,52 @@ func signature(b Box) string {
 	return sb.String()
 }
 
-// ClusterBoxesFast is ClusterBoxes with identical-box deduplication: it
-// produces exactly the same clustering (same leaders, same membership) in
-// O(n + d·k) instead of O(n·k), where d is the number of distinct boxes.
-func ClusterBoxesFast(boxes []Box, threshold float64) []Cluster {
+// ClusterBoxesFastGrid is the clustering path: ClusterBoxes' exact output
+// (same leaders, same membership, same order) for every threshold and
+// worker count, in near-linear time. It composes two levers. Signature
+// dedup shrinks n to the distinct boxes: up to `workers` goroutines compute
+// the per-box keys, and everything after runs serially in first-occurrence
+// order. Grid pruning then removes the quadratic leader scan over the
+// distinct boxes. ctr (may be nil) counts the grid's work over the distinct
+// boxes; like the clustering, it does not depend on workers.
+func ClusterBoxesFastGrid(boxes []Box, threshold float64, workers int, ctr *Counters) []Cluster {
 	if threshold <= 0 {
 		// With a non-positive threshold even identical boxes (distance 0)
 		// do not merge, so deduplication would change the result.
-		return ClusterBoxes(boxes, threshold)
+		return clusterGrid(boxes, threshold, ctr)
 	}
-	distinct, members := dedupBoxes(boxes)
-	return expandClusters(ClusterBoxes(distinct, threshold), members, len(boxes))
+	keys := parallel.Map(workers, boxes, func(_ int, b Box) string { return dedupKey(b) })
+	distinct, members := dedupBoxes(boxes, keys)
+	return expandClusters(clusterGrid(distinct, threshold, ctr), members, len(boxes))
 }
 
-// ClusterBoxesFastGrid composes both scaling levers: signature dedup
-// shrinks n to the distinct boxes, grid pruning with the parallel driver
-// removes the quadratic leader scan over those. Output is identical to
-// ClusterBoxes for every threshold and worker count. ctr (may be nil)
-// counts the clustering work over the distinct boxes.
-func ClusterBoxesFastGrid(boxes []Box, threshold float64, workers int, ctr *Counters) []Cluster {
-	if threshold <= 0 {
-		return ClusterBoxesGridCounted(boxes, threshold, ctr)
+// dedupKey is the key ClusterBoxesFastGrid groups a box by: its signature,
+// or "" when the box is not at distance 0 from itself. An empty interval
+// (a contradictory range such as x > 5 AND x < 3) overlaps nothing, not
+// even its own copy, so the leader scan never merges two copies of such a
+// box and neither may the dedup.
+func dedupKey(b Box) string {
+	for _, d := range b.Dims {
+		if dimOverlap(d, d) != 1 {
+			return ""
+		}
 	}
-	distinct, members := dedupBoxes(boxes)
-	dc := ClusterBoxesGridParallelCounted(distinct, threshold, workers, ctr)
-	return expandClusters(dc, members, len(boxes))
+	return signature(b)
 }
 
-// dedupBoxes groups input indices by box signature, keeping
-// first-occurrence order: distinct[i] is the first box with its signature,
-// members[i] the input indices sharing it (ascending).
-func dedupBoxes(boxes []Box) (distinct []Box, members [][]int) {
-	bySig := map[string]int{} // signature -> distinct index
-	for i, b := range boxes {
-		sig := signature(b)
-		di, ok := bySig[sig]
+// dedupBoxes groups input indices by key (keys[i] is boxes[i]'s; "" never
+// groups), keeping first-occurrence order: distinct[i] is the first box with
+// its key, members[i] the input indices sharing it (ascending).
+func dedupBoxes(boxes []Box, keys []string) (distinct []Box, members [][]int) {
+	byKey := map[string]int{} // key -> distinct index
+	for i, k := range keys {
+		di, ok := byKey[k]
 		if !ok {
 			di = len(distinct)
-			bySig[sig] = di
-			distinct = append(distinct, b)
+			if k != "" {
+				byKey[k] = di
+			}
+			distinct = append(distinct, boxes[i])
 			members = append(members, nil)
 		}
 		members[di] = append(members[di], i)

@@ -36,7 +36,7 @@ func TestClusterBoxesFastEquivalence(t *testing.T) {
 		boxes := randomBoxes(rng, 200)
 		for _, th := range []float64{0.1, 0.5, 0.9} {
 			slow := ClusterBoxes(boxes, th)
-			fast := ClusterBoxesFast(boxes, th)
+			fast := ClusterBoxesFastGrid(boxes, th, 2, nil)
 			if len(slow) != len(fast) {
 				t.Fatalf("trial %d th %.1f: %d vs %d clusters", trial, th, len(slow), len(fast))
 			}
@@ -57,12 +57,31 @@ func TestClusterBoxesFastEquivalence(t *testing.T) {
 func TestClusterBoxesFastZeroThresholdFallback(t *testing.T) {
 	boxes := randomBoxes(rand.New(rand.NewSource(1)), 30)
 	slow := ClusterBoxes(boxes, 0)
-	fast := ClusterBoxesFast(boxes, 0)
+	fast := ClusterBoxesFastGrid(boxes, 0, 2, nil)
 	if !reflect.DeepEqual(slow, fast) {
 		t.Fatal("zero-threshold results differ")
 	}
 	if len(fast) != len(boxes) {
 		t.Fatalf("threshold 0 must make singletons: %d clusters", len(fast))
+	}
+}
+
+// TestClusterBoxesFastGridEmptyIntervalCopies: a box with an empty interval
+// overlaps nothing, not even a copy of itself, so the leader scan founds a
+// cluster for every copy that no earlier leader takes; the dedup must not
+// merge the copies either.
+func TestClusterBoxesFastGridEmptyIntervalCopies(t *testing.T) {
+	empty := Box{Tables: map[string]bool{"t": true}, Dims: map[string]Dim{"x": {Interval: Interval{Lo: 5, Hi: 3}}}}
+	set := Box{Tables: map[string]bool{"t": true}, Dims: map[string]Dim{"x": {Set: map[string]bool{"5": true}}}}
+	boxes := []Box{empty, set, empty, empty}
+	for _, th := range []float64{0.5, 1} {
+		want := ClusterBoxes(boxes, th)
+		if len(want) != 3 {
+			t.Fatalf("th %g: leader scan made %d clusters, want 3: %+v", th, len(want), want)
+		}
+		if got := ClusterBoxesFastGrid(boxes, th, 1, nil); !reflect.DeepEqual(want, got) {
+			t.Fatalf("th %g: fast grid %+v, leader scan %+v", th, got, want)
+		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-
-	"sqlclean/internal/parallel"
 )
 
 // This file removes the quadratic tail from leader clustering. ClusterBoxes
@@ -46,7 +44,8 @@ import (
 // Counters reports the work a grid clustering run did versus what the
 // serial leader scan would have done on the same input. All counts refer to
 // pairwise Overlap evaluations (the expensive unit of clustering work), not
-// wall clock.
+// wall clock. The grid runs serially, so every count is a function of the
+// input and threshold alone: the worker count never changes it.
 type Counters struct {
 	// Boxes is the number of boxes clustered.
 	Boxes int64
@@ -66,24 +65,10 @@ type Counters struct {
 // Avoided is the number of pairwise comparisons the grid pruned away.
 func (c Counters) Avoided() int64 { return c.ScanComparisons - c.Comparisons }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.Boxes += other.Boxes
-	c.Comparisons += other.Comparisons
-	c.CellsProbed += other.CellsProbed
-	c.ScanComparisons += other.ScanComparisons
-}
-
-// ClusterBoxesGrid is ClusterBoxes with exact grid pruning: identical
-// output, near-linear on logs whose boxes are local (the common case — real
-// predicates constrain a few columns with bounded ranges).
-func ClusterBoxesGrid(boxes []Box, threshold float64) []Cluster {
-	return ClusterBoxesGridCounted(boxes, threshold, nil)
-}
-
-// ClusterBoxesGridCounted is ClusterBoxesGrid with work counters; ctr may
-// be nil.
-func ClusterBoxesGridCounted(boxes []Box, threshold float64, ctr *Counters) []Cluster {
+// clusterGrid is ClusterBoxes with exact grid pruning: identical output,
+// near-linear on logs whose boxes are local (the common case — real
+// predicates constrain a few columns with bounded ranges). ctr may be nil.
+func clusterGrid(boxes []Box, threshold float64, ctr *Counters) []Cluster {
 	if cl, done := trivialClusters(boxes, threshold, ctr); done {
 		return cl
 	}
@@ -120,108 +105,6 @@ func ClusterBoxesGridCounted(boxes []Box, threshold float64, ctr *Counters) []Cl
 	}
 	return clusters
 }
-
-// ClusterBoxesGridParallel clusters with grid pruning using up to `workers`
-// goroutines. Output is byte-identical to ClusterBoxes for every worker
-// count: boxes are processed in input-order batches; a parallel phase
-// matches each batch box against the leaders founded before the batch
-// (read-only index), and a serial merge phase resolves intra-batch
-// founding in input order. A pre-batch match always wins because pre-batch
-// clusters precede batch-founded ones in founding order.
-func ClusterBoxesGridParallel(boxes []Box, threshold float64, workers int) []Cluster {
-	return ClusterBoxesGridParallelCounted(boxes, threshold, workers, nil)
-}
-
-// ClusterBoxesGridParallelCounted is ClusterBoxesGridParallel with work
-// counters; ctr may be nil. Cluster output does not depend on the worker
-// count; the counter totals can (batch boundaries shift which phase pays
-// for a probe), but ScanComparisons and the final clustering never do.
-func ClusterBoxesGridParallelCounted(boxes []Box, threshold float64, workers int, ctr *Counters) []Cluster {
-	w := parallel.Workers(workers)
-	if w <= 1 || len(boxes) < 2*gridMinBatch || threshold <= 0 || threshold > 1 {
-		return ClusterBoxesGridCounted(boxes, threshold, ctr)
-	}
-	if ctr != nil {
-		ctr.Boxes += int64(len(boxes))
-	}
-	g := newGridIndex(boxes, threshold)
-	var clusters []Cluster
-
-	batch := len(boxes) / (w * 4)
-	if batch < gridMinBatch {
-		batch = gridMinBatch
-	}
-	if batch > gridMaxBatch {
-		batch = gridMaxBatch
-	}
-
-	type probe struct {
-		match        int // first matching pre-batch cluster, or -1
-		comps, cells int64
-	}
-	var scratch []int
-	for start := 0; start < len(boxes); start += batch {
-		end := start + batch
-		if end > len(boxes) {
-			end = len(boxes)
-		}
-		res := parallel.Map(w, boxes[start:end], func(_ int, b Box) probe {
-			var local Counters
-			cand := g.lookup(b, nil, &local)
-			m := -1
-			for _, ci := range cand {
-				local.Comparisons++
-				if Distance(b, boxes[clusters[ci].Representative]) < threshold {
-					m = ci
-					break
-				}
-			}
-			return probe{match: m, comps: local.Comparisons, cells: local.CellsProbed}
-		})
-
-		firstBatch := len(clusters)
-		for off, pr := range res {
-			i := start + off
-			if ctr != nil {
-				ctr.Comparisons += pr.comps
-				ctr.CellsProbed += pr.cells
-			}
-			ci := pr.match
-			if ci < 0 && len(clusters) > firstBatch {
-				// No pre-batch leader matched; probe the leaders founded
-				// earlier in this batch, in founding order.
-				scratch = g.lookup(boxes[i], scratch[:0], ctr)
-				for _, c := range scratch[sort.SearchInts(scratch, firstBatch):] {
-					if ctr != nil {
-						ctr.Comparisons++
-					}
-					if Distance(boxes[i], boxes[clusters[c].Representative]) < threshold {
-						ci = c
-						break
-					}
-				}
-			}
-			if ci >= 0 {
-				clusters[ci].Members = append(clusters[ci].Members, i)
-				if ctr != nil {
-					ctr.ScanComparisons += int64(ci) + 1
-				}
-				continue
-			}
-			if ctr != nil {
-				ctr.ScanComparisons += int64(len(clusters))
-			}
-			g.add(boxes[i], len(clusters))
-			clusters = append(clusters, Cluster{Representative: i, Members: []int{i}})
-		}
-	}
-	return clusters
-}
-
-const (
-	gridMinBatch = 256
-	gridMaxBatch = 8192
-)
 
 // trivialClusters handles the degenerate thresholds where no Overlap call
 // is ever needed: threshold ≤ 0 never merges (Distance ≥ 0), threshold > 1

@@ -84,25 +84,29 @@ func requireSameClustering(t *testing.T, want, got []Cluster, label string) {
 	}
 }
 
-// checkGridEquivalence asserts that the grid path — serial and parallel at
-// every worker count — is byte-identical to the quadratic leader scan.
+// checkGridEquivalence asserts that the serial grid and ClusterBoxesFastGrid
+// at every worker count are byte-identical to the quadratic leader scan, and
+// that the fast path's work counters do not depend on the worker count.
 func checkGridEquivalence(t *testing.T, boxes []Box, threshold float64) {
 	t.Helper()
 	want := ClusterBoxes(boxes, threshold)
 	var ctr Counters
-	got := ClusterBoxesGridCounted(boxes, threshold, &ctr)
+	got := clusterGrid(boxes, threshold, &ctr)
 	requireSameClustering(t, want, got, fmt.Sprintf("grid(t=%g)", threshold))
 	if ctr.Comparisons > ctr.ScanComparisons {
 		t.Fatalf("t=%g: grid did more comparisons (%d) than the scan would (%d)",
 			threshold, ctr.Comparisons, ctr.ScanComparisons)
 	}
-	for _, w := range gridWorkerCounts {
-		var pctr Counters
-		gotP := ClusterBoxesGridParallelCounted(boxes, threshold, w, &pctr)
-		requireSameClustering(t, want, gotP, fmt.Sprintf("grid-parallel(t=%g,w=%d)", threshold, w))
-		if pctr.ScanComparisons != ctr.ScanComparisons {
-			t.Fatalf("t=%g w=%d: counterfactual scan count changed: %d vs %d",
-				threshold, w, pctr.ScanComparisons, ctr.ScanComparisons)
+	var first Counters
+	for i, w := range gridWorkerCounts {
+		var fctr Counters
+		gotF := ClusterBoxesFastGrid(boxes, threshold, w, &fctr)
+		requireSameClustering(t, want, gotF, fmt.Sprintf("fast-grid(t=%g,w=%d)", threshold, w))
+		if i == 0 {
+			first = fctr
+		} else if fctr != first {
+			t.Fatalf("t=%g w=%d: counters %+v differ from w=%d's %+v",
+				threshold, w, fctr, gridWorkerCounts[0], first)
 		}
 	}
 }
@@ -121,9 +125,9 @@ func TestGridEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestGridEquivalenceLargeBatched uses enough boxes that the parallel
-// driver actually batches (len ≥ 2·gridMinBatch) instead of falling back to
-// the serial path.
+// TestGridEquivalenceLargeBatched runs the suite on 1,500 random boxes: long
+// leader lists, crowded grid cells, and a signature pass that every worker
+// count splits.
 func TestGridEquivalenceLargeBatched(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	boxes := make([]Box, 1500)
@@ -218,25 +222,6 @@ func math_Copysign0() float64 {
 	return -z
 }
 
-// TestGridDeterminism re-runs the parallel driver and requires identical
-// output every time at every worker count.
-func TestGridDeterminism(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	boxes := make([]Box, 1200)
-	for i := range boxes {
-		boxes[i] = randGridBox(r)
-	}
-	want := ClusterBoxesGridParallel(boxes, 0.9, 1)
-	for _, w := range gridWorkerCounts {
-		for run := 0; run < 3; run++ {
-			got := ClusterBoxesGridParallel(boxes, 0.9, w)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d run=%d produced a different clustering", w, run)
-			}
-		}
-	}
-}
-
 // TestGridPruning10kDistinct is the acceptance gate: on 10k distinct
 // SkyServer-shaped boxes (marching htmid windows over a handful of window
 // sizes), the grid must evaluate at least 5× fewer pairwise overlaps than
@@ -245,7 +230,7 @@ func TestGridDeterminism(t *testing.T) {
 func TestGridPruning10kDistinct(t *testing.T) {
 	boxes := skyserverDistinctBoxes(10000)
 	var ctr Counters
-	ClusterBoxesGridCounted(boxes, 0.9, &ctr)
+	clusterGrid(boxes, 0.9, &ctr)
 	if ctr.Comparisons == 0 {
 		t.Fatal("counter not wired: zero comparisons recorded")
 	}
@@ -291,8 +276,6 @@ func TestClusterBoxesFastStillEquivalent(t *testing.T) {
 	}
 	for _, th := range gridThresholds {
 		want := ClusterBoxes(boxes, th)
-		got := ClusterBoxesFast(boxes, th)
-		requireSameClustering(t, want, got, fmt.Sprintf("fast(t=%g)", th))
 		for _, w := range gridWorkerCounts {
 			gotFG := ClusterBoxesFastGrid(boxes, th, w, nil)
 			requireSameClustering(t, want, gotFG, fmt.Sprintf("fast-grid(t=%g,w=%d)", th, w))

@@ -127,7 +127,7 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	boxes, counts, examples, total, dropped := s.snapshotBoxes()
 
 	var ctr overlap.Counters
-	clusters := overlap.ClusterBoxesGridParallelCounted(boxes, threshold, 0, &ctr)
+	clusters := overlap.ClusterBoxesFastGrid(boxes, threshold, 0, &ctr)
 	st := overlap.Summarize(clusters)
 
 	s.mBoxesClustered.Add(ctr.Boxes)
@@ -171,6 +171,10 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	return p
 }
 
+// validThreshold reports whether f is a usable overlap-distance threshold:
+// one in (0, 1]. Written so that NaN fails it too.
+func validThreshold(f float64) bool { return f > 0 && f <= 1 }
+
 func (s *Server) clusterThreshold() float64 {
 	if s.cfg.ClusterThreshold > 0 {
 		return s.cfg.ClusterThreshold
@@ -186,7 +190,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	threshold := 0.0
 	if v := r.URL.Query().Get("threshold"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !validThreshold(f) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "threshold must be in (0, 1]"})
 			return
 		}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,13 +71,27 @@ func TestClustersEndpoint(t *testing.T) {
 		t.Error("cluster_boxes_clustered_total not incremented")
 	}
 
-	resp, err := http.Get(ts.URL + "/clusters?threshold=2")
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []string{"2", "NaN"} {
+		resp, err := http.Get(ts.URL + "/clusters?threshold=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("threshold=%s: status %d, want 400", v, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("threshold=2: status %d, want 400", resp.StatusCode)
+}
+
+// TestNewRefusesClusterThreshold: a default /clusters threshold outside
+// (0, 1] is a configuration error caught at startup, the same range
+// ?threshold= is held to. (0 selects the default; TestClustersEndpoint
+// covers it.)
+func TestNewRefusesClusterThreshold(t *testing.T) {
+	for _, th := range []float64{2, -1, math.NaN()} {
+		if _, err := New(Config{ClusterThreshold: th}); err == nil || !strings.Contains(err.Error(), "cluster threshold") {
+			t.Errorf("New(ClusterThreshold: %g): err = %v, want cluster-threshold error", th, err)
+		}
 	}
 }
 

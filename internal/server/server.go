@@ -90,8 +90,9 @@ type Config struct {
 	// demand.
 	ClustersDisabled bool
 	// ClusterThreshold is the default overlap-distance threshold for
-	// GET /clusters (0 selects 0.9, the paper's operating point); requests
-	// can override it per call.
+	// GET /clusters, in (0, 1] (0 selects 0.9, the paper's operating point;
+	// New refuses any other value outside the range); requests can
+	// override it per call.
 	ClusterThreshold float64
 	// ClusterMaxBoxes bounds the distinct boxes the registry stores (0
 	// selects 4096); further distinct boxes are counted as dropped.
@@ -240,6 +241,9 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Retain && cfg.DataDir == "" {
 		return nil, errors.New("server: retention (-retain) requires a data dir (-data-dir)")
+	}
+	if cfg.ClusterThreshold != 0 && !validThreshold(cfg.ClusterThreshold) {
+		return nil, fmt.Errorf("server: cluster threshold (-cluster-threshold) %g is not in (0, 1]", cfg.ClusterThreshold)
 	}
 	if cfg.Stream.Metrics == nil {
 		cfg.Stream.Metrics = cfg.Metrics
