@@ -502,7 +502,8 @@ func BenchmarkClusterBoxes(b *testing.B) {
 }
 
 // BenchmarkClusterBoxesGrid is the clustering path on the same inputs: one
-// worker, so it times the signature pass, the dedup and the serial grid.
+// worker, so it times the conversion of the map boxes to flat boxes, the
+// hash dedup and the serial grid over the distinct flat boxes.
 func BenchmarkClusterBoxesGrid(b *testing.B) {
 	for _, c := range []struct {
 		name        string

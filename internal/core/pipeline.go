@@ -16,7 +16,6 @@ import (
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/overlap"
-	"sqlclean/internal/parallel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/rewrite"
@@ -77,9 +76,11 @@ type Config struct {
 	// predicate boxes (§6.9): each query joins the first cluster whose
 	// representative's region is at overlap distance below the threshold.
 	// Zero — the default — skips the stage; the paper's operating point is
-	// 0.9. Clustering runs on overlap.ClusterBoxesFastGrid (signature
-	// dedup, then the exact grid), whose output is identical to the
-	// quadratic leader scan; Workers fans out only its signature pass.
+	// 0.9. Clustering runs on overlap.ClusterInfos: each entry's flat box is
+	// built from its summary, identical boxes are grouped by hash with an
+	// exact comparison, and the exact grid clusters the distinct ones, so
+	// the output is identical to the quadratic leader scan's; Workers fans
+	// out only the box build.
 	ClusterThreshold float64
 	// Workers is the degree of parallelism for the embarrassingly parallel
 	// stages (statement parsing, per-session antipattern detection,
@@ -368,27 +369,26 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	endStage(met, sp)
 
 	// Optional stage: overlap clustering of the accessed data regions
-	// (§6.9). Boxes are derived from the already-parsed pre-clean log, so
-	// the stage costs no extra parsing; signature dedup plus the exact grid
-	// index keep it near-linear even on all-distinct predicate mixes.
+	// (§6.9). Boxes are built from the already-parsed pre-clean log's
+	// summaries, so the stage costs no extra parsing; hash dedup plus the
+	// exact grid index keep it near-linear even on all-distinct predicate
+	// mixes.
 	if cfg.ClusterThreshold > 0 {
 		sp = beginStage(root, met, "cluster")
-		boxes := parallel.MapSpan(sp, cfg.Workers, res.Parsed, func(_ int, pe parsedlog.Entry) overlap.Box {
-			if pe.Info == nil {
-				return overlap.Box{Tables: map[string]bool{}, Dims: map[string]overlap.Dim{}}
-			}
-			return overlap.FromInfo(pe.Info)
-		})
-		res.Clusters = overlap.ClusterBoxesFastGrid(boxes, cfg.ClusterThreshold, cfg.Workers, &res.Report.ClusterWork)
+		infos := make([]*skeleton.Info, len(res.Parsed))
+		for i, pe := range res.Parsed {
+			infos[i] = pe.Info
+		}
+		res.Clusters = overlap.ClusterInfos(infos, cfg.ClusterThreshold, cfg.Workers, &res.Report.ClusterWork)
 		res.ClusterStats = overlap.Summarize(res.Clusters)
 		res.Report.ClusterCount = res.ClusterStats.Count
 		res.Report.ClusterAvgSize = res.ClusterStats.AvgSize
-		sp.SetInt("in", int64(len(boxes)))
+		sp.SetInt("in", int64(len(infos)))
 		sp.SetInt("clusters", int64(res.ClusterStats.Count))
 		sp.SetInt("comparisons", res.Report.ClusterWork.Comparisons)
 		sp.SetInt("comparisons_avoided", res.Report.ClusterWork.Avoided())
 		endStage(met, sp)
-		met.Counter("cluster_boxes_total").Add(int64(len(boxes)))
+		met.Counter("cluster_boxes_total").Add(int64(len(infos)))
 		met.Counter("cluster_clusters_total").Add(int64(res.ClusterStats.Count))
 		met.Counter("cluster_cells_probed_total").Add(res.Report.ClusterWork.CellsProbed)
 		met.Counter("cluster_comparisons_total").Add(res.Report.ClusterWork.Comparisons)

@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,25 +86,105 @@ func TestClusterBoxesFastGridEmptyIntervalCopies(t *testing.T) {
 	}
 }
 
-func TestSignatureDistinguishesBoxes(t *testing.T) {
-	a := Box{Tables: map[string]bool{"t": true}, Dims: map[string]Dim{"a": {Interval: Interval{Lo: 1, Hi: 2}}}}
-	b := Box{Tables: map[string]bool{"t": true}, Dims: map[string]Dim{"a": {Interval: Interval{Lo: 1, Hi: 3}}}}
-	c := Box{Tables: map[string]bool{"t": true}, Dims: map[string]Dim{"a": {Set: map[string]bool{"x": true}}}}
-	if signature(a) == signature(b) || signature(a) == signature(c) {
-		t.Error("signatures collide")
+// TestBoxIdentity pins the hash-and-compare identity: the same box is equal
+// to itself whatever order its maps iterate in, and boxes that differ in
+// any table, column, member, kind or float bit are not equal.
+func TestBoxIdentity(t *testing.T) {
+	iv := func(lo, hi float64) Dim { return Dim{Interval: Interval{Lo: lo, Hi: hi}} }
+	set := func(members ...string) Dim {
+		d := Dim{Set: map[string]bool{}}
+		for _, m := range members {
+			d.Set[m] = true
+		}
+		return d
 	}
-	// Map iteration order must not leak into the signature.
-	d1 := Box{Tables: map[string]bool{"t1": true, "t2": true}, Dims: map[string]Dim{
-		"a": {Set: map[string]bool{"x": true, "y": true}},
-		"b": {Interval: Interval{Lo: 0, Hi: 1}},
-	}}
-	d2 := Box{Tables: map[string]bool{"t2": true, "t1": true}, Dims: map[string]Dim{
-		"b": {Interval: Interval{Lo: 0, Hi: 1}},
-		"a": {Set: map[string]bool{"y": true, "x": true}},
-	}}
+	box := func(tables []string, dims map[string]Dim) Box {
+		b := Box{Tables: map[string]bool{}, Dims: dims}
+		for _, tb := range tables {
+			b.Tables[tb] = true
+		}
+		return b
+	}
+	// Map iteration order must not leak into the identity.
+	d1 := box([]string{"t1", "t2"}, map[string]Dim{"a": set("x", "y"), "b": iv(0, 1)})
+	d2 := box([]string{"t2", "t1"}, map[string]Dim{"b": iv(0, 1), "a": set("y", "x")})
 	for i := 0; i < 20; i++ {
-		if signature(d1) != signature(d2) {
-			t.Fatal("signature not canonical")
+		f1, f2 := flatFromBox(d1), flatFromBox(d2)
+		if f1.hash != f2.hash || !sameBox(&f1, &f2) {
+			t.Fatal("identity not canonical")
+		}
+	}
+	negZero := math_Copysign0()
+	distinct := []Box{
+		box([]string{"t"}, map[string]Dim{"a": iv(1, 2)}),
+		box([]string{"t"}, map[string]Dim{"a": iv(1, 3)}),
+		box([]string{"t"}, map[string]Dim{"a": set("x")}),
+		// Never equal across dim kinds: a set whose member reads like an
+		// interval, an empty set, the zero Interval.
+		box([]string{"t"}, map[string]Dim{"a": set("1:2")}),
+		box([]string{"t"}, map[string]Dim{"a": set()}),
+		box([]string{"t"}, map[string]Dim{"a": set("0")}),
+		box([]string{"t"}, map[string]Dim{"a": {}}),
+		// Signed zero: equal points to Overlap, but not to a set member.
+		box([]string{"t"}, map[string]Dim{"a": iv(negZero, negZero)}),
+		// Separators inside names and members.
+		box([]string{"a,b"}, map[string]Dim{}),
+		box([]string{"a", "b"}, map[string]Dim{}),
+		box([]string{"t"}, map[string]Dim{"a": set("x\x02y")}),
+		box([]string{"t"}, map[string]Dim{"a": set("x", "y")}),
+		box([]string{"t"}, map[string]Dim{"a=1": iv(1, 1)}),
+		box([]string{"t"}, map[string]Dim{"a": iv(1, 1), "": iv(1, 1)}),
+		box(nil, map[string]Dim{"a": iv(1, 2)}),
+	}
+	flat := flatBoxes(distinct)
+	for i := range flat {
+		if !sameBox(&flat[i], &flat[i]) {
+			t.Errorf("box %d not equal to itself", i)
+		}
+		for j := range flat {
+			if i != j && sameBox(&flat[i], &flat[j]) {
+				t.Errorf("boxes %d and %d are equal: %+v, %+v", i, j, distinct[i], distinct[j])
+			}
+		}
+	}
+	var s BoxSet
+	for i := range flat {
+		if s.Find(&flat[i]) != -1 {
+			t.Fatalf("box %d found before it was added", i)
+		}
+		if got := s.Add(flat[i]); got != i {
+			t.Fatalf("Add returned %d, want %d", got, i)
+		}
+	}
+	for i := range flat {
+		dup := flatFromBox(distinct[i])
+		if got := s.Find(&dup); got != i {
+			t.Errorf("Find(copy of box %d) = %d", i, got)
+		}
+	}
+}
+
+// collisionPairs are statement pairs the old string signature gave one key,
+// though each pair has Overlap 0.
+var collisionPairs = [][2]string{
+	{"SELECT * FROM photoobj WHERE ra = '1:2'", "SELECT * FROM photoobj WHERE ra BETWEEN 1 AND 2"},
+	{"SELECT * FROM [a,b]", "SELECT * FROM a, b"},
+}
+
+// TestCollidingBoxesStayApart: boxes that a formatted signature confused
+// must not be merged by the clustering path.
+func TestCollidingBoxesStayApart(t *testing.T) {
+	for _, pair := range collisionPairs {
+		boxes := []Box{box(t, pair[0]), box(t, pair[1])}
+		if o := Overlap(boxes[0], boxes[1]); o != 0 {
+			t.Fatalf("%q: Overlap %v, want 0", pair, o)
+		}
+		for _, th := range []float64{0.5, 0.9, 1} {
+			want := ClusterBoxes(boxes, th)
+			if len(want) != 2 {
+				t.Fatalf("%q th %g: leader scan made %d clusters, want 2", pair, th, len(want))
+			}
+			requireSameClustering(t, want, ClusterBoxesFastGrid(boxes, th, 1, nil), fmt.Sprintf("%q th %g", pair, th))
 		}
 	}
 }

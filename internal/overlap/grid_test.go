@@ -77,6 +77,15 @@ func randGridBox(r *rand.Rand) Box {
 	return b
 }
 
+// flatBoxes converts map boxes to flat form.
+func flatBoxes(boxes []Box) []FlatBox {
+	out := make([]FlatBox, len(boxes))
+	for i, b := range boxes {
+		out[i] = flatFromBox(b)
+	}
+	return out
+}
+
 func requireSameClustering(t *testing.T, want, got []Cluster, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
@@ -91,7 +100,7 @@ func checkGridEquivalence(t *testing.T, boxes []Box, threshold float64) {
 	t.Helper()
 	want := ClusterBoxes(boxes, threshold)
 	var ctr Counters
-	got := clusterGrid(boxes, threshold, &ctr)
+	got := ClusterFlat(flatBoxes(boxes), threshold, &ctr)
 	requireSameClustering(t, want, got, fmt.Sprintf("grid(t=%g)", threshold))
 	if ctr.Comparisons > ctr.ScanComparisons {
 		t.Fatalf("t=%g: grid did more comparisons (%d) than the scan would (%d)",
@@ -126,8 +135,8 @@ func TestGridEquivalenceRandom(t *testing.T) {
 }
 
 // TestGridEquivalenceLargeBatched runs the suite on 1,500 random boxes: long
-// leader lists, crowded grid cells, and a signature pass that every worker
-// count splits.
+// leader lists, crowded grid cells, and a flat-box conversion that every
+// worker count splits.
 func TestGridEquivalenceLargeBatched(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	boxes := make([]Box, 1500)
@@ -230,7 +239,7 @@ func math_Copysign0() float64 {
 func TestGridPruning10kDistinct(t *testing.T) {
 	boxes := skyserverDistinctBoxes(10000)
 	var ctr Counters
-	clusterGrid(boxes, 0.9, &ctr)
+	ClusterFlat(flatBoxes(boxes), 0.9, &ctr)
 	if ctr.Comparisons == 0 {
 		t.Fatal("counter not wired: zero comparisons recorded")
 	}

@@ -10,11 +10,9 @@ package overlap
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
-
-	"sqlclean/internal/skeleton"
 )
 
 // Interval is a numeric range; Lo > Hi encodes the empty interval.
@@ -49,108 +47,15 @@ type Dim struct {
 	Set      map[string]bool // non-nil for discrete constraints
 }
 
-// Box is the accessed region of one query.
+// Box is the accessed region of one query in map form: what the
+// ClusterBoxes oracle, Overlap and Distance read, and what callers build by
+// hand. The clustering path works on FlatBox, built by FlatFromInfo.
 type Box struct {
 	// Tables are the lower-cased base tables the query reads. Queries over
 	// disjoint table sets never overlap.
 	Tables map[string]bool
 	// Dims maps lower-cased column names to their constraint.
 	Dims map[string]Dim
-}
-
-// FromInfo derives the box of a query from its skeleton summary.
-func FromInfo(in *skeleton.Info) Box {
-	b := Box{Tables: map[string]bool{}, Dims: map[string]Dim{}}
-	for _, t := range in.TableNames {
-		b.Tables[t] = true
-	}
-	for _, p := range in.Predicates {
-		if p.Column == "" || p.Op == "complex" {
-			continue
-		}
-		d, ok := dimFromPredicate(p)
-		if !ok {
-			continue
-		}
-		if prev, exists := b.Dims[p.Column]; exists {
-			b.Dims[p.Column] = combineDims(prev, d)
-			continue
-		}
-		b.Dims[p.Column] = d
-	}
-	return b
-}
-
-func dimFromPredicate(p skeleton.Predicate) (Dim, bool) {
-	num := func(i int) (float64, bool) {
-		if i >= len(p.Literals) || p.Literals[i].Kind != "num" {
-			return 0, false
-		}
-		f, err := strconv.ParseFloat(p.Literals[i].Val, 64)
-		return f, err == nil
-	}
-	switch p.Op {
-	case "=":
-		if v, ok := num(0); ok {
-			return Dim{Interval: Interval{Lo: v, Hi: v}}, true
-		}
-		if len(p.Literals) == 1 && p.Literals[0].Kind == "str" {
-			return Dim{Set: map[string]bool{strings.ToLower(p.Literals[0].Val): true}}, true
-		}
-	case "<", "<=":
-		if v, ok := num(0); ok {
-			return Dim{Interval: Interval{Lo: full.Lo, Hi: v}}, true
-		}
-	case ">", ">=":
-		if v, ok := num(0); ok {
-			return Dim{Interval: Interval{Lo: v, Hi: full.Hi}}, true
-		}
-	case "BETWEEN":
-		lo, ok1 := num(0)
-		hi, ok2 := num(1)
-		if ok1 && ok2 {
-			return Dim{Interval: Interval{Lo: lo, Hi: hi}}, true
-		}
-	case "IN":
-		set := map[string]bool{}
-		numeric := true
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, l := range p.Literals {
-			if l.Kind == "num" {
-				f, err := strconv.ParseFloat(l.Val, 64)
-				if err == nil {
-					lo = math.Min(lo, f)
-					hi = math.Max(hi, f)
-					set[l.Val] = true
-					continue
-				}
-			}
-			numeric = false
-			set[strings.ToLower(l.Val)] = true
-		}
-		if len(set) == 0 {
-			return Dim{}, false
-		}
-		if numeric {
-			// Discrete numeric sets behave like value sets for overlap.
-			return Dim{Set: set, Interval: Interval{Lo: lo, Hi: hi}}, true
-		}
-		return Dim{Set: set}, true
-	}
-	return Dim{}, false
-}
-
-func combineDims(a, b Dim) Dim {
-	if a.Set != nil && b.Set != nil {
-		out := map[string]bool{}
-		for k := range a.Set {
-			if b.Set[k] {
-				out[k] = true
-			}
-		}
-		return Dim{Set: out}
-	}
-	return Dim{Interval: intersect(orFull(a.Interval), orFull(b.Interval))}
 }
 
 func orFull(iv Interval) Interval {
@@ -162,7 +67,9 @@ func orFull(iv Interval) Interval {
 
 // Overlap returns the overlap of two boxes in [0, 1]: the product over the
 // union of constrained columns of per-dimension intersection-over-union.
-// Disjoint table sets yield 0; identical constraints yield 1.
+// Disjoint table sets yield 0; identical constraints yield 1. The factors
+// are multiplied in ascending column-name order, the clustering path's
+// order: float products depend on their order, and map iteration has none.
 func Overlap(a, b Box) float64 {
 	shared := false
 	for t := range a.Tables {
@@ -174,15 +81,18 @@ func Overlap(a, b Box) float64 {
 	if !shared && (len(a.Tables) > 0 || len(b.Tables) > 0) {
 		return 0
 	}
-	ratio := 1.0
-	cols := map[string]bool{}
+	cols := make([]string, 0, len(a.Dims)+len(b.Dims))
 	for c := range a.Dims {
-		cols[c] = true
+		cols = append(cols, c)
 	}
 	for c := range b.Dims {
-		cols[c] = true
+		if _, ok := a.Dims[c]; !ok {
+			cols = append(cols, c)
+		}
 	}
-	for c := range cols {
+	slices.Sort(cols)
+	ratio := 1.0
+	for _, c := range cols {
 		da, okA := a.Dims[c]
 		db, okB := b.Dims[c]
 		if !okA {

@@ -1,7 +1,9 @@
 // The /clusters surface: the daemon keeps a bounded registry of the
 // distinct predicate boxes it has cleaned (updated as sessions close, so it
-// costs one signature per emitted entry — the statements themselves are
-// parse-cache hits) and clusters them on demand with the exact grid path.
+// costs one flat box and one hash lookup per emitted entry — the statements
+// themselves are parse-cache hits) and clusters them on demand with the
+// exact grid path. The registry stores flat boxes under their hashes, so a
+// read clusters them as they are, with no conversion or re-keying.
 // This is the §6.9 user-interest view, live: which regions of the data
 // space the traffic touches, and how many queries share each region.
 package server
@@ -20,7 +22,7 @@ const (
 )
 
 // boxRegistry accumulates distinct predicate boxes with occurrence counts.
-// Memory is bounded: once maxBoxes distinct signatures exist, new distinct
+// Memory is bounded: once maxBoxes distinct boxes exist, new distinct
 // boxes are counted as dropped instead of stored (queries matching an
 // already-known box still count normally).
 type boxRegistry struct {
@@ -28,8 +30,7 @@ type boxRegistry struct {
 	// emit) and snapshotted under it (snapshot), so it needs no lock of its
 	// own beyond that discipline.
 	maxBoxes int
-	bySig    map[string]int
-	boxes    []overlap.Box
+	boxes    overlap.BoxSet
 	counts   []int64
 	examples []string
 	total    int64 // queries observed, including ones hitting dropped boxes
@@ -40,7 +41,7 @@ func newBoxRegistry(maxBoxes int) *boxRegistry {
 	if maxBoxes <= 0 {
 		maxBoxes = defaultClusterMaxBoxes
 	}
-	return &boxRegistry{maxBoxes: maxBoxes, bySig: map[string]int{}}
+	return &boxRegistry{maxBoxes: maxBoxes}
 }
 
 // observe folds one cleaned batch into the registry. Statements were just
@@ -53,34 +54,31 @@ func (s *Server) observeBoxes(l logmodel.Log) {
 			continue
 		}
 		r.total++
-		b := overlap.FromInfo(pe.Info)
-		sig := overlap.Signature(b)
-		di, ok := r.bySig[sig]
-		if !ok {
-			if len(r.boxes) >= r.maxBoxes {
+		b := overlap.FlatFromInfo(pe.Info)
+		di := r.boxes.Find(&b)
+		if di < 0 {
+			if r.boxes.Len() >= r.maxBoxes {
 				r.dropped++
 				s.mBoxesDropped.Inc()
 				continue
 			}
-			di = len(r.boxes)
-			r.bySig[sig] = di
-			r.boxes = append(r.boxes, b)
+			di = r.boxes.Add(b)
 			r.counts = append(r.counts, 0)
 			r.examples = append(r.examples, pe.Statement)
-			s.gDistinctBoxes.Set(int64(len(r.boxes)))
+			s.gDistinctBoxes.Set(int64(r.boxes.Len()))
 		}
 		r.counts[di]++
 	}
 }
 
 // snapshot copies the registry state for lock-free clustering. The box
-// slice is append-only, so sharing the backing array with a length-bounded
-// reslice is safe.
-func (s *Server) snapshotBoxes() (boxes []overlap.Box, counts []int64, examples []string, total, dropped int64) {
+// and example slices are append-only, so sharing their backing arrays with
+// length-bounded reslices is safe.
+func (s *Server) snapshotBoxes() (boxes []overlap.FlatBox, counts []int64, examples []string, total, dropped int64) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
 	r := s.boxes
-	boxes = r.boxes[:len(r.boxes):len(r.boxes)]
+	boxes = r.boxes.Boxes()
 	counts = append([]int64(nil), r.counts...)
 	examples = r.examples[:len(r.examples):len(r.examples)]
 	return boxes, counts, examples, r.total, r.dropped
@@ -127,7 +125,7 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	boxes, counts, examples, total, dropped := s.snapshotBoxes()
 
 	var ctr overlap.Counters
-	clusters := overlap.ClusterBoxesFastGrid(boxes, threshold, 0, &ctr)
+	clusters := overlap.ClusterFlat(boxes, threshold, &ctr)
 	st := overlap.Summarize(clusters)
 
 	s.mBoxesClustered.Add(ctr.Boxes)

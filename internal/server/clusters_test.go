@@ -114,3 +114,66 @@ func TestClustersDisabled(t *testing.T) {
 		t.Errorf("status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestClustersKeepCollidingBoxesApart: each pair has overlap 0, so the
+// registry must hold two distinct boxes for it, not one.
+func TestClustersKeepCollidingBoxesApart(t *testing.T) {
+	for _, pair := range [][2]string{
+		{"SELECT * FROM photoobj WHERE ra = '1:2'", "SELECT * FROM photoobj WHERE ra BETWEEN 1 AND 2"},
+		{"SELECT * FROM [a,b]", "SELECT * FROM a, b"},
+	} {
+		s, ts := newTestServer(t, Config{})
+		base := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
+		postIngest(t, ts.URL, ndjsonBody(logmodel.Log{
+			{Time: base, User: "alice", Statement: pair[0]},
+			{Time: base.Add(time.Minute), User: "alice", Statement: pair[1]},
+		}))
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := s.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		var cp ClustersPayload
+		getJSON(t, ts.URL+"/clusters", &cp)
+		if cp.TotalQueries != 2 || cp.DistinctBoxes != 2 || cp.ClusterCount != 2 {
+			t.Errorf("%q: %d queries, %d distinct boxes, %d clusters; want 2, 2, 2", pair, cp.TotalQueries, cp.DistinctBoxes, cp.ClusterCount)
+		}
+	}
+}
+
+// TestClustersDuringIngest reads /clusters while ingestion adds boxes to
+// the registry: snapshots share the registry's backing arrays, so the
+// race detector checks that no read meets a write.
+func TestClustersDuringIngest(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.05))
+	done := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if cp := s.Clusters(0.9, 3); cp.ClusterCount > cp.DistinctBoxes {
+				t.Errorf("%d clusters over %d distinct boxes", cp.ClusterCount, cp.DistinctBoxes)
+				return
+			}
+		}
+	}()
+	for i := 0; i < len(log); i += 50 {
+		postIngest(t, ts.URL, ndjsonBody(log[i:min(i+50, len(log))]))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	<-readerDone
+	if cp := s.Clusters(0.9, 3); cp.DistinctBoxes == 0 || cp.ClusterCount == 0 {
+		t.Fatalf("empty clustering after ingest: %+v", cp)
+	}
+}
