@@ -832,10 +832,10 @@ func BenchmarkDedupSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamSharded measures the streaming pipeline: the serial
-// processor against the user-sharded engine at several worker counts
-// (sessions are per user, so partitions process concurrently end to end —
-// parse, dedup, detect, solve).
+// BenchmarkStreamSharded measures the streaming pipeline: the serial stream
+// (one shard, one worker) against the user-sharded engine at several worker
+// counts (sessions are per user, so partitions process concurrently end to
+// end — parse, dedup, detect, solve).
 func BenchmarkStreamSharded(b *testing.B) {
 	log, _ := benchSetup(b)
 	sorted := append(logmodel.Log(nil), log...)
@@ -843,7 +843,7 @@ func BenchmarkStreamSharded(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, st, err := stream.Run(sorted, stream.Config{})
+			out, st, err := stream.RunSharded(sorted, stream.ShardedConfig{Shards: 1, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1094,8 +1094,9 @@ func BenchmarkColstoreScan(b *testing.B) {
 	b.ReportMetric(float64(len(log)), "entries/op")
 }
 
-// BenchmarkStreamPipeline measures the bounded-memory streaming pipeline
-// against the batch pipeline (BenchmarkTable5Pipeline) on the same log.
+// BenchmarkStreamPipeline measures the serial streaming pipeline (one shard,
+// one worker) against the batch pipeline (BenchmarkTable5Pipeline) on the
+// same log.
 func BenchmarkStreamPipeline(b *testing.B) {
 	log, _ := benchSetup(b)
 	sorted := log.Clone()
@@ -1103,7 +1104,7 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := stream.Run(sorted, stream.Config{})
+		out, _, err := stream.RunSharded(sorted, stream.ShardedConfig{Shards: 1, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -297,10 +297,10 @@ func printTiming(w io.Writer, st sqlclean.StageTiming, depth int) {
 	}
 }
 
-// runStreaming cleans the log with the bounded-memory streaming pipeline,
-// writing cleaned entries as their sessions close. -json exports the
-// streaming stats and template statistics (same JSON names as the daemon's
-// GET /report "stream" block).
+// runStreaming cleans the log with the streaming engine at one shard (the
+// serial stream), writing cleaned entries as their sessions close. -json
+// exports the streaming stats and template statistics (same JSON names as
+// the daemon's GET /report "stream" block).
 func runStreaming(r io.Reader, dup, gap time.Duration, noKeyCheck, extraRules bool, cleanOut, jsonOut string, metrics *sqlclean.Metrics, progress bool) {
 	out := os.Stdout
 	var outFile *os.File
@@ -320,7 +320,7 @@ func runStreaming(r io.Reader, dup, gap time.Duration, noKeyCheck, extraRules bo
 	if extraRules {
 		scfg.ExtraRules, scfg.ExtraSolvers = extraRuleSet()
 	}
-	p := sqlclean.NewStream(scfg)
+	p := sqlclean.NewShardedStream(sqlclean.ShardedStreamConfig{Config: scfg, Shards: 1})
 	if progress {
 		pr := sqlclean.NewProgress(os.Stderr, 0, func() sqlclean.ProgressSample {
 			return sqlclean.ProgressSample{

@@ -90,6 +90,54 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	}
 }
 
+// TestOneShardReportMatchesEngine pins /report's stream block to the
+// engine's own counters: a one-shard daemon applies its queue in input
+// order, so once drained its block must equal the Stats of a one-shard
+// engine fed the same log — open_sessions_high_water included, which
+// comparableReport leaves out.
+func TestOneShardReportMatchesEngine(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		cfg := workload.DefaultConfig().Scale(0.5)
+		cfg.Seed = seed
+		log, _ := workload.Generate(cfg)
+		log.SortStable()
+
+		eng := stream.NewSharded(stream.ShardedConfig{Shards: 1})
+		for _, e := range log {
+			if _, err := eng.Add(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Close()
+		want, err := json.Marshal(eng.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		s, ts := newTestServer(t, Config{Stream: stream.ShardedConfig{Shards: 1}, QueueSize: len(log)})
+		feedChunks(t, ts.URL, log)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = s.Close(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Stream stream.Stats `json:"stream"`
+		}
+		if err := json.Unmarshal(getBody(t, ts.URL+"/report"), &rep); err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(rep.Stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d: /report stream block\n got %s\nwant %s", seed, got, want)
+		}
+	}
+}
+
 // TestConcurrentClientsEquivalence feeds the same log through 1, 4 and 8
 // concurrent clients (each owning a disjoint user partition, preserving the
 // per-user ordering contract) over 4 shards. Concurrent drains make

@@ -1,18 +1,18 @@
-// Sharded streaming: the multi-core variant of Processor. The serial stream
-// exploits that detection windows are confined to one user session; sharding
-// exploits the next invariant out: *users* are independent too. Entries are
-// partitioned by user hash into independent shard processors — dedup keys
-// (user, statement) and sessions (per user) both live wholly inside one
-// shard — so shards only ever synchronize on two things: the shared
-// statement-parse cache (sharded + singleflight itself) and the global event
-// watermark that proves silence across partitions.
+// Sharded streaming. The stream exploits that detection windows are confined
+// to one user session; sharding exploits the next invariant out: *users* are
+// independent too. Entries are partitioned by user hash into independent
+// shards — dedup keys (user, statement) and sessions (per user) both live
+// wholly inside one shard — so shards only ever synchronize on two things:
+// the shared statement-parse cache (sharded + singleflight itself) and the
+// global event watermark that proves silence across partitions.
 //
-// Ordering contract: each shard must see its own entries in time order (the
-// serial Processor's contract, now per partition). Cross-shard skew is
-// tolerated: the coordinator evicts a silent session only when the global
-// watermark is a full session gap *plus* the allowed lateness past the
-// session's last activity, so a partition lagging by less than the lateness
-// budget never has a session split under it.
+// Ordering contract: each shard must see its own entries in time order.
+// Cross-shard skew is tolerated: the coordinator evicts a silent session
+// only when the global watermark is a full session gap *plus* the allowed
+// lateness past the session's last activity, so a partition lagging by less
+// than the lateness budget never has a session split under it. With one
+// shard the global watermark is the shard's own, so the sweep closes nothing
+// and the engine emits exactly what the serial stream does.
 package stream
 
 import (
@@ -21,10 +21,10 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"sqlclean/internal/antipattern"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/parallel"
@@ -51,7 +51,7 @@ type ShardedConfig struct {
 	// sweep closes a session, protecting sessions in partitions whose
 	// ingestion lags the global watermark. Zero selects the session gap
 	// (i.e. cross-shard eviction after 2× gap of silence); shard-local
-	// eviction stays at exactly one gap, like the serial Processor.
+	// eviction stays at exactly one gap.
 	AllowedLateness time.Duration
 	// MaxFutureSkew bounds how far one entry may advance the global
 	// watermark past its current value. Without a bound, a single corrupted
@@ -94,7 +94,7 @@ func nextPow2(n int) int {
 // userHash picks each user's shard. It is FNV-1a — a fixed, documented
 // function rather than a per-process random seed — because shard routing is
 // part of the durable state contract: a snapshot taken by one process must
-// restore per-shard processors onto the same shards in the next process, and
+// restore per-shard state onto the same shards in the next process, and
 // a journal replay must route every entry exactly as the crashed run did.
 func userHash(user string) uint64 {
 	const (
@@ -113,33 +113,27 @@ func userHash(user string) uint64 {
 // the global watermark beyond ShardedConfig.MaxFutureSkew.
 var ErrFutureSkew = errors.New("stream: entry timestamp too far in the future")
 
-type shardSlot struct {
-	mu sync.Mutex
-	p  *Processor
-}
-
 // Sharded is a sharded streaming engine. All methods are safe for concurrent
 // use; per-user time ordering must be preserved by the caller (route one
 // user's entries through one goroutine, or use RunSharded / a server queue
 // per shard).
 type Sharded struct {
 	cfg    ShardedConfig
-	parser *parsedlog.Parser
-	shards []*shardSlot
+	shards []*shard
 	mask   uint64
 
 	// watermarkNS is the global max event time (unix nanos) across shards.
 	watermarkNS atomic.Int64
 	// adds triggers the periodic cross-shard sweep.
 	adds atomic.Int64
-	// openCount/openHigh track global open sessions exactly (each delta is
-	// computed under the owning shard's lock).
+	// openCount/openHigh count the sessions open between calls, across all
+	// shards, and their peak: the engine's only open-session count. Each
+	// delta is computed under the owning shard's lock.
 	openCount atomic.Int64
 	openHigh  atomic.Int64
 
-	// gauge is the registry's stream_open_sessions gauge, owned globally by
-	// the engine: per-shard processors get a detached gauge so their Set
-	// calls cannot clobber each other. Nil without Config.Metrics.
+	// gauge is the registry's stream_open_sessions gauge, moved with
+	// openCount. Nil without Config.Metrics.
 	gauge *obs.Gauge
 	// mSkew counts entries rejected by the MaxFutureSkew watermark guard.
 	mSkew *obs.Counter
@@ -153,23 +147,30 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	s := &Sharded{
 		cfg:    cfg,
-		parser: cfg.Parser,
-		shards: make([]*shardSlot, cfg.Shards),
+		shards: make([]*shard, cfg.Shards),
 		mask:   uint64(cfg.Shards - 1),
 	}
 	s.watermarkNS.Store(math.MinInt64)
+	var met streamMetrics
 	if m := cfg.Metrics; m != nil {
+		cfg.Parser.Instrument(m)
+		met = streamMetrics{
+			in:         m.Counter("stream_entries_in_total"),
+			selects:    m.Counter("stream_selects_total"),
+			dups:       m.Counter("stream_duplicates_total"),
+			out:        m.Counter("stream_entries_out_total"),
+			emitted:    m.Counter("stream_sessions_emitted_total"),
+			sessionLen: m.Histogram("stream_session_entries", obs.SizeBuckets),
+			solvedAway: m.Counter("stream_solved_queries_total"),
+			instances:  m.Counter("stream_instances_total"),
+			topkEvict:  m.Counter("sketch_topk_evictions_total"),
+			swsFlush:   m.Counter("sketch_sws_window_flushes_total"),
+		}
 		s.gauge = m.Gauge("stream_open_sessions")
 		s.mSkew = m.Counter("stream_rejected_future_skew_total")
 	}
 	for i := range s.shards {
-		p := New(cfg.Config)
-		if p.met.open != nil {
-			// Detach the shard's open-session gauge: counters and histograms
-			// are additive across shards, an instantaneous gauge is not.
-			p.met.open = new(obs.Gauge)
-		}
-		s.shards[i] = &shardSlot{p: p}
+		s.shards[i] = newShard(cfg.Config, met)
 	}
 	return s
 }
@@ -185,8 +186,8 @@ func (s *Sharded) ShardFor(user string) int {
 	return int(userHash(user) & s.mask)
 }
 
-// OpenSessions returns the number of sessions currently buffered across all
-// shards.
+// OpenSessions returns the number of sessions buffered across all shards
+// (between calls).
 func (s *Sharded) OpenSessions() int { return int(s.openCount.Load()) }
 
 // Watermark returns the global max event time across all shards, or the zero
@@ -207,7 +208,7 @@ func (s *Sharded) ShardWatermarks() []time.Time {
 	out := make([]time.Time, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = sh.p.Watermark()
+		out[i] = sh.watermark
 		sh.mu.Unlock()
 	}
 	return out
@@ -238,9 +239,9 @@ func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
 	s.raiseWatermark(ns)
 	sh := s.shards[i]
 	sh.mu.Lock()
-	before := len(sh.p.open)
-	out, err := sh.p.Add(e)
-	s.noteOpenDelta(len(sh.p.open) - before)
+	before := len(sh.open)
+	out, err := sh.Add(e)
+	s.noteOpenDelta(len(sh.open) - before)
 	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -307,9 +308,9 @@ func (s *Sharded) sweep() logmodel.Log {
 	var out logmodel.Log
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		before := len(sh.p.open)
-		closed := sh.p.Advance(t)
-		s.noteOpenDelta(len(sh.p.open) - before)
+		before := len(sh.open)
+		closed := sh.Advance(t)
+		s.noteOpenDelta(len(sh.open) - before)
 		sh.mu.Unlock()
 		out = append(out, closed...)
 	}
@@ -324,9 +325,9 @@ func (s *Sharded) Close() logmodel.Log {
 	parallel.ShardRun(s.cfg.Workers, len(s.shards), func(i int) {
 		sh := s.shards[i]
 		sh.mu.Lock()
-		before := len(sh.p.open)
-		outs[i] = sh.p.Close()
-		s.noteOpenDelta(len(sh.p.open) - before)
+		before := len(sh.open)
+		outs[i] = sh.Close()
+		s.noteOpenDelta(len(sh.open) - before)
 		sh.mu.Unlock()
 	})
 	var n int
@@ -341,40 +342,39 @@ func (s *Sharded) Close() logmodel.Log {
 	return out
 }
 
-// Stats merges the per-shard counters. OpenSessionsHighWater is the exact
-// global peak (tracked by the coordinator), not the sum of per-shard peaks.
+// Stats merges the per-shard counters. OpenSessionsHighWater is the
+// engine's peak of sessions open between calls.
 func (s *Sharded) Stats() Stats {
 	var st Stats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st.Merge(sh.p.Stats())
+		st.Merge(sh.stats)
 		sh.mu.Unlock()
 	}
 	st.OpenSessionsHighWater = int(s.openHigh.Load())
 	return st
 }
 
-// Templates merges the per-shard template statistics, most frequent first.
+// Templates returns the per-template statistics, most frequent first.
 // Shards partition users, so frequencies and user popularities add exactly.
+// (DistinctWhere is not tracked streaming; SWS classification over these
+// stats is the caller's choice of pattern.SWSOptions.)
 func (s *Sharded) Templates() []pattern.TemplateStats {
-	agg := map[uint64]*pattern.TemplateStats{}
+	idx := map[uint64]int{}
+	var out []pattern.TemplateStats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		ts := sh.p.Templates()
-		sh.mu.Unlock()
-		for _, t := range ts {
-			if a, ok := agg[t.Fingerprint]; ok {
-				a.Frequency += t.Frequency
-				a.UserPopularity += t.UserPopularity
-			} else {
-				c := t
-				agg[t.Fingerprint] = &c
+		for fp, a := range sh.templateAgg {
+			i, ok := idx[fp]
+			if !ok {
+				i = len(out)
+				idx[fp] = i
+				out = append(out, pattern.TemplateStats{Fingerprint: fp, Skeleton: a.skeleton})
 			}
+			out[i].Frequency += a.count
+			out[i].UserPopularity += len(a.users)
 		}
-	}
-	out := make([]pattern.TemplateStats, 0, len(agg))
-	for _, a := range agg {
-		out = append(out, *a)
+		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frequency != out[j].Frequency {
@@ -385,30 +385,28 @@ func (s *Sharded) Templates() []pattern.TemplateStats {
 	return out
 }
 
-// TemplateKinds merges the per-shard verdict maps: a template carries every
-// kind any shard attributed to it, sorted.
+// TemplateKinds returns, for every template with at least one detected
+// antipattern instance, the sorted kind names any shard attributed to it.
+// Templates never seen inside an instance are absent.
 func (s *Sharded) TemplateKinds() map[uint64][]string {
-	union := map[uint64]map[string]struct{}{}
+	union := map[uint64]map[antipattern.Kind]struct{}{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		tk := sh.p.TemplateKinds()
-		sh.mu.Unlock()
-		for fp, ks := range tk {
-			set := union[fp]
-			if set == nil {
-				set = map[string]struct{}{}
-				union[fp] = set
-			}
-			for _, k := range ks {
-				set[k] = struct{}{}
+		for fp, a := range sh.templateAgg {
+			for k := range a.kinds {
+				if union[fp] == nil {
+					union[fp] = map[antipattern.Kind]struct{}{}
+				}
+				union[fp][k] = struct{}{}
 			}
 		}
+		sh.mu.Unlock()
 	}
 	out := make(map[uint64][]string, len(union))
 	for fp, set := range union {
 		ks := make([]string, 0, len(set))
 		for k := range set {
-			ks = append(ks, k)
+			ks = append(ks, string(k))
 		}
 		sort.Strings(ks)
 		out[fp] = ks
@@ -425,14 +423,13 @@ func (s *Sharded) Sketches() *sketch.Sketches {
 	var merged *sketch.Sketches
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sk := sh.p.Sketches()
-		if sk != nil {
+		if sh.sk != nil {
 			if merged == nil {
-				merged = sk.Clone()
+				merged = sh.sk.Clone()
 			} else {
 				// Same config on every shard, so the HLL precisions agree and
 				// Merge cannot fail.
-				_ = merged.Merge(sk)
+				_ = merged.Merge(sh.sk)
 			}
 		}
 		sh.mu.Unlock()
@@ -440,9 +437,11 @@ func (s *Sharded) Sketches() *sketch.Sketches {
 	return merged
 }
 
-// ClassifySWS drains the merged windowed SWS evidence into a classification
-// using the engine-wide accepted-SELECT count — the sharded counterpart of
-// Processor.ClassifySWS. Nil when sketches are disabled.
+// ClassifySWS drains the merged windowed SWS evidence into a classification,
+// using the engine-wide accepted-SELECT count as the batch pipeline's total.
+// After Close it matches internal/core's batch SWS decision bit for bit (the
+// evidence is exact: frequency and WHERE hashes are uncapped, and user sets
+// are exact below the configured cap). Nil when sketches are disabled.
 func (s *Sharded) ClassifySWS(opt pattern.SWSOptions) map[uint64]bool {
 	sk := s.Sketches()
 	if sk == nil {
@@ -456,9 +455,15 @@ func (s *Sharded) ClassifySWS(opt pattern.SWSOptions) map[uint64]bool {
 // cleaned log (sorted by time) plus the merged stats. Cross-shard watermark
 // sweeps are skipped — each partition's own watermark already proves every
 // eviction, since a partition sees its entries in order — so the output
-// multiset is identical to the serial stream.Run and to the batch pipeline.
+// multiset is the same at every shard count and equals the batch pipeline's.
 func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) {
 	s := NewSharded(cfg)
+	out, err := s.run(l)
+	return out, s.Stats(), err
+}
+
+// run is RunSharded on an engine that has seen no entries.
+func (s *Sharded) run(l logmodel.Log) (logmodel.Log, error) {
 	n := len(s.shards)
 	buckets := make([][]int32, n)
 	for i, e := range l {
@@ -467,13 +472,13 @@ func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) 
 	}
 	outs := make([]logmodel.Log, n)
 	errs := make([]error, n)
-	parallel.ShardRun(cfg.Workers, n, func(i int) {
+	parallel.ShardRun(s.cfg.Workers, n, func(i int) {
 		sh := s.shards[i]
 		for _, idx := range buckets[i] {
 			sh.mu.Lock()
-			before := len(sh.p.open)
-			emitted, err := sh.p.Add(l[idx])
-			s.noteOpenDelta(len(sh.p.open) - before)
+			before := len(sh.open)
+			emitted, err := sh.Add(l[idx])
+			s.noteOpenDelta(len(sh.open) - before)
 			sh.mu.Unlock()
 			if err != nil {
 				errs[i] = err
@@ -484,7 +489,7 @@ func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) 
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, s.Stats(), err
+			return nil, err
 		}
 	}
 	final := s.Close()
@@ -498,5 +503,5 @@ func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) 
 	}
 	out = append(out, final...)
 	sortByTime(out)
-	return out, s.Stats(), nil
+	return out, nil
 }

@@ -41,7 +41,7 @@ func TestStreamingSWSMatchesBatch(t *testing.T) {
 
 		// A deliberately tiny window forces constant flushing; the verdict
 		// must not care.
-		p := New(Config{Sketches: sketch.Config{SWSWindow: 10 * time.Minute, SWSMaxWindows: 2}})
+		p := serial(Config{Sketches: sketch.Config{SWSWindow: 10 * time.Minute, SWSMaxWindows: 2}})
 		for _, e := range log {
 			if _, err := p.Add(e); err != nil {
 				t.Fatal(err)
@@ -157,13 +157,13 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 // snapshot's own sketch parameters win over the restarted config's flags, and
 // a pre-sketch snapshot (no sketches field) restores to fresh sketches.
 func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
-	p := New(Config{Sketches: sketch.Config{HLLPrecision: 10}})
+	p := serial(Config{Sketches: sketch.Config{HLLPrecision: 10}})
 	snap := p.Snapshot()
-	if snap.Sketches == nil || snap.Sketches.Version != sketch.SnapshotVersion {
-		t.Fatalf("snapshot sketches = %+v, want version %d", snap.Sketches, sketch.SnapshotVersion)
+	if sk := snap.Procs[0].Sketches; sk == nil || sk.Version != sketch.SnapshotVersion {
+		t.Fatalf("snapshot sketches = %+v, want version %d", sk, sketch.SnapshotVersion)
 	}
 
-	q := New(Config{Sketches: sketch.Config{HLLPrecision: 14}})
+	q := serial(Config{Sketches: sketch.Config{HLLPrecision: 14}})
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
 		t.Errorf("restored precision %d, want the snapshot's 10 over the flag's 14", got)
 	}
 
-	snap.Sketches = nil // a snapshot from before the sketch layer existed
+	snap.Procs[0].Sketches = nil // a snapshot from before the sketch layer existed
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
 		t.Error("pre-sketch snapshot must restore fresh sketches from the config")
 	}
 
-	d := New(Config{Sketches: sketch.Config{Disabled: true}})
+	d := serial(Config{Sketches: sketch.Config{Disabled: true}})
 	if d.Sketches() != nil {
 		t.Fatal("disabled config still built sketches")
 	}
@@ -187,9 +187,9 @@ func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d.Sketches() != nil {
-		t.Error("restore resurrected sketches on a disabled processor")
+		t.Error("restore resurrected sketches on a disabled engine")
 	}
 	if d.ClassifySWS(pattern.DefaultSWSOptions()) != nil {
-		t.Error("ClassifySWS on a disabled processor must be nil")
+		t.Error("ClassifySWS on a disabled engine must be nil")
 	}
 }

@@ -74,8 +74,10 @@ type TemplateSnapshot struct {
 	Kinds []string `json:"kinds,omitempty"`
 }
 
-// ProcessorSnapshot is the full serializable state of one Processor.
-type ProcessorSnapshot struct {
+// ShardSnapshot is the full serializable state of one shard. Its
+// Stats.OpenSessionsHighWater is unused: the engine's peak is
+// ShardedSnapshot.OpenHigh.
+type ShardSnapshot struct {
 	Stats Stats `json:"stats"`
 	// WatermarkValid distinguishes "never saw an entry" from any real time.
 	WatermarkValid bool               `json:"watermark_valid"`
@@ -89,18 +91,18 @@ type ProcessorSnapshot struct {
 	Sketches *sketch.Snapshot `json:"sketches,omitempty"`
 }
 
-// Snapshot serializes the processor's state. The dedup window is cut to
+// Snapshot serializes the shard's state. The dedup window is cut to
 // entries still reachable by a future in-order entry: anything older than
 // watermark − gap − threshold can never match again, so a restore without it
 // is byte-identical in outcome. (The live map drops such slots only when it
 // has doubled, so it may still hold some.)
-func (p *Processor) Snapshot() ProcessorSnapshot {
-	s := ProcessorSnapshot{Stats: p.stats}
-	if !p.watermark.IsZero() {
+func (sh *shard) Snapshot() ShardSnapshot {
+	s := ShardSnapshot{Stats: sh.stats}
+	if !sh.watermark.IsZero() {
 		s.WatermarkValid = true
-		s.WatermarkNS = p.watermark.UnixNano()
+		s.WatermarkNS = sh.watermark.UnixNano()
 	}
-	for _, os := range p.open {
+	for _, os := range sh.open {
 		ss := SessionSnapshot{User: os.user, Label: os.label, LastNS: os.last.UnixNano()}
 		for _, pe := range os.entries {
 			ss.Entries = append(ss.Entries, snapEntry(pe.Entry))
@@ -108,8 +110,8 @@ func (p *Processor) Snapshot() ProcessorSnapshot {
 		s.Open = append(s.Open, ss)
 	}
 	sort.Slice(s.Open, func(i, j int) bool { return s.Open[i].User < s.Open[j].User })
-	horizon := p.dedupHorizon()
-	for k, last := range p.lastSeen {
+	horizon := sh.dedupHorizon()
+	for k, last := range sh.lastSeen {
 		if last.Before(horizon) {
 			continue
 		}
@@ -121,7 +123,7 @@ func (p *Processor) Snapshot() ProcessorSnapshot {
 		}
 		return s.Dedup[i].Statement < s.Dedup[j].Statement
 	})
-	for fp, a := range p.templateAgg {
+	for fp, a := range sh.templateAgg {
 		users := make([]string, 0, len(a.users))
 		for u := range a.users {
 			users = append(users, u)
@@ -137,46 +139,46 @@ func (p *Processor) Snapshot() ProcessorSnapshot {
 		})
 	}
 	sort.Slice(s.Templates, func(i, j int) bool { return s.Templates[i].Fingerprint < s.Templates[j].Fingerprint })
-	if p.sk != nil {
-		s.Sketches = p.sk.Snapshot()
+	if sh.sk != nil {
+		s.Sketches = sh.sk.Snapshot()
 	}
 	return s
 }
 
-// Restore replaces the processor's state with a snapshot. Open-session
-// entries are re-parsed through the processor's parser (statement texts are
-// the canonical state; parse results are derived and deterministic).
-func (p *Processor) Restore(s ProcessorSnapshot) error {
-	p.stats = s.Stats
-	if p.stats.Antipatterns != nil {
+// Restore replaces the shard's state with a snapshot. Open-session entries
+// are re-parsed through the engine's parser (statement texts are the
+// canonical state; parse results are derived and deterministic).
+func (sh *shard) Restore(s ShardSnapshot) error {
+	sh.stats = s.Stats
+	if sh.stats.Antipatterns != nil {
 		// The snapshot owner may reuse the map; copy defensively.
-		m := make(map[antipattern.Kind]int, len(p.stats.Antipatterns))
-		for k, v := range p.stats.Antipatterns {
+		m := make(map[antipattern.Kind]int, len(sh.stats.Antipatterns))
+		for k, v := range sh.stats.Antipatterns {
 			m[k] = v
 		}
-		p.stats.Antipatterns = m
+		sh.stats.Antipatterns = m
 	}
-	p.watermark = time.Time{}
+	sh.watermark = time.Time{}
 	if s.WatermarkValid {
-		p.watermark = time.Unix(0, s.WatermarkNS).UTC()
+		sh.watermark = time.Unix(0, s.WatermarkNS).UTC()
 	}
-	p.open = make(map[string]*openSession, len(s.Open))
+	sh.open = make(map[string]*openSession, len(s.Open))
 	for _, ss := range s.Open {
 		if len(ss.Entries) == 0 {
 			return fmt.Errorf("stream: snapshot session for %q has no entries", ss.User)
 		}
 		os := &openSession{user: ss.User, label: ss.Label, last: time.Unix(0, ss.LastNS).UTC()}
 		for _, es := range ss.Entries {
-			os.entries = append(os.entries, p.parser.ParseEntry(es.entry()))
+			os.entries = append(os.entries, sh.cfg.Parser.ParseEntry(es.entry()))
 		}
-		p.open[ss.User] = os
+		sh.open[ss.User] = os
 	}
-	p.lastSeen = make(map[dupKey]time.Time, len(s.Dedup))
+	sh.lastSeen = make(map[dupKey]time.Time, len(s.Dedup))
 	for _, d := range s.Dedup {
-		p.lastSeen[dupKey{user: d.User, stmt: d.Statement}] = time.Unix(0, d.LastNS).UTC()
+		sh.lastSeen[dupKey{user: d.User, stmt: d.Statement}] = time.Unix(0, d.LastNS).UTC()
 	}
-	p.dedupPruned = len(p.lastSeen)
-	p.templateAgg = make(map[uint64]*templateAgg, len(s.Templates))
+	sh.dedupPruned = len(sh.lastSeen)
+	sh.templateAgg = make(map[uint64]*templateAgg, len(s.Templates))
 	for _, t := range s.Templates {
 		a := &templateAgg{skeleton: t.Skeleton, count: t.Count, users: make(map[string]struct{}, len(t.Users))}
 		for _, u := range t.Users {
@@ -188,23 +190,22 @@ func (p *Processor) Restore(s ProcessorSnapshot) error {
 				a.kinds[antipattern.Kind(k)] = struct{}{}
 			}
 		}
-		p.templateAgg[t.Fingerprint] = a
+		sh.templateAgg[t.Fingerprint] = a
 	}
 	switch {
-	case p.sk == nil:
-		// Sketches disabled in this processor's config: ignore any snapshot
+	case sh.sk == nil:
+		// Sketches disabled in this engine's config: ignore any snapshot
 		// state, the layer stays off.
 	case s.Sketches != nil:
 		sk, err := sketch.Restore(s.Sketches)
 		if err != nil {
 			return err
 		}
-		p.sk = sk
+		sh.sk = sk
 	default:
 		// Pre-sketch snapshot: start the layer fresh from here on.
-		p.sk = sketch.New(p.cfg.Sketches)
+		sh.sk = sketch.New(sh.cfg.Sketches)
 	}
-	p.met.open.Set(int64(len(p.open)))
 	return nil
 }
 
@@ -215,10 +216,10 @@ type ShardedSnapshot struct {
 	// partitions. Routing itself is deterministic (see userHash).
 	Shards int `json:"shards"`
 	// WatermarkValid/WatermarkNS carry the global event-time watermark.
-	WatermarkValid bool                `json:"watermark_valid"`
-	WatermarkNS    int64               `json:"watermark_ns"`
-	OpenHigh       int64               `json:"open_sessions_high_water"`
-	Procs          []ProcessorSnapshot `json:"procs"`
+	WatermarkValid bool            `json:"watermark_valid"`
+	WatermarkNS    int64           `json:"watermark_ns"`
+	OpenHigh       int64           `json:"open_sessions_high_water"`
+	Procs          []ShardSnapshot `json:"procs"`
 }
 
 // Snapshot serializes every shard plus the coordinator state. The caller
@@ -234,10 +235,10 @@ func (s *Sharded) Snapshot() ShardedSnapshot {
 		snap.WatermarkValid = true
 		snap.WatermarkNS = wm
 	}
-	snap.Procs = make([]ProcessorSnapshot, len(s.shards))
+	snap.Procs = make([]ShardSnapshot, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		snap.Procs[i] = sh.p.Snapshot()
+		snap.Procs[i] = sh.Snapshot()
 		sh.mu.Unlock()
 	}
 	return snap
@@ -256,8 +257,8 @@ func (s *Sharded) Restore(snap ShardedSnapshot) error {
 	var open int64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		err := sh.p.Restore(snap.Procs[i])
-		n := len(sh.p.open)
+		err := sh.Restore(snap.Procs[i])
+		n := len(sh.open)
 		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("stream: restore shard %d: %w", i, err)

@@ -12,10 +12,10 @@ import (
 	"sqlclean/internal/workload"
 )
 
-// TestProcessorSnapshotRoundTrip is the core durability property at the
-// processor level: cut a stream at an arbitrary point, snapshot, restore
-// into a fresh processor (via JSON, as the daemon stores it), finish the
-// stream — stats, templates and output must match the uninterrupted run.
+// TestProcessorSnapshotRoundTrip is the core durability property on the
+// serial stream: cut a stream at an arbitrary point, snapshot, restore
+// into a fresh one-shard engine (via JSON, as the daemon stores it), finish
+// the stream — stats, templates and output must match the uninterrupted run.
 func TestProcessorSnapshotRoundTrip(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.1))
 	log.SortStable()
@@ -24,7 +24,7 @@ func TestProcessorSnapshotRoundTrip(t *testing.T) {
 	}
 
 	run := func(cut int) (Stats, logmodel.Log) {
-		p := New(Config{})
+		p := serial(Config{})
 		var out logmodel.Log
 		for i, e := range log {
 			if i == cut {
@@ -33,11 +33,11 @@ func TestProcessorSnapshotRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var decoded ProcessorSnapshot
+				var decoded ShardedSnapshot
 				if err := json.Unmarshal(blob, &decoded); err != nil {
 					t.Fatal(err)
 				}
-				p = New(Config{})
+				p = serial(Config{})
 				if err := p.Restore(decoded); err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +73,7 @@ func TestProcessorSnapshotRoundTrip(t *testing.T) {
 // watermark proves unreachable are dropped, live ones survive.
 func TestProcessorSnapshotPrunesDedup(t *testing.T) {
 	base := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
-	p := New(Config{SessionGap: time.Minute, DuplicateThreshold: time.Second})
+	p := serial(Config{SessionGap: time.Minute, DuplicateThreshold: time.Second})
 	add := func(min int, user string) {
 		_, err := p.Add(logmodel.Entry{Time: base.Add(time.Duration(min) * time.Minute), User: user,
 			Statement: "SELECT name FROM Employees WHERE id = 1"})
@@ -83,12 +83,12 @@ func TestProcessorSnapshotPrunesDedup(t *testing.T) {
 	}
 	add(0, "old")  // will fall behind the horizon
 	add(10, "new") // at the watermark
-	snap := p.Snapshot()
+	snap := p.Snapshot().Procs[0]
 	if len(snap.Dedup) != 1 || snap.Dedup[0].User != "new" {
 		t.Fatalf("dedup snapshot = %+v, want only the live slot", snap.Dedup)
 	}
-	if len(p.lastSeen) != 2 {
-		t.Fatalf("snapshot must not mutate the live window (len=%d)", len(p.lastSeen))
+	if n := len(p.shards[0].lastSeen); n != 2 {
+		t.Fatalf("snapshot must not mutate the live window (len=%d)", n)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	other := NewSharded(ShardedConfig{Shards: 4})
-	if err := other.Restore(ShardedSnapshot{Shards: 8, Procs: make([]ProcessorSnapshot, 8)}); err == nil {
+	if err := other.Restore(ShardedSnapshot{Shards: 8, Procs: make([]ShardSnapshot, 8)}); err == nil {
 		t.Error("Restore accepted a shard-count mismatch")
 	}
 }

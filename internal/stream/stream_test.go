@@ -14,9 +14,12 @@ import (
 	"sqlclean/internal/workload"
 )
 
+// serial returns a one-shard engine: the serial stream.
+func serial(cfg Config) *Sharded { return NewSharded(ShardedConfig{Config: cfg, Shards: 1}) }
+
 func TestStreamMergesStifleRun(t *testing.T) {
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	p := New(Config{})
+	p := serial(Config{})
 	var out logmodel.Log
 	add := func(off time.Duration, user, stmt string) {
 		emitted, err := p.Add(logmodel.Entry{Time: base.Add(off), User: user, Statement: stmt})
@@ -47,7 +50,7 @@ func TestStreamMergesStifleRun(t *testing.T) {
 
 func TestStreamTemplateKinds(t *testing.T) {
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	p := New(Config{})
+	p := serial(Config{})
 	stifled := "SELECT name FROM Employees WHERE id = %d"
 	for i := 0; i < 3; i++ {
 		if _, err := p.Add(logmodel.Entry{Time: base.Add(time.Duration(i) * time.Second), User: "u",
@@ -80,7 +83,7 @@ func TestStreamTemplateKinds(t *testing.T) {
 	}
 
 	// Verdicts survive a snapshot/restore round trip.
-	p2 := New(Config{})
+	p2 := serial(Config{})
 	if err := p2.Restore(p.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestStreamTemplateKinds(t *testing.T) {
 
 func TestStreamSessionClosesOnGap(t *testing.T) {
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	p := New(Config{})
+	p := serial(Config{})
 	out, _ := p.Add(logmodel.Entry{Time: base, User: "u", Statement: "SELECT name FROM Employees WHERE id = 1"})
 	if len(out) != 0 {
 		t.Fatal("early emission")
@@ -112,7 +115,7 @@ func TestStreamSessionClosesOnGap(t *testing.T) {
 
 func TestStreamWatermarkEvictsSilentUsers(t *testing.T) {
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	p := New(Config{})
+	p := serial(Config{})
 	_, _ = p.Add(logmodel.Entry{Time: base, User: "quiet", Statement: "SELECT 1"})
 	// Another user's activity advances the watermark past quiet's gap.
 	out, err := p.Add(logmodel.Entry{Time: base.Add(time.Hour), User: "busy", Statement: "SELECT 2"})
@@ -129,7 +132,7 @@ func TestStreamWatermarkEvictsSilentUsers(t *testing.T) {
 
 func TestStreamRejectsTimeTravel(t *testing.T) {
 	base := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
-	p := New(Config{})
+	p := serial(Config{})
 	if _, err := p.Add(logmodel.Entry{Time: base, User: "u", Statement: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestStreamRejectsTimeTravel(t *testing.T) {
 
 func TestStreamDeduplicates(t *testing.T) {
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	p := New(Config{})
+	p := serial(Config{})
 	_, _ = p.Add(logmodel.Entry{Time: base, User: "u", Statement: "SELECT 1"})
 	_, _ = p.Add(logmodel.Entry{Time: base.Add(200 * time.Millisecond), User: "u", Statement: "SELECT 1"})
 	out := p.Close()
@@ -169,7 +172,7 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, st, err := Run(log, Config{})
+	streamed, st, err := RunSharded(log, ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 		}
 	}
 	// Template statistics agree with the batch miner.
-	ts := New(Config{})
+	ts := serial(Config{})
 	for _, e := range log {
 		if _, err := ts.Add(e); err != nil {
 			t.Fatal(err)
@@ -216,7 +219,7 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 func TestStreamBoundedMemory(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.5))
 	log.SortStable()
-	p := New(Config{})
+	p := serial(Config{})
 	maxOpen := 0
 	for _, e := range log {
 		if _, err := p.Add(e); err != nil {
@@ -250,7 +253,7 @@ func TestStreamHighWaterMarkGauge(t *testing.T) {
 	)
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
 	reg := obs.NewRegistry()
-	p := New(Config{Metrics: reg})
+	p := serial(Config{Metrics: reg})
 	// Each round, every user issues a burst of queries; rounds are spaced
 	// further apart than the session gap, so every round closes every
 	// user's session — users×rounds sessions total, only `users` ever open.
@@ -300,8 +303,8 @@ func TestStreamHighWaterMarkGauge(t *testing.T) {
 
 // TestDedupWindowStaysBounded streams distinct statements across many
 // session gaps: the live dedup map must stay near the slots a future entry
-// can still match, and pruning it must not change what Run and RunSharded
-// emit. One user's duplicates arrive late, behind every other entry of
+// can still match, and pruning it must not change what the engine and
+// RunSharded emit. One user's duplicates arrive late, behind every other entry of
 // their round, so a prune horizon without the session-gap allowance for
 // late entries would miss them.
 func TestDedupWindowStaysBounded(t *testing.T) {
@@ -338,7 +341,7 @@ func TestDedupWindowStaysBounded(t *testing.T) {
 		log[i].Seq = int64(i)
 	}
 
-	run := func(p *Processor) (logmodel.Log, int) {
+	run := func(p *Sharded) (logmodel.Log, int) {
 		var out logmodel.Log
 		peak := 0
 		for _, e := range log {
@@ -347,14 +350,14 @@ func TestDedupWindowStaysBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			out = append(out, emitted...)
-			peak = max(peak, len(p.lastSeen))
+			peak = max(peak, len(p.shards[0].lastSeen))
 		}
 		return append(out, p.Close()...), peak
 	}
-	unpruned := New(Config{})
-	unpruned.dedupPruned = len(log) // never reaches the prune threshold
+	unpruned := serial(Config{})
+	unpruned.shards[0].dedupPruned = len(log) // never reaches the prune threshold
 	want, slots := run(unpruned)
-	pruned := New(Config{})
+	pruned := serial(Config{})
 	got, peak := run(pruned)
 
 	if want := (users*5 + 1) * rounds; slots != want {
@@ -366,7 +369,7 @@ func TestDedupWindowStaysBounded(t *testing.T) {
 	if want := (users + 1) * rounds; unpruned.Stats().Duplicates != want || pruned.Stats().Duplicates != want {
 		t.Fatalf("duplicates: unpruned %d, pruned %d, want %d", unpruned.Stats().Duplicates, pruned.Stats().Duplicates, want)
 	}
-	same := func(name string, got logmodel.Log) {
+	same := func(name string, got, want logmodel.Log) {
 		t.Helper()
 		if len(got) != len(want) {
 			t.Fatalf("%s emitted %d entries, unpruned %d", name, len(got), len(want))
@@ -377,14 +380,18 @@ func TestDedupWindowStaysBounded(t *testing.T) {
 			}
 		}
 	}
-	same("pruned processor", got)
-	ran, st, err := Run(log, Config{})
+	same("pruned engine", got, want)
+	// RunSharded sorts its output by time; the per-Add output is in
+	// session-close order.
+	ran, st, err := RunSharded(log, ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("Run", ran)
+	sorted := append(logmodel.Log(nil), want...)
+	sortByTime(sorted)
+	same("RunSharded", ran, sorted)
 	if !reflect.DeepEqual(st, unpruned.Stats()) || !reflect.DeepEqual(pruned.Stats(), unpruned.Stats()) {
-		t.Fatalf("stats: Run %+v, pruned %+v, unpruned %+v", st, pruned.Stats(), unpruned.Stats())
+		t.Fatalf("stats: RunSharded %+v, pruned %+v, unpruned %+v", st, pruned.Stats(), unpruned.Stats())
 	}
 	sharded, sst, err := RunSharded(log, ShardedConfig{Shards: 4, Workers: 2})
 	if err != nil {

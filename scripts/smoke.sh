@@ -9,7 +9,11 @@
 # bench-text/JSON output to round-trip through `benchjson -compare`, and
 # asserts GET /clusters returns a non-empty clustering, /debug/requests
 # holds completed traces, and the JSON log carries slow-request lines with
-# trace IDs. Run via `make smoke` (which builds bin/ first).
+# trace IDs. A fourth phase compacts the journal into columnar blocks, scans
+# them back and serves GET /history from them. The last phase runs the CLI's
+# streaming path: `sqlclean -stream` must write the same lines as the batch
+# `sqlclean -clean`, and its -json must count the lines it wrote. Run via
+# `make smoke` (which builds bin/ first).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -279,3 +283,25 @@ kill -TERM "$PID"
 wait "$PID"
 
 echo "smoke: retention ok ($TOTAL entries compacted, scanned back and served via /history)"
+
+# ---------------------------------------------------------------------------
+# CLI streaming: `sqlclean -stream` runs the streaming engine at one shard.
+# Its cleaned log must hold the same lines as the batch pipeline's, and the
+# -json stream block must count exactly the lines it wrote.
+# ---------------------------------------------------------------------------
+
+"$CLI" -stream -clean "$TMP/s.tsv" -json "$TMP/s.json" "$TMP/log.tsv" 2>"$TMP/stream.log"
+"$CLI" -clean "$TMP/b.tsv" "$TMP/log.tsv" >"$TMP/batch.txt" 2>>"$TMP/stream.log"
+LC_ALL=C sort "$TMP/s.tsv" >"$TMP/s.sorted"
+LC_ALL=C sort "$TMP/b.tsv" >"$TMP/b.sorted"
+cmp -s "$TMP/s.sorted" "$TMP/b.sorted" || {
+  echo "smoke: sqlclean -stream and batch -clean wrote different lines:" >&2
+  diff "$TMP/s.sorted" "$TMP/b.sorted" | head -n 20 >&2; exit 1
+}
+STREAMED=$(wc -l <"$TMP/s.tsv")
+OUT=$(grep -m 1 -oE '"out": *[0-9]+' "$TMP/s.json" | grep -oE '[0-9]+$')
+[ "$OUT" -eq "$STREAMED" ] || {
+  echo "smoke: -stream -json reports out=$OUT for $STREAMED written lines" >&2; exit 1
+}
+
+echo "smoke: stream ok ($STREAMED lines, the same as batch -clean)"

@@ -301,27 +301,13 @@ type SketchConfig = sketch.Config
 // StreamStats are the streaming pipeline's counters.
 type StreamStats = stream.Stats
 
-// StreamProcessor processes a time-ordered log incrementally: sessions are
-// detected, solved and emitted as soon as they close, so memory stays
-// bounded by the open sessions — the right shape for logs of the real
-// SkyServer's 42-million-entry size.
-type StreamProcessor = stream.Processor
-
-// NewStream returns a streaming processor.
-func NewStream(cfg StreamConfig) *StreamProcessor { return stream.New(cfg) }
-
-// CleanStream runs a whole log through a fresh streaming processor. The
-// cleaned output is equivalent to Clean's (same statements; emitted in
-// session-close order; no SWS handling).
-func CleanStream(l Log, cfg StreamConfig) (Log, StreamStats, error) { return stream.Run(l, cfg) }
-
 // ScanLogTSV streams a TSV log entry by entry with constant memory,
-// pairing with StreamProcessor for end-to-end bounded-memory cleaning.
+// pairing with ShardedStream for end-to-end bounded-memory cleaning.
 func ScanLogTSV(r io.Reader, fn func(Entry) error) error { return logmodel.ScanTSV(r, fn) }
 
 // StreamSketchJSON is the sketch block of the streaming -json export: the
 // approximate analytics accumulated alongside the exact counters. Present
-// only when the processor runs with sketches enabled.
+// only when the engine runs with sketches enabled.
 type StreamSketchJSON struct {
 	// DistinctUsersEstimate is the HLL distinct-identity estimate.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
@@ -338,15 +324,15 @@ type StreamSketchJSON struct {
 // statistics and sketch analytics as indented JSON — the batch -json
 // export's streaming counterpart, using the same JSON names as the daemon's
 // GET /report payload.
-func WriteStreamJSON(w io.Writer, p *StreamProcessor) error {
+func WriteStreamJSON(w io.Writer, s *ShardedStream) error {
 	doc := struct {
 		Stream    StreamStats         `json:"stream"`
 		Templates []core.TemplateJSON `json:"templates"`
 		Sketches  *StreamSketchJSON   `json:"sketches,omitempty"`
-	}{Stream: p.Stats()}
+	}{Stream: s.Stats()}
 	var sws map[uint64]bool
-	if sk := p.Sketches(); sk != nil {
-		sws = p.ClassifySWS(pattern.DefaultSWSOptions())
+	if sk := s.Sketches(); sk != nil {
+		sws = sk.SWS.Classify(doc.Stream.Selects, pattern.DefaultSWSOptions())
 		sj := &StreamSketchJSON{
 			DistinctUsersEstimate: sk.HLL.Count(),
 			SWSTemplates:          len(sws),
@@ -359,7 +345,7 @@ func WriteStreamJSON(w io.Writer, p *StreamProcessor) error {
 		}
 		doc.Sketches = sj
 	}
-	for _, t := range p.Templates() {
+	for _, t := range s.Templates() {
 		doc.Templates = append(doc.Templates, core.TemplateJSON{
 			Fingerprint:    t.Fingerprint,
 			Skeleton:       t.Skeleton,
@@ -376,12 +362,15 @@ func WriteStreamJSON(w io.Writer, p *StreamProcessor) error {
 // ShardedStreamConfig configures the sharded (multi-core) streaming engine.
 type ShardedStreamConfig = stream.ShardedConfig
 
-// ShardedStream is the multi-core streaming engine: entries are partitioned
-// by user hash into independent shard processors (dedup keys and sessions
-// are per user, so both stay shard-local), and a global event-time
-// watermark closes sessions in quiet partitions. Safe for concurrent use;
-// each user's entries must keep their time order (route one user through
-// one goroutine or queue).
+// ShardedStream processes a time-ordered log incrementally: sessions are
+// detected, solved and emitted as soon as they close, so of the log's
+// entries only the open sessions stay in memory — the right shape for logs
+// of the real SkyServer's 42-million-entry size. Entries are partitioned by
+// user hash into independent shards (dedup keys and sessions are per user,
+// so both stay shard-local), and a global event-time watermark closes
+// sessions in quiet partitions; one shard is the serial stream. Safe for
+// concurrent use; each user's entries must keep their time order (route one
+// user through one goroutine or queue).
 type ShardedStream = stream.Sharded
 
 // NewShardedStream returns a sharded streaming engine.
@@ -389,8 +378,8 @@ func NewShardedStream(cfg ShardedStreamConfig) *ShardedStream { return stream.Ne
 
 // CleanStreamSharded runs a whole log through a fresh sharded streaming
 // engine, processing user partitions concurrently on the worker pool. The
-// cleaned output is the same multiset of statements as CleanStream's,
-// sorted by time.
+// cleaned output is equivalent to Clean's (same statements, sorted by time;
+// no SWS handling) at every shard count.
 func CleanStreamSharded(l Log, cfg ShardedStreamConfig) (Log, StreamStats, error) {
 	return stream.RunSharded(l, cfg)
 }

@@ -185,14 +185,14 @@ func TestCustomRuleViaPublicAPI(t *testing.T) {
 func TestStreamFacade(t *testing.T) {
 	log, _ := sqlclean.GenerateWorkload(sqlclean.DefaultWorkloadConfig().Scale(0.1))
 	log.SortStable()
-	out, st, err := sqlclean.CleanStream(log, sqlclean.StreamConfig{})
+	out, st, err := sqlclean.CleanStreamSharded(log, sqlclean.ShardedStreamConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) == 0 || st.In != len(log) {
 		t.Fatalf("stream: %d out, %+v", len(out), st)
 	}
-	p := sqlclean.NewStream(sqlclean.StreamConfig{})
+	p := sqlclean.NewShardedStream(sqlclean.ShardedStreamConfig{Shards: 1})
 	if _, err := p.Add(log[0]); err != nil {
 		t.Fatal(err)
 	}
