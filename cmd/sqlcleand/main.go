@@ -9,7 +9,7 @@
 //	          [-data-dir DIR] [-fsync interval] [-fsync-interval 1s]
 //	          [-snapshot-interval 5m] [-max-skew 0] [-no-clusters]
 //	          [-cluster-threshold 0.9] [-cluster-max-boxes 4096]
-//	          [-no-sketches] [-hll-precision 14] [-topk 128] [-sws-window 1h]
+//	          [-no-sketches] [-hll-precision 14] [-topk 128]
 //	          [-log-level info] [-log-format text] [-slow-request 1s]
 //	          [-version]
 //
@@ -19,8 +19,8 @@
 //	               or TSV lines with ?format=tsv; 429 + Retry-After when the
 //	               ingest queues are full
 //	GET  /report   incremental cleaning report (JSON), including the sketch
-//	               block: HLL distinct-identity estimate and windowed SWS
-//	               classification
+//	               block: HLL distinct-identity estimate and the SWS
+//	               classification of the per-template evidence
 //	GET  /toplist  heavy-hitter templates by the SpaceSaving sketch (?k=N)
 //	GET  /clusters overlap clustering of the observed predicate boxes
 //	GET  /healthz  liveness, version, queue, session and watermark state
@@ -88,10 +88,9 @@ func main() {
 		noClusters = flag.Bool("no-clusters", false, "disable the GET /clusters overlap-clustering surface")
 		clusterT   = flag.Float64("cluster-threshold", 0.9, "default overlap-distance threshold for GET /clusters")
 		clusterMax = flag.Int("cluster-max-boxes", 4096, "distinct predicate boxes kept for clustering (further ones are counted as dropped)")
-		noSketch   = flag.Bool("no-sketches", false, "disable the approximate-analytics sketches (HLL, top-k, windowed SWS)")
+		noSketch   = flag.Bool("no-sketches", false, "disable the approximate-analytics sketches (HLL, top-k, SWS evidence)")
 		hllPrec    = flag.Int("hll-precision", 0, "HLL precision p: 2^p registers for the distinct-identity estimate (0 = default 14)")
 		topK       = flag.Int("topk", 0, "SpaceSaving heavy-hitter capacity for GET /toplist (0 = default 128)")
-		swsWindow  = flag.Duration("sws-window", 0, "event-time window width for streaming SWS evidence (0 = default 1h)")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		slowReq    = flag.Duration("slow-request", time.Second, "log a warn line with stage timings for ingest requests at or above this latency (<0 disables)")
@@ -146,7 +145,6 @@ func main() {
 			Disabled:     *noSketch,
 			HLLPrecision: *hllPrec,
 			TopK:         *topK,
-			SWSWindow:    *swsWindow,
 		},
 	}
 	if *extraRules {

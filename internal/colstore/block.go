@@ -26,8 +26,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
+	"sqlclean/internal/fsutil"
 	"sqlclean/internal/logmodel"
 )
 
@@ -359,43 +359,19 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// writeBuiltBlock encodes a built block into path atomically: tmp file,
-// fsync, rename. A crash at any point leaves either no file or a complete
-// valid block under the final name — never a torn one. The caller fsyncs
-// the directory.
+// writeBuiltBlock encodes a built block into path atomically
+// (fsutil.WriteFileAtomic): a crash at any point leaves either no file or a
+// complete valid block under the final name — never a torn one.
 func writeBuiltBlock(path string, b *blockBuilder) (int64, error) {
 	if b.len() == 0 {
 		return 0, errors.New("colstore: no entries to compact")
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	bw := bytes.Buffer{}
+	var bw bytes.Buffer
 	if err := b.encode(&bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return 0, err
 	}
-	size := int64(bw.Len())
-	if _, err := f.Write(bw.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := fsutil.WriteFileAtomic(path, bw.Bytes()); err != nil {
 		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return size, nil
+	return int64(bw.Len()), nil
 }

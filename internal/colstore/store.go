@@ -167,10 +167,6 @@ func (s *Store) CompactSegment(segPath string, classify Classifier) (entries int
 		s.mErrors.Inc()
 		return 0, err
 	}
-	if err := syncDir(s.opt.Dir); err != nil {
-		s.mErrors.Inc()
-		return 0, err
-	}
 	s.adoptLocked(blockRef{first: firstLSN, last: lastLSN, path: path, size: size})
 	s.mCompactions.Inc()
 	s.mEntries.Add(int64(frames))
@@ -240,14 +236,4 @@ func (s *Store) evictLocked() {
 	}
 	s.gBlocks.Set(int64(len(s.blocks)))
 	s.gBytes.Set(s.bytes)
-}
-
-// syncDir fsyncs a directory so renames in it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -9,9 +9,9 @@
 // whitespace, case and clause structure, this split must lose NOTHING: the
 // retention store's contract is that Join(Split(s)) == s for every input
 // byte. So the scanner works on the raw text, recognizing exactly two
-// literal classes — single-quoted strings (with '' escapes) and numeric
-// literals — and leaving everything else, including whitespace and comments,
-// in the skeleton verbatim.
+// literal classes — single-quoted strings (a doubled quote inside escapes a
+// quote) and numeric literals — and leaving everything else, including
+// whitespace and comments, in the skeleton verbatim.
 package colstore
 
 // slotByte marks one parameter position in a skeleton. 0x1A (ASCII SUB) can
@@ -111,8 +111,8 @@ func isWordByte(c byte) bool {
 }
 
 // scanString returns the index just past a single-quoted string starting at
-// i ('' is an escaped quote). An unterminated string runs to end of input —
-// still reversible, the raw bytes are the parameter.
+// i (a doubled quote inside is an escaped quote). An unterminated string runs
+// to end of input — still reversible, the raw bytes are the parameter.
 func scanString(s string, i int) int {
 	i++ // opening quote
 	for i < len(s) {

@@ -135,7 +135,7 @@ func TestRemoveIndexed(t *testing.T) {
 		mk("u", "A", 0),
 		mk("u", "A", time.Second/2), // duplicate of index 0
 		mk("u", "B", time.Second),
-		mk("v", "A", 2*time.Second), // other user: kept
+		mk("v", "A", 2*time.Second),  // other user: kept
 		mk("u", "B", 10*time.Second), // outside window: kept
 	}
 	out, kept, res := RemoveIndexed(l, time.Second)

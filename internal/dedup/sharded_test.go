@@ -68,11 +68,11 @@ func TestRemoveThresholdBoundary(t *testing.T) {
 	// each diff below is against the immediately preceding same-key entry.
 	log := logmodel.Log{
 		{Seq: 0, Time: base, User: "u", Statement: "SELECT 1"},
-		{Seq: 1, Time: base.Add(threshold), User: "u", Statement: "SELECT 1"},                          // diff exactly threshold: duplicate
-		{Seq: 2, Time: base.Add(2*threshold + time.Nanosecond), User: "u", Statement: "SELECT 1"},      // diff threshold+1ns: kept
-		{Seq: 3, Time: base.Add(3*threshold + time.Nanosecond), User: "u", Statement: "SELECT 1"},      // diff exactly threshold again: duplicate
-		{Seq: 4, Time: base.Add(3*threshold + 2*time.Nanosecond), User: "v", Statement: "SELECT 1"},    // other user: never a duplicate
-		{Seq: 5, Time: base.Add(4*threshold + 3*time.Nanosecond), User: "u", Statement: "SELECT 1"},    // diff threshold+2ns: kept
+		{Seq: 1, Time: base.Add(threshold), User: "u", Statement: "SELECT 1"},                       // diff exactly threshold: duplicate
+		{Seq: 2, Time: base.Add(2*threshold + time.Nanosecond), User: "u", Statement: "SELECT 1"},   // diff threshold+1ns: kept
+		{Seq: 3, Time: base.Add(3*threshold + time.Nanosecond), User: "u", Statement: "SELECT 1"},   // diff exactly threshold again: duplicate
+		{Seq: 4, Time: base.Add(3*threshold + 2*time.Nanosecond), User: "v", Statement: "SELECT 1"}, // other user: never a duplicate
+		{Seq: 5, Time: base.Add(4*threshold + 3*time.Nanosecond), User: "u", Statement: "SELECT 1"}, // diff threshold+2ns: kept
 	}
 	wantKept := []int64{0, 2, 4, 5}
 

@@ -11,7 +11,6 @@ import (
 	"sqlclean/internal/overlap"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
-	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 )
 
@@ -168,16 +167,16 @@ func clusterLog(l logmodel.Log, threshold float64) (overlap.Stats, time.Duration
 	parsed, _ := parsedlog.Parse(l)
 	var boxes []overlap.Box
 	var kept parsedlog.Log
-	// Identical statement texts share one Info; cache their boxes.
-	boxCache := map[*skeleton.Info]overlap.Box{}
+	// Identical statement texts have identical boxes; build each once.
+	boxCache := map[string]overlap.Box{}
 	for _, pe := range parsed {
 		if pe.Class != sqlast.ClassSelect || pe.Info == nil {
 			continue
 		}
-		b, ok := boxCache[pe.Info]
+		b, ok := boxCache[pe.Statement]
 		if !ok {
 			b = overlap.FromInfo(pe.Info)
-			boxCache[pe.Info] = b
+			boxCache[pe.Statement] = b
 		}
 		boxes = append(boxes, b)
 		kept = append(kept, pe)

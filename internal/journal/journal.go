@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"sqlclean/internal/fsutil"
 	"sqlclean/internal/obs"
 )
 
@@ -533,7 +534,7 @@ func (w *Writer) rotateLocked(lsn uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(w.opt.Dir); err != nil {
+	if err := fsutil.SyncDir(w.opt.Dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -561,7 +562,7 @@ func (w *Writer) TruncateBefore(lsn uint64) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		err = syncDir(w.opt.Dir)
+		err = fsutil.SyncDir(w.opt.Dir)
 		w.opt.Logger.Debug("truncated journal below snapshot",
 			"component", "journal", "segments_removed", removed, "below_lsn", lsn)
 	}
@@ -765,14 +766,4 @@ func listSegments(dir string) ([]segment, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	return segs, nil
-}
-
-// syncDir fsyncs a directory so renames and creations in it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"sqlclean/internal/colstore"
+	"sqlclean/internal/fsutil"
 	"sqlclean/internal/journal"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/pattern"
@@ -248,39 +249,15 @@ func (s *Server) finalSnapshot() error {
 	})
 }
 
-// writeSnapshot persists one checkpoint atomically (tmp + fsync + rename +
-// dir fsync), prunes older snapshots and truncates the journal behind it.
+// writeSnapshot persists one checkpoint atomically (fsutil.WriteFileAtomic),
+// prunes older snapshots and truncates the journal behind it.
 func (s *Server) writeSnapshot(sf snapshotFile) error {
 	blob, err := json.Marshal(sf)
 	if err != nil {
 		return fmt.Errorf("server: marshal snapshot: %w", err)
 	}
 	dir := s.cfg.DataDir
-	final := filepath.Join(dir, snapshotName(sf.AppliedLSN))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(dir); err != nil {
+	if err := fsutil.WriteFileAtomic(filepath.Join(dir, snapshotName(sf.AppliedLSN)), blob); err != nil {
 		return err
 	}
 	// Older snapshots and fully-covered journal segments are now garbage.
@@ -351,10 +328,7 @@ func segmentFirstLSN(path string) uint64 {
 // masked the same way in both identities, so one representative suffices.
 func (s *Server) colstoreClassifier() colstore.Classifier {
 	kinds := s.eng.TemplateKinds()
-	var sws map[uint64]bool
-	if sk := s.eng.Sketches(); sk != nil {
-		sws = sk.SWS.Classify(s.eng.Stats().Selects, pattern.DefaultSWSOptions())
-	}
+	sws := s.eng.ClassifySWS(pattern.DefaultSWSOptions())
 	parser := s.cfg.Stream.Parser
 	return func(stmt string) colstore.Classification {
 		pe := parser.ParseEntry(logmodel.Entry{Statement: stmt})
@@ -392,14 +366,4 @@ func listSnapshots(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// syncDir fsyncs a directory so renames in it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -47,7 +47,6 @@ import (
 	"sqlclean/internal/obs"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/stream"
 )
 
@@ -891,8 +890,8 @@ func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (a
 // the batch pipeline's export. The global statistics the exact stream
 // counters cannot afford — SWS classification, distinct-identity counts —
 // come from the sketch layer: distinct_users is the HLL estimate,
-// sws_templates/sws_queries classify the windowed evidence (exact below the
-// configured user cap), and the sketches block summarizes the sketch state
+// sws_templates/sws_queries classify the per-template evidence (exact below
+// sketch.UserCap), and the sketches block summarizes the sketch state
 // itself. All of it is omitted when the daemon runs with sketches disabled.
 type ReportPayload struct {
 	Version       string              `json:"version"`
@@ -919,14 +918,11 @@ type SketchReport struct {
 	TopKCapacity  int   `json:"topk_capacity"`
 	TopKTracked   int   `json:"topk_tracked"`
 	TopKEvictions int64 `json:"topk_evictions"`
-	// SWSTemplates/SWSQueries classify the windowed evidence with the
-	// default thresholds against the stream's accepted-SELECT total —
+	// SWSTemplates/SWSQueries classify the per-template SWS evidence with
+	// the default thresholds against the stream's accepted-SELECT total —
 	// the streaming counterpart of the batch report's columns.
 	SWSTemplates int `json:"sws_templates"`
 	SWSQueries   int `json:"sws_queries"`
-	// SWSWindows/SWSWindowFlushes describe the evidence windowing.
-	SWSWindows       int   `json:"sws_windows"`
-	SWSWindowFlushes int64 `json:"sws_window_flushes"`
 }
 
 // Report assembles the current incremental report. Safe to call while
@@ -957,10 +953,10 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 		p.Report.MaxTemplateFreq = templates[0].Frequency
 	}
 	var sws map[uint64]bool
-	var evidence map[uint64]sketch.Evidence
-	if sk := s.eng.Sketches(); sk != nil {
-		sws = sk.SWS.Classify(st.Selects, pattern.DefaultSWSOptions())
-		evidence = sk.SWS.MergedEvidence()
+	sk := s.eng.Sketches()
+	if sk != nil {
+		var swsQueries int
+		sws, swsQueries = sk.SWS.Classify(st.Selects, pattern.DefaultSWSOptions())
 		sr := &SketchReport{
 			DistinctUsersEstimate: sk.HLL.Count(),
 			HLLPrecision:          sk.HLL.Precision(),
@@ -969,13 +965,7 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 			TopKTracked:           sk.Top.Len(),
 			TopKEvictions:         sk.Top.Evictions(),
 			SWSTemplates:          len(sws),
-			SWSWindows:            sk.SWS.Windows(),
-			SWSWindowFlushes:      sk.SWS.Flushes(),
-		}
-		for fp, ev := range evidence {
-			if sws[fp] {
-				sr.SWSQueries += ev.Freq
-			}
+			SWSQueries:            swsQueries,
 		}
 		p.Sketch = sr
 		p.Report.DistinctUsers = int(sr.DistinctUsersEstimate)
@@ -1003,8 +993,8 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 			UserPopularity: t.UserPopularity,
 			SWS:            sws[t.Fingerprint],
 		}
-		if ev, ok := evidence[t.Fingerprint]; ok && ev.Freq > 0 {
-			tj.DisjointRatio = float64(len(ev.WCs)) / float64(ev.Freq)
+		if sk != nil {
+			tj.DisjointRatio = sk.SWS.Stats(t.Fingerprint).DisjointRatio()
 		}
 		p.Templates = append(p.Templates, tj)
 	}

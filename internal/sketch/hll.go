@@ -1,11 +1,12 @@
 // Package sketch holds the mergeable summaries behind the daemon's
 // approximate streaming analytics: a dense HyperLogLog distinct counter
 // (distinct identities), a SpaceSaving top-k heavy-hitter tracker (template
-// toplist) and a windowed SWS evidence accumulator whose drain-time
-// classification equals the batch pipeline's bit for bit. All three share
-// the properties the sharded stream needs: bounded memory, deterministic
-// state (no process-random seeds — snapshots restore across processes),
-// and an order-free Merge for the cross-shard global view.
+// toplist) and an SWS evidence accumulator, one summary per template, whose
+// drain-time classification equals the batch pipeline's bit for bit. All
+// three share the properties the sharded stream needs: memory that does not
+// grow with the log's length, deterministic state (no process-random seeds
+// — snapshots restore across processes), and an order-free Merge for the
+// cross-shard global view.
 package sketch
 
 import (

@@ -1,12 +1,11 @@
 package sketch
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Config sizes the sketch set. The zero value enables all three sketches
-// with the package defaults; Disabled opts the whole layer out.
+// with the package defaults; Disabled opts the whole layer out. The SWS
+// evidence has nothing to size: it keeps one summary per template, with
+// user sets capped at UserCap.
 type Config struct {
 	// Disabled turns the sketch layer off entirely (New returns nil).
 	Disabled bool
@@ -15,16 +14,6 @@ type Config struct {
 	HLLPrecision int
 	// TopK is the SpaceSaving slot capacity; 0 selects DefaultTopKCapacity.
 	TopK int
-	// SWSWindow is the event-time window width for SWS evidence; 0 selects
-	// DefaultSWSWindow.
-	SWSWindow time.Duration
-	// SWSMaxWindows bounds the live window list; 0 selects
-	// DefaultSWSMaxWindows.
-	SWSMaxWindows int
-	// SWSUserCap bounds each template's distinct-user evidence set; 0
-	// selects DefaultSWSUserCap. Classification is exact for
-	// MaxUserPopularity thresholds strictly below the cap.
-	SWSUserCap int
 }
 
 // Sketches bundles the three summaries one stream processor maintains.
@@ -43,7 +32,7 @@ func New(cfg Config) *Sketches {
 	return &Sketches{
 		HLL: NewHLL(cfg.HLLPrecision),
 		Top: NewSpaceSaving(cfg.TopK),
-		SWS: NewSWSAccumulator(cfg.SWSWindow, cfg.SWSMaxWindows, cfg.SWSUserCap),
+		SWS: NewSWSAccumulator(),
 	}
 }
 
@@ -94,9 +83,9 @@ func (s *Sketches) Snapshot() *Snapshot {
 }
 
 // Restore rebuilds a sketch set from its snapshot. The snapshot's own
-// parameters (precision, capacity, window) are authoritative — a daemon
-// restarted with different sketch flags keeps the accumulated state rather
-// than discarding it; new parameters apply from the next fresh start.
+// parameters (precision, capacity) are authoritative — a daemon restarted
+// with different sketch flags keeps the accumulated state rather than
+// discarding it; new parameters apply from the next fresh start.
 func Restore(snap *Snapshot) (*Sketches, error) {
 	if snap.Version <= 0 || snap.Version > SnapshotVersion {
 		return nil, fmt.Errorf("sketch: snapshot version %d not supported (this build reads ≤ %d)",

@@ -1,8 +1,8 @@
 package sketch
 
 import (
+	"fmt"
 	"sort"
-	"time"
 
 	"sqlclean/internal/pattern"
 )
@@ -10,14 +10,13 @@ import (
 // SWS (sliding-window-search) classification needs three global per-template
 // statistics the stream otherwise discards at session close: frequency,
 // user popularity and the distinct-WHERE count. The accumulator keeps exactly
-// that evidence, bucketed into event-time windows whose overflow folds into a
-// base aggregate, so memory holds O(windows · templates) summaries while the
-// drain-time classification is provably the batch answer:
+// that evidence, one summary per template, so memory grows with the distinct
+// templates, not with the log or its time span, while the drain-time
+// classification is provably the batch answer:
 //
 //   - Frequency and the distinct-WHERE hash set are exact and additive
-//     (sessions partition the deduped SELECT stream, windows partition the
-//     sessions, shards partition the users — every occurrence is folded
-//     exactly once, wherever it lands).
+//     (sessions partition the deduped SELECT stream and shards partition the
+//     users — every occurrence is folded exactly once, wherever it lands).
 //   - The distinct-user set is capped at UserCap, keeping the
 //     lexicographically smallest users. The smallest-k of a union equals the
 //     smallest-k of the parts' smallest-k sets, so after any merge order
@@ -28,25 +27,17 @@ import (
 // Classification applies pattern.IsSWS to this evidence, so equality with
 // the batch pipeline is by construction, not by reimplementation.
 
-const (
-	// DefaultSWSWindow buckets session evidence into one-hour event-time
-	// windows.
-	DefaultSWSWindow = time.Hour
-	// DefaultSWSMaxWindows bounds the live window list; the oldest window
-	// flushes into the base aggregate when a newer one would exceed it.
-	DefaultSWSMaxWindows = 8
-	// DefaultSWSUserCap bounds each template's distinct-user set. The
-	// classification is exact for every MaxUserPopularity below this; the
-	// paper's Table 8 sweeps popularity 1..16, so 32 covers it with margin.
-	DefaultSWSUserCap = 32
-)
+// UserCap bounds each template's distinct-user set. The classification is
+// exact for every MaxUserPopularity below this; the paper's Table 8 sweeps
+// popularity 1..16, so 32 covers it with margin.
+const UserCap = 32
 
 // Evidence is one template's accumulated SWS inputs.
 type Evidence struct {
 	// Freq is the exact number of (deduplicated SELECT) occurrences.
 	Freq int
 	// Users holds the lexicographically smallest distinct users, sorted,
-	// capped at the accumulator's UserCap.
+	// capped at UserCap.
 	Users []string
 	// WCs is the exact set of distinct WHERE-clause hashes
 	// (pattern.HashWhere), matching the batch miner's DistinctWhere.
@@ -90,6 +81,16 @@ func (ev *Evidence) merge(other *Evidence, userCap int) {
 	}
 }
 
+// stats states the evidence in the batch miner's terms.
+func (ev *Evidence) stats(fp uint64) pattern.TemplateStats {
+	return pattern.TemplateStats{
+		Fingerprint:    fp,
+		Frequency:      ev.Freq,
+		UserPopularity: len(ev.Users),
+		DistinctWhere:  len(ev.WCs),
+	}
+}
+
 func (ev *Evidence) clone() *Evidence {
 	c := &Evidence{Freq: ev.Freq, Users: append([]string(nil), ev.Users...), WCs: make(map[uint64]struct{}, len(ev.WCs))}
 	for wc := range ev.WCs {
@@ -98,212 +99,78 @@ func (ev *Evidence) clone() *Evidence {
 	return c
 }
 
-type swsWindow struct {
-	startNS int64
-	byFP    map[uint64]*Evidence
-}
-
-// SWSAccumulator gathers per-template session evidence into event-time
-// windows over a base aggregate. Not safe for concurrent use (the owning
-// stream processor serializes access, like all its state).
+// SWSAccumulator gathers the SWS evidence of every template, keyed by
+// template fingerprint. Not safe for concurrent use (the owning stream
+// shard serializes access, like all its state).
 type SWSAccumulator struct {
-	windowNS   int64
-	maxWindows int
-	userCap    int
-	base       map[uint64]*Evidence
-	windows    []*swsWindow // startNS-ascending
-	flushes    int64
+	byFP map[uint64]*Evidence
 }
 
-// NewSWSAccumulator returns an accumulator; zero arguments select the
-// package defaults.
-func NewSWSAccumulator(window time.Duration, maxWindows, userCap int) *SWSAccumulator {
-	if window <= 0 {
-		window = DefaultSWSWindow
-	}
-	if maxWindows <= 0 {
-		maxWindows = DefaultSWSMaxWindows
-	}
-	if userCap <= 0 {
-		userCap = DefaultSWSUserCap
-	}
-	return &SWSAccumulator{
-		windowNS:   int64(window),
-		maxWindows: maxWindows,
-		userCap:    userCap,
-		base:       map[uint64]*Evidence{},
-	}
+// NewSWSAccumulator returns an empty accumulator.
+func NewSWSAccumulator() *SWSAccumulator {
+	return &SWSAccumulator{byFP: map[uint64]*Evidence{}}
 }
 
-// Window returns the window width.
-func (a *SWSAccumulator) Window() time.Duration { return time.Duration(a.windowNS) }
-
-// UserCap returns the per-template distinct-user cap; classification is
-// exact for MaxUserPopularity thresholds strictly below it.
-func (a *SWSAccumulator) UserCap() int { return a.userCap }
-
-// Windows returns the number of live (unflushed) windows.
-func (a *SWSAccumulator) Windows() int { return len(a.windows) }
-
-// Flushes counts windows folded into the base aggregate — the
-// sketch_sws_window_flushes_total signal.
-func (a *SWSAccumulator) Flushes() int64 { return a.flushes }
-
-// windowStart floors ts to its window boundary (toward -inf, so pre-epoch
-// event times bucket consistently too).
-func (a *SWSAccumulator) windowStart(tsNS int64) int64 {
-	r := tsNS % a.windowNS
-	if r < 0 {
-		r += a.windowNS
-	}
-	return tsNS - r
+// Observe folds one template occurrence in.
+func (a *SWSAccumulator) Observe(fp uint64, user string, wcHash uint64) {
+	a.evidence(fp).observe(user, wcHash, UserCap)
 }
 
-// Observe folds one template occurrence into the window holding tsNS
-// (typically the closing session's last event time) and returns how many
-// windows were flushed into the base aggregate to respect the window bound.
-func (a *SWSAccumulator) Observe(tsNS int64, fp uint64, user string, wcHash uint64) (flushed int) {
-	start := a.windowStart(tsNS)
-	w := a.window(start)
-	ev, ok := w.byFP[fp]
+// evidence returns the template's evidence, creating it on first use.
+func (a *SWSAccumulator) evidence(fp uint64) *Evidence {
+	ev, ok := a.byFP[fp]
 	if !ok {
 		ev = newEvidence()
-		w.byFP[fp] = ev
+		a.byFP[fp] = ev
 	}
-	ev.observe(user, wcHash, a.userCap)
-	return a.enforceBound()
+	return ev
 }
 
-// window finds or inserts the window with the given start, keeping the list
-// startNS-ascending (sessions mostly close in watermark order, so the common
-// case appends).
-func (a *SWSAccumulator) window(startNS int64) *swsWindow {
-	i := sort.Search(len(a.windows), func(i int) bool { return a.windows[i].startNS >= startNS })
-	if i < len(a.windows) && a.windows[i].startNS == startNS {
-		return a.windows[i]
-	}
-	w := &swsWindow{startNS: startNS, byFP: map[uint64]*Evidence{}}
-	a.windows = append(a.windows, nil)
-	copy(a.windows[i+1:], a.windows[i:])
-	a.windows[i] = w
-	return w
-}
-
-// enforceBound flushes the oldest windows into the base aggregate until at
-// most maxWindows remain. Flushing moves evidence, never drops it, so the
-// merged total — and the drain-time classification — is invariant under
-// window placement.
-func (a *SWSAccumulator) enforceBound() (flushed int) {
-	for len(a.windows) > a.maxWindows {
-		w := a.windows[0]
-		a.windows = a.windows[1:]
-		for fp, ev := range w.byFP {
-			b, ok := a.base[fp]
-			if !ok {
-				a.base[fp] = ev
-				continue
-			}
-			b.merge(ev, a.userCap)
-		}
-		a.flushes++
-		flushed++
-	}
-	return flushed
-}
-
-// MergedEvidence returns a deep copy of base + all windows keyed by template
-// fingerprint — the global evidence the classification runs over.
-func (a *SWSAccumulator) MergedEvidence() map[uint64]Evidence {
-	out := make(map[uint64]*Evidence, len(a.base))
-	fold := func(byFP map[uint64]*Evidence) {
-		for fp, ev := range byFP {
-			g, ok := out[fp]
-			if !ok {
-				out[fp] = ev.clone()
-				continue
-			}
-			g.merge(ev, a.userCap)
+// Classify runs the batch SWS predicate over the evidence and returns the
+// SWS templates and the number of occurrences they cover. totalSelects must
+// be the stream's deduplicated SELECT count; once every session has closed
+// (drain), the set is bit-identical to pattern.ClassifySWS over the batch
+// pipeline's templates, provided opt.MaxUserPopularity < UserCap (see the
+// cap argument above).
+func (a *SWSAccumulator) Classify(totalSelects int, opt pattern.SWSOptions) (sws map[uint64]bool, queries int) {
+	sws = map[uint64]bool{}
+	for fp, ev := range a.byFP {
+		if pattern.IsSWS(ev.stats(fp), totalSelects, opt) {
+			sws[fp] = true
+			queries += ev.Freq
 		}
 	}
-	fold(a.base)
-	for _, w := range a.windows {
-		fold(w.byFP)
-	}
-	flat := make(map[uint64]Evidence, len(out))
-	for fp, ev := range out {
-		flat[fp] = *ev
-	}
-	return flat
+	return sws, queries
 }
 
-// Classify runs the batch SWS predicate over the merged evidence.
-// totalSelects must be the stream's deduplicated SELECT count; once every
-// session has closed (drain), the result is bit-identical to
-// pattern.ClassifySWS over the batch pipeline's templates, provided
-// opt.MaxUserPopularity < UserCap (see the cap argument above).
-func (a *SWSAccumulator) Classify(totalSelects int, opt pattern.SWSOptions) map[uint64]bool {
-	out := map[uint64]bool{}
-	for fp, ev := range a.MergedEvidence() {
-		t := pattern.TemplateStats{
-			Fingerprint:    fp,
-			Frequency:      ev.Freq,
-			UserPopularity: len(ev.Users),
-			DistinctWhere:  len(ev.WCs),
-		}
-		if pattern.IsSWS(t, totalSelects, opt) {
-			out[fp] = true
-		}
+// Stats returns one template's SWS statistics (zero counts for a template
+// with no evidence).
+func (a *SWSAccumulator) Stats(fp uint64) pattern.TemplateStats {
+	if ev, ok := a.byFP[fp]; ok {
+		return ev.stats(fp)
 	}
-	return out
+	return pattern.TemplateStats{Fingerprint: fp}
 }
 
-// Merge folds another accumulator into a: same-start windows merge, the
-// other's base folds into ours, and the window bound is re-enforced.
+// Merge folds another accumulator into a.
 func (a *SWSAccumulator) Merge(o *SWSAccumulator) {
 	if o == nil {
 		return
 	}
-	for fp, ev := range o.base {
-		b, ok := a.base[fp]
-		if !ok {
-			a.base[fp] = ev.clone()
-			continue
-		}
-		b.merge(ev, a.userCap)
-	}
-	for _, ow := range o.windows {
-		w := a.window(ow.startNS)
-		for fp, ev := range ow.byFP {
-			g, ok := w.byFP[fp]
-			if !ok {
-				w.byFP[fp] = ev.clone()
-				continue
-			}
-			g.merge(ev, a.userCap)
+	for fp, ev := range o.byFP {
+		if g, ok := a.byFP[fp]; ok {
+			g.merge(ev, UserCap)
+		} else {
+			a.byFP[fp] = ev.clone()
 		}
 	}
-	a.flushes += o.flushes
-	a.enforceBound()
 }
 
 // Clone returns a deep copy.
 func (a *SWSAccumulator) Clone() *SWSAccumulator {
-	c := &SWSAccumulator{
-		windowNS:   a.windowNS,
-		maxWindows: a.maxWindows,
-		userCap:    a.userCap,
-		base:       make(map[uint64]*Evidence, len(a.base)),
-		flushes:    a.flushes,
-	}
-	for fp, ev := range a.base {
-		c.base[fp] = ev.clone()
-	}
-	for _, w := range a.windows {
-		cw := &swsWindow{startNS: w.startNS, byFP: make(map[uint64]*Evidence, len(w.byFP))}
-		for fp, ev := range w.byFP {
-			cw.byFP[fp] = ev.clone()
-		}
-		c.windows = append(c.windows, cw)
+	c := &SWSAccumulator{byFP: make(map[uint64]*Evidence, len(a.byFP))}
+	for fp, ev := range a.byFP {
+		c.byFP[fp] = ev.clone()
 	}
 	return c
 }
@@ -317,76 +184,63 @@ type EvidenceSnapshot struct {
 	WCs         []uint64 `json:"wcs,omitempty"`
 }
 
-// WindowSnapshot is one serialized event-time window.
-type WindowSnapshot struct {
-	StartNS  int64              `json:"start_ns"`
-	Evidence []EvidenceSnapshot `json:"evidence,omitempty"`
-}
-
-// SWSSnapshot serializes the accumulator.
+// SWSSnapshot serializes the accumulator. Windows is read only: snapshots
+// written while the evidence was still split into event-time windows carry
+// part of it there, and restoring folds it into the one summary per
+// template.
 type SWSSnapshot struct {
-	WindowNS   int64              `json:"window_ns"`
-	MaxWindows int                `json:"max_windows"`
-	UserCap    int                `json:"user_cap"`
-	Flushes    int64              `json:"flushes"`
-	Base       []EvidenceSnapshot `json:"base,omitempty"`
-	Windows    []WindowSnapshot   `json:"windows,omitempty"`
+	UserCap  int                `json:"user_cap"`
+	Evidence []EvidenceSnapshot `json:"base,omitempty"`
+	Windows  []struct {
+		Evidence []EvidenceSnapshot `json:"evidence,omitempty"`
+	} `json:"windows,omitempty"`
 }
 
-func snapEvidence(byFP map[uint64]*Evidence) []EvidenceSnapshot {
-	if len(byFP) == 0 {
+// Snapshot serializes the accumulator.
+func (a *SWSAccumulator) Snapshot() SWSSnapshot {
+	s := SWSSnapshot{UserCap: UserCap}
+	if len(a.byFP) == 0 {
 		// nil, not an empty slice: the JSON round trip (omitempty) must be
 		// the identity on snapshots.
-		return nil
+		return s
 	}
-	out := make([]EvidenceSnapshot, 0, len(byFP))
-	for fp, ev := range byFP {
+	s.Evidence = make([]EvidenceSnapshot, 0, len(a.byFP))
+	for fp, ev := range a.byFP {
 		es := EvidenceSnapshot{Fingerprint: fp, Freq: ev.Freq, Users: append([]string(nil), ev.Users...)}
 		for wc := range ev.WCs {
 			es.WCs = append(es.WCs, wc)
 		}
 		sort.Slice(es.WCs, func(i, j int) bool { return es.WCs[i] < es.WCs[j] })
-		out = append(out, es)
+		s.Evidence = append(s.Evidence, es)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
-	return out
-}
-
-func restoreEvidence(snaps []EvidenceSnapshot) map[uint64]*Evidence {
-	byFP := make(map[uint64]*Evidence, len(snaps))
-	for _, es := range snaps {
-		ev := &Evidence{Freq: es.Freq, Users: append([]string(nil), es.Users...), WCs: make(map[uint64]struct{}, len(es.WCs))}
-		for _, wc := range es.WCs {
-			ev.WCs[wc] = struct{}{}
-		}
-		byFP[es.Fingerprint] = ev
-	}
-	return byFP
-}
-
-// Snapshot serializes the accumulator.
-func (a *SWSAccumulator) Snapshot() SWSSnapshot {
-	s := SWSSnapshot{
-		WindowNS:   a.windowNS,
-		MaxWindows: a.maxWindows,
-		UserCap:    a.userCap,
-		Flushes:    a.flushes,
-		Base:       snapEvidence(a.base),
-	}
-	for _, w := range a.windows {
-		s.Windows = append(s.Windows, WindowSnapshot{StartNS: w.startNS, Evidence: snapEvidence(w.byFP)})
-	}
+	sort.Slice(s.Evidence, func(i, j int) bool { return s.Evidence[i].Fingerprint < s.Evidence[j].Fingerprint })
 	return s
 }
 
-// restoreSWS rebuilds an accumulator from its snapshot.
+// restoreSWS rebuilds an accumulator from its snapshot, folding any
+// windowed evidence into the per-template summaries. A snapshot whose user
+// sets were truncated below UserCap cannot be restored exactly, so it is
+// refused; zero is the cap of every snapshot that predates the field.
 func restoreSWS(s SWSSnapshot) (*SWSAccumulator, error) {
-	a := NewSWSAccumulator(time.Duration(s.WindowNS), s.MaxWindows, s.UserCap)
-	a.flushes = s.Flushes
-	a.base = restoreEvidence(s.Base)
-	for _, ws := range s.Windows {
-		a.windows = append(a.windows, &swsWindow{startNS: ws.StartNS, byFP: restoreEvidence(ws.Evidence)})
+	if s.UserCap != 0 && s.UserCap < UserCap {
+		return nil, fmt.Errorf("sketch: SWS snapshot user cap %d is below this build's %d", s.UserCap, UserCap)
 	}
-	sort.Slice(a.windows, func(i, j int) bool { return a.windows[i].startNS < a.windows[j].startNS })
+	a := NewSWSAccumulator()
+	fold := func(snaps []EvidenceSnapshot) {
+		for _, es := range snaps {
+			ev := a.evidence(es.Fingerprint)
+			ev.Freq += es.Freq
+			for _, u := range es.Users {
+				ev.addUser(u, UserCap)
+			}
+			for _, wc := range es.WCs {
+				ev.WCs[wc] = struct{}{}
+			}
+		}
+	}
+	fold(s.Evidence)
+	for _, w := range s.Windows {
+		fold(w.Evidence)
+	}
 	return a, nil
 }

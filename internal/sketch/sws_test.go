@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"sqlclean/internal/pattern"
 )
@@ -58,97 +57,46 @@ func TestEvidenceUserCapExactness(t *testing.T) {
 	}
 }
 
-// TestSWSWindowFlushInvariance: the classification must not depend on how
-// evidence was windowed — tight windows with many flushes equal one window.
-func TestSWSWindowFlushInvariance(t *testing.T) {
-	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
-	hour := int64(time.Hour)
-
-	feed := func(a *SWSAccumulator) {
-		for i := 0; i < 2000; i++ {
-			ts := base + int64(i)*hour/4 // spans ~500 hours
-			fp := uint64(i % 7)
-			user := fmt.Sprintf("u%d", i%(int(fp)+1)) // template fp has fp+1 users
-			a.Observe(ts, fp, user, uint64(i))        // all-distinct WHERE hashes
-		}
-		// A frequent low-popularity, low-disjointness template.
-		for i := 0; i < 500; i++ {
-			a.Observe(base+int64(i)*hour, 99, "bot", 42)
-		}
-	}
-
-	wide := NewSWSAccumulator(1000000*time.Hour, 4, 0) // everything in one window
-	tight := NewSWSAccumulator(time.Hour, 2, 0)        // constant flushing
-	feed(wide)
-	feed(tight)
-	if tight.Flushes() == 0 {
-		t.Fatal("tight accumulator never flushed; invariance test is vacuous")
-	}
-	if wide.Flushes() != 0 {
-		t.Fatalf("wide accumulator flushed %d times", wide.Flushes())
-	}
-
-	total := 2500
-	for _, opt := range []pattern.SWSOptions{
-		pattern.DefaultSWSOptions(),
-		{FrequencyPct: 0.1, MaxUserPopularity: 4, MinDisjointRatio: 0.9},
-		{FrequencyPct: 10, MaxUserPopularity: 1},
-	} {
-		a := wide.Classify(total, opt)
-		b := tight.Classify(total, opt)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("opt %+v: windowing changed the classification: %v vs %v", opt, a, b)
-		}
-	}
-	ev := tight.MergedEvidence()
-	if ev[99].Freq != 500 || len(ev[99].WCs) != 1 || len(ev[99].Users) != 1 {
-		t.Errorf("template 99 evidence = %+v, want freq 500, 1 user, 1 distinct WHERE", ev[99])
-	}
-}
-
 // TestSWSMergeEqualsSequential: shard-split evidence merged in any order
 // equals one accumulator that saw the whole stream.
 func TestSWSMergeEqualsSequential(t *testing.T) {
-	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
-	whole := NewSWSAccumulator(time.Hour, 6, 0)
-	parts := []*SWSAccumulator{
-		NewSWSAccumulator(time.Hour, 6, 0),
-		NewSWSAccumulator(time.Hour, 6, 0),
-		NewSWSAccumulator(time.Hour, 6, 0),
-	}
+	whole := NewSWSAccumulator()
+	parts := []*SWSAccumulator{NewSWSAccumulator(), NewSWSAccumulator(), NewSWSAccumulator()}
 	for i := 0; i < 3000; i++ {
-		ts := base + int64(i)*int64(time.Minute)
 		fp := uint64(i % 11)
-		user := fmt.Sprintf("user-%d", i%5)
+		user := fmt.Sprintf("user-%d", i%40) // more users than UserCap
 		wc := uint64(i % 97)
-		whole.Observe(ts, fp, user, wc)
+		whole.Observe(fp, user, wc)
 		// Users partition across shards like the sharded engine routes them.
-		parts[(i%5)%3].Observe(ts, fp, user, wc)
+		parts[(i%40)%3].Observe(fp, user, wc)
 	}
 	merged := parts[2].Clone()
 	merged.Merge(parts[0])
 	merged.Merge(parts[1])
-	if !reflect.DeepEqual(merged.MergedEvidence(), whole.MergedEvidence()) {
+	if !reflect.DeepEqual(merged.byFP, whole.byFP) {
 		t.Fatal("merged shard evidence differs from the sequential accumulator")
 	}
 	for _, total := range []int{3000, 100000} {
 		opt := pattern.SWSOptions{FrequencyPct: 0.1, MaxUserPopularity: 8, MinDisjointRatio: 0.1}
-		if !reflect.DeepEqual(merged.Classify(total, opt), whole.Classify(total, opt)) {
+		gotSWS, gotQ := merged.Classify(total, opt)
+		wantSWS, wantQ := whole.Classify(total, opt)
+		if !reflect.DeepEqual(gotSWS, wantSWS) || gotQ != wantQ {
 			t.Fatalf("classification diverged after merge (total=%d)", total)
 		}
 	}
 }
 
 // TestSWSSnapshotRoundTrip: snapshot → JSON → restore → re-snapshot is the
-// identity, including window placement and flush counters.
+// identity, and the restored evidence classifies the same.
 func TestSWSSnapshotRoundTrip(t *testing.T) {
-	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
-	a := NewSWSAccumulator(time.Hour, 3, 5)
+	a := NewSWSAccumulator()
 	for i := 0; i < 1000; i++ {
-		a.Observe(base+int64(i)*int64(7*time.Minute), uint64(i%13), fmt.Sprintf("u%d", i%9), uint64(i%31))
-	}
-	if a.Flushes() == 0 || a.Windows() != 3 {
-		t.Fatalf("windows=%d flushes=%d; want a flushed, full accumulator", a.Windows(), a.Flushes())
+		fp := uint64(i % 13)
+		user := fmt.Sprintf("u%d", i%45) // more users than UserCap
+		if fp%2 == 0 {
+			user = "bot"
+		}
+		a.Observe(fp, user, uint64(i%31))
 	}
 	blob, err := json.Marshal(a.Snapshot())
 	if err != nil {
@@ -165,21 +113,145 @@ func TestSWSSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Snapshot(), a.Snapshot()) {
 		t.Fatal("re-snapshot differs")
 	}
-	if !reflect.DeepEqual(got.MergedEvidence(), a.MergedEvidence()) {
+	if !reflect.DeepEqual(got.byFP, a.byFP) {
 		t.Fatal("restored evidence differs")
+	}
+	opt := pattern.SWSOptions{FrequencyPct: 1, MaxUserPopularity: 31, MinDisjointRatio: 0.3}
+	gotSWS, gotQ := got.Classify(1000, opt)
+	wantSWS, wantQ := a.Classify(1000, opt)
+	if len(wantSWS) == 0 || !reflect.DeepEqual(gotSWS, wantSWS) || gotQ != wantQ {
+		t.Fatalf("restored classification %v (%d queries), want %v (%d)", gotSWS, gotQ, wantSWS, wantQ)
+	}
+}
+
+// windowedSnapshot is an SWS snapshot in the encoding of the accumulator
+// that split its evidence into event-time windows over a base aggregate.
+// Template 1 has evidence in the base and both windows, template 3 in both
+// windows, and template 4's user sets together exceed UserCap.
+var windowedSnapshot = `{
+  "version": 1,
+  "hll": {"precision": 4, "registers": "AAAAAAAAAAAAAAAAAAAAAA=="},
+  "top": {"capacity": 4},
+  "sws": {
+    "window_ns": 3600000000000,
+    "max_windows": 8,
+    "user_cap": 32,
+    "flushes": 799,
+    "base": [
+      {"fingerprint": 1, "freq": 3, "users": ["a", "b"], "wcs": [10, 11, 12]},
+      {"fingerprint": 4, "freq": 20, "users": ` + userList(0, 20) + `, "wcs": ` + hashList(100, 120) + `}
+    ],
+    "windows": [
+      {"start_ns": 1054425600000000000, "evidence": [
+        {"fingerprint": 1, "freq": 2, "users": ["a"], "wcs": [13, 14]},
+        {"fingerprint": 3, "freq": 4, "users": ["bot"], "wcs": [20, 21, 22, 23]},
+        {"fingerprint": 4, "freq": 30, "users": ` + userList(10, 40) + `, "wcs": ` + hashList(110, 140) + `}
+      ]},
+      {"start_ns": 1054429200000000000, "evidence": [
+        {"fingerprint": 1, "freq": 1, "users": ["c"], "wcs": [10]},
+        {"fingerprint": 3, "freq": 3, "users": ["bot"], "wcs": [24, 25, 26]},
+        {"fingerprint": 4, "freq": 10, "users": ` + userList(40, 50) + `, "wcs": ` + hashList(140, 150) + `}
+      ]}
+    ]
+  }
+}`
+
+// userList renders users u00..u(hi-1) from lo as a sorted JSON list.
+func userList(lo, hi int) string {
+	var us []string
+	for i := lo; i < hi; i++ {
+		us = append(us, fmt.Sprintf("u%02d", i))
+	}
+	blob, _ := json.Marshal(us)
+	return string(blob)
+}
+
+// hashList renders the WHERE hashes lo..hi-1 as a JSON list.
+func hashList(lo, hi uint64) string {
+	var hs []uint64
+	for h := lo; h < hi; h++ {
+		hs = append(hs, h)
+	}
+	blob, _ := json.Marshal(hs)
+	return string(blob)
+}
+
+func wcSet(lo, hi uint64) map[uint64]struct{} {
+	set := map[uint64]struct{}{}
+	for h := lo; h < hi; h++ {
+		set[h] = struct{}{}
+	}
+	return set
+}
+
+// TestSWSRestoresWindowedSnapshot: a snapshot whose evidence is split into a
+// base and event-time windows restores to the merged evidence — frequencies
+// summed, user sets merged under the cap, WHERE hashes unioned — and
+// classifies like it; re-snapshotting writes one evidence list.
+func TestSWSRestoresWindowedSnapshot(t *testing.T) {
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(windowedSnapshot), &snap); err != nil {
+		t.Fatal(err)
+	}
+	sk, err := Restore(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]*Evidence{
+		1: {Freq: 6, Users: []string{"a", "b", "c"}, WCs: wcSet(10, 15)},
+		3: {Freq: 7, Users: []string{"bot"}, WCs: wcSet(20, 27)},
+		4: {Freq: 60, WCs: wcSet(100, 150)},
+	}
+	for i := 0; i < UserCap; i++ {
+		want[4].Users = append(want[4].Users, fmt.Sprintf("u%02d", i))
+	}
+	if got, want := sk.SWS.Snapshot(), (&SWSAccumulator{byFP: want}).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored evidence %+v, want %+v", got, want)
+	}
+
+	const total = 73 // the templates' summed frequency
+	for _, c := range []struct {
+		opt     pattern.SWSOptions
+		sws     map[uint64]bool
+		queries int
+	}{
+		{pattern.DefaultSWSOptions(), map[uint64]bool{3: true}, 7},
+		{pattern.SWSOptions{FrequencyPct: 1, MaxUserPopularity: 3, MinDisjointRatio: 0.5}, map[uint64]bool{1: true, 3: true}, 13},
+		{pattern.SWSOptions{FrequencyPct: 1, MaxUserPopularity: 31}, map[uint64]bool{1: true, 3: true}, 13},
+	} {
+		sws, queries := sk.SWS.Classify(total, c.opt)
+		if !reflect.DeepEqual(sws, c.sws) || queries != c.queries {
+			t.Errorf("opt %+v: classified %v (%d queries), want %v (%d)", c.opt, sws, queries, c.sws, c.queries)
+		}
+	}
+
+	blob, err := json.Marshal(sk.SWS.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 || keys["user_cap"] == nil || keys["base"] == nil {
+		t.Errorf("re-snapshot %s, want only user_cap and base", blob)
+	}
+
+	snap.SWS.UserCap = 8
+	if _, err := Restore(&snap); err == nil {
+		t.Error("Restore accepted user sets truncated below UserCap")
 	}
 }
 
 // TestSketchesBundleRoundTrip covers the versioned bundle: snapshot, restore,
 // version guard.
 func TestSketchesBundleRoundTrip(t *testing.T) {
-	sk := New(Config{HLLPrecision: 10, TopK: 16, SWSWindow: time.Hour})
-	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	sk := New(Config{HLLPrecision: 10, TopK: 16})
 	for i := 0; i < 2000; i++ {
 		u := fmt.Sprintf("user-%d", i%300)
 		sk.HLL.AddString(u)
 		sk.Top.Observe(uint64(i%40), "skel")
-		sk.SWS.Observe(base+int64(i)*int64(time.Minute), uint64(i%40), u, uint64(i))
+		sk.SWS.Observe(uint64(i%40), u, uint64(i))
 	}
 	blob, err := json.Marshal(sk.Snapshot())
 	if err != nil {

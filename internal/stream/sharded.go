@@ -164,7 +164,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			solvedAway: m.Counter("stream_solved_queries_total"),
 			instances:  m.Counter("stream_instances_total"),
 			topkEvict:  m.Counter("sketch_topk_evictions_total"),
-			swsFlush:   m.Counter("sketch_sws_window_flushes_total"),
 		}
 		s.gauge = m.Gauge("stream_open_sessions")
 		s.mSkew = m.Counter("stream_rejected_future_skew_total")
@@ -417,8 +416,9 @@ func (s *Sharded) TemplateKinds() map[uint64][]string {
 // Sketches returns the merged cross-shard sketch view as a deep clone (nil
 // when the layer is disabled). HLL registers union exactly; SpaceSaving merges
 // in shard-index order (deterministic, and sound: merged counts still bracket
-// the truth); SWS evidence unions by window. The clone is a consistent-enough
-// global read: each shard is locked while copied, like Stats.
+// the truth); SWS evidence unions per template. The clone is a
+// consistent-enough global read: each shard is locked while copied, like
+// Stats.
 func (s *Sharded) Sketches() *sketch.Sketches {
 	var merged *sketch.Sketches
 	for _, sh := range s.shards {
@@ -437,17 +437,18 @@ func (s *Sharded) Sketches() *sketch.Sketches {
 	return merged
 }
 
-// ClassifySWS drains the merged windowed SWS evidence into a classification,
-// using the engine-wide accepted-SELECT count as the batch pipeline's total.
+// ClassifySWS drains the merged SWS evidence into a classification, using
+// the engine-wide accepted-SELECT count as the batch pipeline's total.
 // After Close it matches internal/core's batch SWS decision bit for bit (the
 // evidence is exact: frequency and WHERE hashes are uncapped, and user sets
-// are exact below the configured cap). Nil when sketches are disabled.
+// are exact below sketch.UserCap). Nil when sketches are disabled.
 func (s *Sharded) ClassifySWS(opt pattern.SWSOptions) map[uint64]bool {
 	sk := s.Sketches()
 	if sk == nil {
 		return nil
 	}
-	return sk.SWS.Classify(s.Stats().Selects, opt)
+	sws, _ := sk.SWS.Classify(s.Stats().Selects, opt)
+	return sws
 }
 
 // RunSharded streams a whole in-memory log through a fresh sharded engine,

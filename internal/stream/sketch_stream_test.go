@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"sqlclean/internal/core"
 	"sqlclean/internal/pattern"
@@ -15,9 +14,9 @@ import (
 )
 
 // TestStreamingSWSMatchesBatch is the acceptance property: after the stream
-// drains, the windowed SWS classifier's verdict must be byte-identical to the
-// batch pipeline's (core.Run) on seeded logs — for the default thresholds and
-// for harder variants, and regardless of how the evidence was windowed.
+// drains, the SWS classifier's verdict must be byte-identical to the batch
+// pipeline's (core.Run) on seeded logs — for the default thresholds and for
+// harder variants.
 func TestStreamingSWSMatchesBatch(t *testing.T) {
 	opts := []pattern.SWSOptions{
 		pattern.DefaultSWSOptions(),
@@ -39,9 +38,7 @@ func TestStreamingSWSMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A deliberately tiny window forces constant flushing; the verdict
-		// must not care.
-		p := serial(Config{Sketches: sketch.Config{SWSWindow: 10 * time.Minute, SWSMaxWindows: 2}})
+		p := serial(Config{})
 		for _, e := range log {
 			if _, err := p.Add(e); err != nil {
 				t.Fatal(err)
@@ -50,9 +47,6 @@ func TestStreamingSWSMatchesBatch(t *testing.T) {
 		p.Close()
 		if p.Stats().Selects != len(batch.PreClean) {
 			t.Fatalf("seed %d: stream accepted %d selects, batch kept %d", seed, p.Stats().Selects, len(batch.PreClean))
-		}
-		if p.Sketches().SWS.Flushes() == 0 {
-			t.Fatalf("seed %d: the tiny window never flushed; windowing is untested", seed)
 		}
 
 		for _, opt := range opts {
@@ -99,7 +93,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := ShardedConfig{Shards: 8, SweepEvery: 64, Workers: workers,
-				Config: Config{Sketches: sketch.Config{HLLPrecision: 12, TopK: 32, SWSWindow: time.Hour, SWSMaxWindows: 3}}}
+				Config: Config{Sketches: sketch.Config{HLLPrecision: 12, TopK: 32}}}
 
 			run := func(cut int) *sketch.Sketches {
 				eng := NewSharded(cfg)
@@ -132,7 +126,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 			}
 
 			want := run(-1)
-			if want.HLL.Occupied() == 0 || want.Top.Len() == 0 || len(want.SWS.MergedEvidence()) == 0 {
+			if want.HLL.Occupied() == 0 || want.Top.Len() == 0 || want.SWS.Snapshot().Evidence == nil {
 				t.Fatal("uninterrupted run left a sketch empty; the round trip proves nothing")
 			}
 			got := run(len(log) / 2)
@@ -142,11 +136,13 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.Top.Snapshot(), want.Top.Snapshot()) {
 				t.Error("merged SpaceSaving state diverged across the snapshot cut")
 			}
-			if !reflect.DeepEqual(got.SWS.MergedEvidence(), want.SWS.MergedEvidence()) {
+			if !reflect.DeepEqual(got.SWS.Snapshot(), want.SWS.Snapshot()) {
 				t.Error("merged SWS evidence diverged across the snapshot cut")
 			}
 			opt := pattern.SWSOptions{FrequencyPct: 0.01, MaxUserPopularity: 12, MinDisjointRatio: 0.9}
-			if !reflect.DeepEqual(got.SWS.Classify(3000, opt), want.SWS.Classify(3000, opt)) {
+			gotSWS, _ := got.SWS.Classify(3000, opt)
+			wantSWS, _ := want.SWS.Classify(3000, opt)
+			if !reflect.DeepEqual(gotSWS, wantSWS) {
 				t.Error("SWS classification diverged across the snapshot cut")
 			}
 		})

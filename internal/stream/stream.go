@@ -16,7 +16,8 @@
 //   - the dedup window, pruned to the (user, statement) slots a future entry
 //     can still duplicate;
 //   - the template aggregates: one per template, with the set of its users;
-//   - the sketches, bounded by their configuration;
+//   - the sketches: the HLL and the top-k tracker bounded by their
+//     configuration, the SWS evidence one summary per template;
 //   - the parse cache, which keeps a small summary of every distinct
 //     statement text for the parser's lifetime. On a log of mostly distinct
 //     statements it is the largest part.
@@ -76,8 +77,9 @@ type Config struct {
 	// a session-length histogram. Nil keeps the zero-overhead path.
 	Metrics *obs.Registry
 	// Sketches sizes the approximate-analytics layer (distinct-identity HLL,
-	// SpaceSaving top-k, windowed SWS evidence). The zero value enables it
-	// with package defaults; set Sketches.Disabled to opt out.
+	// SpaceSaving top-k, and the SWS evidence: one summary per template).
+	// The zero value enables it with package defaults; set
+	// Sketches.Disabled to opt out.
 	Sketches sketch.Config
 }
 
@@ -177,7 +179,6 @@ type streamMetrics struct {
 	solvedAway *obs.Counter
 	instances  *obs.Counter
 	topkEvict  *obs.Counter
-	swsFlush   *obs.Counter
 }
 
 type dupKey struct{ user, stmt string }
@@ -372,13 +373,9 @@ func (sh *shard) closeSession(os *openSession) logmodel.Log {
 	if sh.sk != nil {
 		// Every accepted SELECT lives in exactly one session and every close
 		// path funnels through here, so the SWS accumulator sees each entry
-		// exactly once. Evidence is stamped with the session's close time so
-		// the whole session lands in one event-time window.
-		ts := os.last.UnixNano()
+		// exactly once.
 		for _, pe := range os.entries {
-			if n := sh.sk.SWS.Observe(ts, pe.Info.Fingerprint, pe.User, pe.Info.WCHash); n > 0 {
-				sh.met.swsFlush.Add(int64(n))
-			}
+			sh.sk.SWS.Observe(pe.Info.Fingerprint, pe.User, pe.Info.WCHash)
 		}
 	}
 	sh.stats.SessionsEmitted++

@@ -295,7 +295,7 @@ type StreamConfig = stream.Config
 
 // SketchConfig sizes the streaming approximate-analytics layer (the
 // StreamConfig.Sketches field): HLL distinct-identity counter, SpaceSaving
-// heavy-hitter tracker and windowed SWS evidence.
+// heavy-hitter tracker and per-template SWS evidence.
 type SketchConfig = sketch.Config
 
 // StreamStats are the streaming pipeline's counters.
@@ -311,8 +311,8 @@ func ScanLogTSV(r io.Reader, fn func(Entry) error) error { return logmodel.ScanT
 type StreamSketchJSON struct {
 	// DistinctUsersEstimate is the HLL distinct-identity estimate.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
-	// SWSTemplates/SWSQueries classify the drained windowed evidence with
-	// the default thresholds — matching the batch pipeline's decision.
+	// SWSTemplates/SWSQueries classify the drained per-template evidence
+	// with the default thresholds — matching the batch pipeline's decision.
 	SWSTemplates int `json:"sws_templates"`
 	SWSQueries   int `json:"sws_queries"`
 	// Toplist is the SpaceSaving heavy-hitter summary, count-descending;
@@ -332,18 +332,14 @@ func WriteStreamJSON(w io.Writer, s *ShardedStream) error {
 	}{Stream: s.Stats()}
 	var sws map[uint64]bool
 	if sk := s.Sketches(); sk != nil {
-		sws = sk.SWS.Classify(doc.Stream.Selects, pattern.DefaultSWSOptions())
-		sj := &StreamSketchJSON{
+		var swsQueries int
+		sws, swsQueries = sk.SWS.Classify(doc.Stream.Selects, pattern.DefaultSWSOptions())
+		doc.Sketches = &StreamSketchJSON{
 			DistinctUsersEstimate: sk.HLL.Count(),
 			SWSTemplates:          len(sws),
+			SWSQueries:            swsQueries,
 			Toplist:               sk.Top.Top(0),
 		}
-		for fp, ev := range sk.SWS.MergedEvidence() {
-			if sws[fp] {
-				sj.SWSQueries += ev.Freq
-			}
-		}
-		doc.Sketches = sj
 	}
 	for _, t := range s.Templates() {
 		doc.Templates = append(doc.Templates, core.TemplateJSON{
