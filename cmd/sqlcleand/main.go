@@ -9,7 +9,7 @@
 //	          [-data-dir DIR] [-fsync interval] [-fsync-interval 1s]
 //	          [-snapshot-interval 5m] [-max-skew 0] [-no-clusters]
 //	          [-cluster-threshold 0.9] [-cluster-max-boxes 4096]
-//	          [-no-sketches] [-hll-precision 14] [-topk 128]
+//	          [-no-sketches]
 //	          [-log-level info] [-log-format text] [-slow-request 1s]
 //	          [-version]
 //
@@ -21,7 +21,8 @@
 //	GET  /report   incremental cleaning report (JSON), including the sketch
 //	               block: HLL distinct-identity estimate and the SWS
 //	               classification of the per-template evidence
-//	GET  /toplist  heavy-hitter templates by the SpaceSaving sketch (?k=N)
+//	GET  /toplist  the k most frequent templates by exact count (?k=N), and
+//	               the distinct-identity estimate
 //	GET  /clusters overlap clustering of the observed predicate boxes
 //	GET  /healthz  liveness, version, queue, session and watermark state
 //	GET  /statusz  human status page (?format=text for plain text)
@@ -88,9 +89,7 @@ func main() {
 		noClusters = flag.Bool("no-clusters", false, "disable the GET /clusters overlap-clustering surface")
 		clusterT   = flag.Float64("cluster-threshold", 0.9, "default overlap-distance threshold for GET /clusters")
 		clusterMax = flag.Int("cluster-max-boxes", 4096, "distinct predicate boxes kept for clustering (further ones are counted as dropped)")
-		noSketch   = flag.Bool("no-sketches", false, "disable the approximate-analytics sketches (HLL, top-k, SWS evidence)")
-		hllPrec    = flag.Int("hll-precision", 0, "HLL precision p: 2^p registers for the distinct-identity estimate (0 = default 14)")
-		topK       = flag.Int("topk", 0, "SpaceSaving heavy-hitter capacity for GET /toplist (0 = default 128)")
+		noSketch   = flag.Bool("no-sketches", false, "disable the sketches (HLL, SWS evidence) and GET /toplist")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		slowReq    = flag.Duration("slow-request", time.Second, "log a warn line with stage timings for ingest requests at or above this latency (<0 disables)")
@@ -141,11 +140,7 @@ func main() {
 		DuplicateThreshold: *dup,
 		SessionGap:         *gap,
 		DisableKeyCheck:    *noKeyCheck,
-		Sketches: sketch.Config{
-			Disabled:     *noSketch,
-			HLLPrecision: *hllPrec,
-			TopK:         *topK,
-		},
+		Sketches:           sketch.Config{Disabled: *noSketch},
 	}
 	if *extraRules {
 		streamCfg.ExtraRules, streamCfg.ExtraSolvers = extraRuleSet()

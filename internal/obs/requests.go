@@ -87,14 +87,6 @@ func (t *ReqTrace) ID() string {
 	return t.id
 }
 
-// Began returns the trace's start time (zero on a nil receiver).
-func (t *ReqTrace) Began() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // Stage appends one named stage duration. No-op on a nil receiver.
 func (t *ReqTrace) Stage(name string, d time.Duration) {
 	if t == nil {

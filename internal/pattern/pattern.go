@@ -237,17 +237,6 @@ type SeqPattern struct {
 	UserPopularity int
 }
 
-func sigKey(sig []uint64) string {
-	var b []byte
-	for i, fp := range sig {
-		if i > 0 {
-			b = append(b, '|')
-		}
-		b = strconv.AppendUint(b, fp, 16)
-	}
-	return string(b)
-}
-
 // seqAgg accumulates one collapsed-signature pattern. firstSess/firstWin
 // locate the pattern's first instance (session index, then window ordinal
 // within that session's scan) so the parallel merge picks the same

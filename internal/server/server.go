@@ -913,11 +913,6 @@ type SketchReport struct {
 	// HLLPrecision/HLLRegistersOccupied describe the counter's state.
 	HLLPrecision         int `json:"hll_precision"`
 	HLLRegistersOccupied int `json:"hll_registers_occupied"`
-	// TopKCapacity/TopKTracked/TopKEvictions describe the heavy-hitter
-	// tracker; the entries themselves live on GET /toplist.
-	TopKCapacity  int   `json:"topk_capacity"`
-	TopKTracked   int   `json:"topk_tracked"`
-	TopKEvictions int64 `json:"topk_evictions"`
 	// SWSTemplates/SWSQueries classify the per-template SWS evidence with
 	// the default thresholds against the stream's accepted-SELECT total —
 	// the streaming counterpart of the batch report's columns.
@@ -961,9 +956,6 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 			DistinctUsersEstimate: sk.HLL.Count(),
 			HLLPrecision:          sk.HLL.Precision(),
 			HLLRegistersOccupied:  sk.HLL.Occupied(),
-			TopKCapacity:          sk.Top.Capacity(),
-			TopKTracked:           sk.Top.Len(),
-			TopKEvictions:         sk.Top.Evictions(),
 			SWSTemplates:          len(sws),
 			SWSQueries:            swsQueries,
 		}

@@ -2,53 +2,68 @@ package server
 
 import (
 	"net/http"
+	"sort"
 	"strconv"
-
-	"sqlclean/internal/sketch"
 )
 
-// GET /toplist serves the heavy-hitter summary: the k most frequent query
-// templates by the SpaceSaving sketch, each with its count and overestimation
-// error, plus the distinct-identity estimate — the daemon's answer to "what
-// dominates this log right now" without a full template scan.
+// GET /toplist serves the k most frequent query templates, read from the
+// engine's exact template table, plus the distinct-identity estimate — the
+// daemon's answer to "what dominates this log right now" without the full
+// /report.
 
 // ToplistPayload is the GET /toplist document.
 type ToplistPayload struct {
-	// K echoes the request's ?k= (0 = all tracked entries).
+	// K echoes the request's ?k= (0 = every template).
 	K int `json:"k"`
-	// Capacity and Tracked describe the sketch: Tracked ≤ Capacity entries
-	// are live; any template with frequency > observed/capacity is among
-	// them (the SpaceSaving guarantee).
-	Capacity int `json:"capacity"`
-	Tracked  int `json:"tracked_templates"`
-	// ObservedQueries is the number of accepted SELECTs the sketch has seen;
-	// Evictions counts slot replacements (0 means every count is exact).
+	// Tracked is the number of distinct templates the engine has seen.
+	Tracked int `json:"tracked_templates"`
+	// ObservedQueries is the number of accepted SELECTs, the sum of every
+	// template's count (stream.selects in /report).
 	ObservedQueries int64 `json:"observed_queries"`
-	Evictions       int64 `json:"evictions"`
 	// DistinctUsersEstimate is the merged HLL's identity estimate.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
-	// Entries are the heavy hitters, count-descending. For each, the true
-	// frequency lies in [count−err, count].
-	Entries []sketch.HeavyHitter `json:"entries"`
+	// Entries are the top k templates, count-descending with
+	// fingerprint-ascending ties.
+	Entries []ToplistEntry `json:"entries"`
 }
 
-// Toplist assembles the heavy-hitter payload from the merged cross-shard
-// sketches, or nil when the daemon runs with sketches disabled.
+// ToplistEntry is one template and its exact occurrence count.
+type ToplistEntry struct {
+	Fingerprint uint64 `json:"fingerprint"`
+	Skeleton    string `json:"skeleton"`
+	Count       int64  `json:"count"`
+}
+
+// Toplist assembles the payload from the engine's template table, or nil
+// when the daemon runs with sketches disabled.
 func (s *Server) Toplist(k int) *ToplistPayload {
 	sk := s.eng.Sketches()
 	if sk == nil {
 		return nil
 	}
 	s.gHLLOcc.Set(int64(sk.HLL.Occupied()))
-	return &ToplistPayload{
+	templates := s.eng.Templates()
+	p := &ToplistPayload{
 		K:                     k,
-		Capacity:              sk.Top.Capacity(),
-		Tracked:               sk.Top.Len(),
-		ObservedQueries:       sk.Top.Observed(),
-		Evictions:             sk.Top.Evictions(),
+		Tracked:               len(templates),
 		DistinctUsersEstimate: sk.HLL.Count(),
-		Entries:               sk.Top.Top(k),
+		Entries:               make([]ToplistEntry, len(templates)),
 	}
+	for i, t := range templates {
+		p.ObservedQueries += int64(t.Frequency)
+		p.Entries[i] = ToplistEntry{Fingerprint: t.Fingerprint, Skeleton: t.Skeleton, Count: int64(t.Frequency)}
+	}
+	sort.Slice(p.Entries, func(i, j int) bool {
+		a, b := p.Entries[i], p.Entries[j]
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		return a.Fingerprint < b.Fingerprint
+	})
+	if k > 0 && k < len(p.Entries) {
+		p.Entries = p.Entries[:k]
+	}
+	return p
 }
 
 func (s *Server) handleToplist(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,36 +13,54 @@ import (
 	"sqlclean/internal/workload"
 )
 
-// TestToplistEndpoint ingests a workload and checks the heavy-hitter payload:
-// ordering, bracket guarantee shape, and the distinct-identity estimate.
+// TestToplistEndpoint ingests a workload and checks the payload against the
+// engine's template table: every template with its exact count, ordered by
+// count descending then fingerprint ascending, ?k= a prefix of that order,
+// and the distinct-identity estimate.
 func TestToplistEndpoint(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.05))
 	log.SortStable()
-	s, ts := newTestServer(t, Config{
-		Stream: stream.ShardedConfig{Config: stream.Config{Sketches: sketch.Config{TopK: 16}}},
-	})
+	s, ts := newTestServer(t, Config{})
 	postIngest(t, ts.URL, ndjsonBody(log))
 	waitApplied(t, s)
 
+	templates := s.Engine().Templates()
+	want := make(map[uint64]ToplistEntry, len(templates))
+	for _, tmpl := range templates {
+		want[tmpl.Fingerprint] = ToplistEntry{Fingerprint: tmpl.Fingerprint, Skeleton: tmpl.Skeleton, Count: int64(tmpl.Frequency)}
+	}
+	var all ToplistPayload
+	getJSON(t, ts.URL+"/toplist?k=0", &all)
+	if len(templates) <= 5 || len(all.Entries) != len(templates) {
+		t.Fatalf("k=0 served %d entries for %d templates, want all of more than 5", len(all.Entries), len(templates))
+	}
+	for i, e := range all.Entries {
+		if e != want[e.Fingerprint] {
+			t.Errorf("entry %d = %+v, template table has %+v", i, e, want[e.Fingerprint])
+		}
+		if i > 0 {
+			prev := all.Entries[i-1]
+			if prev.Count < e.Count || prev.Count == e.Count && prev.Fingerprint >= e.Fingerprint {
+				t.Errorf("entries %d and %d out of order: %+v, %+v", i-1, i, prev, e)
+			}
+		}
+	}
+	if all.Tracked != len(templates) {
+		t.Errorf("tracked_templates = %d, want %d", all.Tracked, len(templates))
+	}
+	if selects := int64(s.Engine().Stats().Selects); all.ObservedQueries != selects {
+		t.Errorf("observed_queries = %d, want stream selects %d", all.ObservedQueries, selects)
+	}
+
 	var p ToplistPayload
 	getJSON(t, ts.URL+"/toplist?k=5", &p)
-	if p.K != 5 || p.Capacity != 16 {
-		t.Fatalf("payload echo: %+v", p)
+	if p.K != 5 || p.Tracked != all.Tracked || p.ObservedQueries != all.ObservedQueries {
+		t.Fatalf("k=5 payload %+v disagrees with k=0", p)
 	}
-	if len(p.Entries) == 0 || len(p.Entries) > 5 {
-		t.Fatalf("entries = %d, want 1..5", len(p.Entries))
+	if !reflect.DeepEqual(p.Entries, all.Entries[:5]) {
+		t.Errorf("k=5 entries %+v, want the first 5 of %+v", p.Entries, all.Entries)
 	}
-	for i, hh := range p.Entries {
-		if hh.Skeleton == "" || hh.Count <= 0 || hh.Err < 0 || hh.Err >= hh.Count {
-			t.Errorf("entry %d ill-formed: %+v", i, hh)
-		}
-		if i > 0 && hh.Count > p.Entries[i-1].Count {
-			t.Errorf("entries not count-descending at %d", i)
-		}
-	}
-	if p.ObservedQueries <= 0 || p.Tracked <= 0 {
-		t.Errorf("sketch counters empty: %+v", p)
-	}
+
 	users := map[string]struct{}{}
 	for _, e := range log {
 		users[e.User] = struct{}{}
@@ -51,11 +70,15 @@ func TestToplistEndpoint(t *testing.T) {
 		t.Errorf("distinct estimate %d for %d users", p.DistinctUsersEstimate, n)
 	}
 
-	// The report payload carries the same sketch summary.
+	// The report payload carries the same sketch summary and counts.
 	var rp ReportPayload
 	getJSON(t, ts.URL+"/report", &rp)
 	if rp.Sketch == nil {
 		t.Fatal("report payload missing sketches block")
+	}
+	if rp.Report.CountTemplates != all.Tracked || int64(rp.Stream.Selects) != all.ObservedQueries {
+		t.Errorf("report counts %d templates and %d selects, toplist %d and %d",
+			rp.Report.CountTemplates, rp.Stream.Selects, all.Tracked, all.ObservedQueries)
 	}
 	if rp.Sketch.DistinctUsersEstimate != p.DistinctUsersEstimate {
 		t.Errorf("report estimate %d, toplist estimate %d", rp.Sketch.DistinctUsersEstimate, p.DistinctUsersEstimate)

@@ -1,12 +1,12 @@
 // Package sketch holds the mergeable summaries behind the daemon's
-// approximate streaming analytics: a dense HyperLogLog distinct counter
-// (distinct identities), a SpaceSaving top-k heavy-hitter tracker (template
-// toplist) and an SWS evidence accumulator, one summary per template, whose
-// drain-time classification equals the batch pipeline's bit for bit. All
-// three share the properties the sharded stream needs: memory that does not
-// grow with the log's length, deterministic state (no process-random seeds
-// — snapshots restore across processes), and an order-free Merge for the
-// cross-shard global view.
+// streaming analytics: a dense HyperLogLog distinct counter (distinct
+// identities) and an SWS evidence accumulator, one summary per template,
+// whose drain-time classification equals the batch pipeline's bit for bit.
+// Per-template counts are not here: the stream's template table keeps them
+// exactly. Both summaries share the properties the sharded stream needs:
+// memory that does not grow with the log's length, deterministic state (no
+// process-random seeds — snapshots restore across processes), and an
+// order-free Merge for the cross-shard global view.
 package sketch
 
 import (
@@ -179,7 +179,10 @@ func (h *HLL) Snapshot() HLLSnapshot {
 	return HLLSnapshot{Precision: int(h.p), Registers: regs}
 }
 
-// restoreHLL rebuilds a counter from its snapshot.
+// restoreHLL rebuilds a counter from its snapshot. It refuses a register
+// above 65−p, the largest rank AddHash can write: no stream produces one,
+// and from rank 64 on Estimate's 2^-rank term overflows and the count
+// collapses to 0.
 func restoreHLL(s HLLSnapshot) (*HLL, error) {
 	if s.Precision < minPrecision || s.Precision > maxPrecision {
 		return nil, fmt.Errorf("sketch: snapshot HLL precision %d out of range", s.Precision)
@@ -187,6 +190,13 @@ func restoreHLL(s HLLSnapshot) (*HLL, error) {
 	if len(s.Registers) != 1<<s.Precision {
 		return nil, fmt.Errorf("sketch: snapshot has %d HLL registers, precision %d wants %d",
 			len(s.Registers), s.Precision, 1<<s.Precision)
+	}
+	maxRank := byte(65 - s.Precision)
+	for i, r := range s.Registers {
+		if r > maxRank {
+			return nil, fmt.Errorf("sketch: snapshot HLL register %d holds rank %d, precision %d allows at most %d",
+				i, r, s.Precision, maxRank)
+		}
 	}
 	h := &HLL{p: uint8(s.Precision), regs: make([]uint8, len(s.Registers))}
 	copy(h.regs, s.Registers)

@@ -116,6 +116,32 @@ func TestHLLSnapshotRoundTrip(t *testing.T) {
 	if _, err := restoreHLL(HLLSnapshot{Precision: 99}); err == nil {
 		t.Error("restore accepted an out-of-range precision")
 	}
+
+	// AddHash never writes a rank above 65−p, so a register holding one is
+	// corrupt. Unchecked, rank 64 in a full p=4 counter made Count() 0.
+	full := NewHLL(4)
+	for i := 0; i < 100; i++ {
+		full.AddString(fmt.Sprintf("id-%d", i))
+	}
+	if full.Occupied() != full.Registers() {
+		t.Fatalf("p=4 counter occupies %d of %d registers", full.Occupied(), full.Registers())
+	}
+	for _, c := range []*HLL{h, full} {
+		snap := c.Snapshot()
+		maxRank := byte(65 - c.Precision())
+		snap.Registers[0] = maxRank
+		if got, err := restoreHLL(snap); err != nil {
+			t.Errorf("p=%d: restore refused rank %d: %v", c.Precision(), maxRank, err)
+		} else if got.Count() <= 0 {
+			t.Errorf("p=%d: rank %d restored with count %d", c.Precision(), maxRank, got.Count())
+		}
+		for _, r := range []byte{maxRank + 1, 64} {
+			snap.Registers[0] = r
+			if _, err := restoreHLL(snap); err == nil {
+				t.Errorf("p=%d: restore accepted rank %d", c.Precision(), r)
+			}
+		}
+	}
 }
 
 // TestHLLOccupied pins the occupancy gauge semantics.

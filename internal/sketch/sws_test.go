@@ -246,11 +246,10 @@ func TestSWSRestoresWindowedSnapshot(t *testing.T) {
 // TestSketchesBundleRoundTrip covers the versioned bundle: snapshot, restore,
 // version guard.
 func TestSketchesBundleRoundTrip(t *testing.T) {
-	sk := New(Config{HLLPrecision: 10, TopK: 16})
+	sk := New(Config{})
 	for i := 0; i < 2000; i++ {
 		u := fmt.Sprintf("user-%d", i%300)
 		sk.HLL.AddString(u)
-		sk.Top.Observe(uint64(i%40), "skel")
 		sk.SWS.Observe(uint64(i%40), u, uint64(i))
 	}
 	blob, err := json.Marshal(sk.Snapshot())
@@ -276,5 +275,52 @@ func TestSketchesBundleRoundTrip(t *testing.T) {
 	}
 	if New(Config{Disabled: true}) != nil {
 		t.Error("Disabled config must yield a nil sketch set")
+	}
+}
+
+// topBlockSnapshot is a version-1 bundle in the encoding that still carried
+// the state of a top-k template tracker in a "top" block.
+const topBlockSnapshot = `{
+  "version": 1,
+  "hll": {"precision": 4, "registers": "AQIAAwEAAgEEAAECAQMAAQ=="},
+  "top": {"capacity": 128, "evictions": 0, "observed": 9, "entries": [
+    {"fingerprint": 7, "skeleton": "SELECT a FROM t WHERE b = ?", "count": 6, "err": 0},
+    {"fingerprint": 9, "skeleton": "SELECT c FROM u", "count": 3, "err": 0}
+  ]},
+  "sws": {"user_cap": 32, "base": [
+    {"fingerprint": 7, "freq": 6, "users": ["alice"], "wcs": [1, 2, 3]},
+    {"fingerprint": 9, "freq": 3, "users": ["bob", "carol"], "wcs": [4]}
+  ]}
+}`
+
+// TestRestoreIgnoresTopBlock: a bundle with a "top" block restores its HLL
+// (precision included) and SWS evidence unchanged, and re-snapshots without
+// the block.
+func TestRestoreIgnoresTopBlock(t *testing.T) {
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(topBlockSnapshot), &snap); err != nil {
+		t.Fatal(err)
+	}
+	sk, err := Restore(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sk.HLL.Snapshot(); !reflect.DeepEqual(got, snap.HLL) {
+		t.Errorf("restored HLL %+v, want %+v", got, snap.HLL)
+	}
+	if got := sk.SWS.Snapshot(); !reflect.DeepEqual(got, snap.SWS) {
+		t.Errorf("restored SWS evidence %+v, want %+v", got, snap.SWS)
+	}
+
+	blob, err := json.Marshal(sk.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["top"]; ok || len(keys) != 3 {
+		t.Errorf("re-snapshot %s, want only version, hll and sws", blob)
 	}
 }

@@ -163,7 +163,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			sessionLen: m.Histogram("stream_session_entries", obs.SizeBuckets),
 			solvedAway: m.Counter("stream_solved_queries_total"),
 			instances:  m.Counter("stream_instances_total"),
-			topkEvict:  m.Counter("sketch_topk_evictions_total"),
 		}
 		s.gauge = m.Gauge("stream_open_sessions")
 		s.mSkew = m.Counter("stream_rejected_future_skew_total")
@@ -414,11 +413,9 @@ func (s *Sharded) TemplateKinds() map[uint64][]string {
 }
 
 // Sketches returns the merged cross-shard sketch view as a deep clone (nil
-// when the layer is disabled). HLL registers union exactly; SpaceSaving merges
-// in shard-index order (deterministic, and sound: merged counts still bracket
-// the truth); SWS evidence unions per template. The clone is a
-// consistent-enough global read: each shard is locked while copied, like
-// Stats.
+// when the layer is disabled). HLL registers union exactly; SWS evidence
+// unions per template. The clone is a consistent-enough global read: each
+// shard is locked while copied, like Stats.
 func (s *Sharded) Sketches() *sketch.Sketches {
 	var merged *sketch.Sketches
 	for _, sh := range s.shards {
@@ -427,8 +424,9 @@ func (s *Sharded) Sketches() *sketch.Sketches {
 			if merged == nil {
 				merged = sh.sk.Clone()
 			} else {
-				// Same config on every shard, so the HLL precisions agree and
-				// Merge cannot fail.
+				// Every shard is built at DefaultPrecision or restored from
+				// one engine snapshot, so the HLL precisions agree and Merge
+				// cannot fail.
 				_ = merged.Merge(sh.sk)
 			}
 		}

@@ -92,8 +92,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := ShardedConfig{Shards: 8, SweepEvery: 64, Workers: workers,
-				Config: Config{Sketches: sketch.Config{HLLPrecision: 12, TopK: 32}}}
+			cfg := ShardedConfig{Shards: 8, SweepEvery: 64, Workers: workers}
 
 			run := func(cut int) *sketch.Sketches {
 				eng := NewSharded(cfg)
@@ -126,15 +125,12 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 			}
 
 			want := run(-1)
-			if want.HLL.Occupied() == 0 || want.Top.Len() == 0 || want.SWS.Snapshot().Evidence == nil {
+			if want.HLL.Occupied() == 0 || want.SWS.Snapshot().Evidence == nil {
 				t.Fatal("uninterrupted run left a sketch empty; the round trip proves nothing")
 			}
 			got := run(len(log) / 2)
 			if !reflect.DeepEqual(got.HLL.Snapshot(), want.HLL.Snapshot()) {
 				t.Error("merged HLL registers diverged across the snapshot cut")
-			}
-			if !reflect.DeepEqual(got.Top.Snapshot(), want.Top.Snapshot()) {
-				t.Error("merged SpaceSaving state diverged across the snapshot cut")
 			}
 			if !reflect.DeepEqual(got.SWS.Snapshot(), want.SWS.Snapshot()) {
 				t.Error("merged SWS evidence diverged across the snapshot cut")
@@ -150,29 +146,31 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRestoreKeepsSnapshotSketchParameters pins the restore policy: the
-// snapshot's own sketch parameters win over the restarted config's flags, and
+// snapshot's own HLL precision wins over the default a fresh engine uses, and
 // a pre-sketch snapshot (no sketches field) restores to fresh sketches.
 func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
-	p := serial(Config{Sketches: sketch.Config{HLLPrecision: 10}})
+	p := serial(Config{})
 	snap := p.Snapshot()
-	if sk := snap.Procs[0].Sketches; sk == nil || sk.Version != sketch.SnapshotVersion {
+	sk := snap.Procs[0].Sketches
+	if sk == nil || sk.Version != sketch.SnapshotVersion {
 		t.Fatalf("snapshot sketches = %+v, want version %d", sk, sketch.SnapshotVersion)
 	}
+	sk.HLL = sketch.NewHLL(10).Snapshot()
 
-	q := serial(Config{Sketches: sketch.Config{HLLPrecision: 14}})
+	q := serial(Config{})
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := q.Sketches().HLL.Precision(); got != 10 {
-		t.Errorf("restored precision %d, want the snapshot's 10 over the flag's 14", got)
+		t.Errorf("restored precision %d, want the snapshot's 10 over the default %d", got, sketch.DefaultPrecision)
 	}
 
 	snap.Procs[0].Sketches = nil // a snapshot from before the sketch layer existed
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if q.Sketches() == nil || q.Sketches().HLL.Precision() != 14 {
-		t.Error("pre-sketch snapshot must restore fresh sketches from the config")
+	if q.Sketches() == nil || q.Sketches().HLL.Precision() != sketch.DefaultPrecision {
+		t.Error("pre-sketch snapshot must restore fresh sketches at the default precision")
 	}
 
 	d := serial(Config{Sketches: sketch.Config{Disabled: true}})

@@ -15,9 +15,10 @@
 //
 //   - the dedup window, pruned to the (user, statement) slots a future entry
 //     can still duplicate;
-//   - the template aggregates: one per template, with the set of its users;
-//   - the sketches: the HLL and the top-k tracker bounded by their
-//     configuration, the SWS evidence one summary per template;
+//   - the template table: one aggregate per template, with its exact
+//     frequency and the set of its users;
+//   - the sketches: the HLL bounded by its precision, the SWS evidence one
+//     summary per template;
 //   - the parse cache, which keeps a small summary of every distinct
 //     statement text for the parser's lifetime. On a log of mostly distinct
 //     statements it is the largest part.
@@ -76,10 +77,9 @@ type Config struct {
 	// stream_sessions_emitted_total, stream_rejected_future_skew_total, and
 	// a session-length histogram. Nil keeps the zero-overhead path.
 	Metrics *obs.Registry
-	// Sketches sizes the approximate-analytics layer (distinct-identity HLL,
-	// SpaceSaving top-k, and the SWS evidence: one summary per template).
-	// The zero value enables it with package defaults; set
-	// Sketches.Disabled to opt out.
+	// Sketches switches the sketch layer (the distinct-identity HLL and the
+	// SWS evidence: one summary per template). The zero value enables it;
+	// set Sketches.Disabled to opt out.
 	Sketches sketch.Config
 }
 
@@ -157,7 +157,8 @@ type shard struct {
 	// watermark is the max event time seen.
 	watermark time.Time
 
-	// templateCounts accumulate global per-template statistics.
+	// templateAgg is the template table: exact per-template statistics,
+	// accumulated across the whole stream.
 	templateAgg map[uint64]*templateAgg
 
 	// sk holds the approximate-analytics sketches; nil when disabled.
@@ -178,7 +179,6 @@ type streamMetrics struct {
 	sessionLen *obs.Histogram
 	solvedAway *obs.Counter
 	instances  *obs.Counter
-	topkEvict  *obs.Counter
 }
 
 type dupKey struct{ user, stmt string }
@@ -425,12 +425,4 @@ func (sh *shard) recordTemplate(pe parsedlog.Entry) {
 	}
 	a.count++
 	a.users[pe.User] = struct{}{}
-	if sh.sk != nil {
-		// Same admission rule as templateAgg: accepted, non-duplicate
-		// SELECTs. The SpaceSaving counts therefore approximate exactly the
-		// Frequency column of Sharded.Templates.
-		if sh.sk.Top.Observe(fp, a.skeleton) {
-			sh.met.topkEvict.Inc()
-		}
-	}
 }

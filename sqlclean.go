@@ -293,9 +293,9 @@ func ServeDebug(addr string, m *Metrics) (string, *http.Server, error) {
 // StreamConfig configures the bounded-memory streaming pipeline.
 type StreamConfig = stream.Config
 
-// SketchConfig sizes the streaming approximate-analytics layer (the
-// StreamConfig.Sketches field): HLL distinct-identity counter, SpaceSaving
-// heavy-hitter tracker and per-template SWS evidence.
+// SketchConfig switches the streaming sketch layer (the
+// StreamConfig.Sketches field): the HLL distinct-identity counter and the
+// per-template SWS evidence.
 type SketchConfig = sketch.Config
 
 // StreamStats are the streaming pipeline's counters.
@@ -306,8 +306,8 @@ type StreamStats = stream.Stats
 func ScanLogTSV(r io.Reader, fn func(Entry) error) error { return logmodel.ScanTSV(r, fn) }
 
 // StreamSketchJSON is the sketch block of the streaming -json export: the
-// approximate analytics accumulated alongside the exact counters. Present
-// only when the engine runs with sketches enabled.
+// analytics the sketches accumulate alongside the exact counters and the
+// template table. Present only when the engine runs with sketches enabled.
 type StreamSketchJSON struct {
 	// DistinctUsersEstimate is the HLL distinct-identity estimate.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
@@ -315,9 +315,6 @@ type StreamSketchJSON struct {
 	// with the default thresholds — matching the batch pipeline's decision.
 	SWSTemplates int `json:"sws_templates"`
 	SWSQueries   int `json:"sws_queries"`
-	// Toplist is the SpaceSaving heavy-hitter summary, count-descending;
-	// each entry's true frequency lies in [count−err, count].
-	Toplist []sketch.HeavyHitter `json:"toplist"`
 }
 
 // WriteStreamJSON writes a streaming run's counters, accumulated template
@@ -338,7 +335,6 @@ func WriteStreamJSON(w io.Writer, s *ShardedStream) error {
 			DistinctUsersEstimate: sk.HLL.Count(),
 			SWSTemplates:          len(sws),
 			SWSQueries:            swsQueries,
-			Toplist:               sk.Top.Top(0),
 		}
 	}
 	for _, t := range s.Templates() {
