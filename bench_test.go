@@ -869,8 +869,7 @@ func BenchmarkStreamSharded(b *testing.B) {
 }
 
 // BenchmarkHLLIngest measures the sketch layer's per-entry hot path: one
-// HLL distinct-identity update, the cost every in-order entry pays when the
-// daemon runs with sketches enabled.
+// HLL distinct-identity update, the cost every in-order entry pays.
 func BenchmarkHLLIngest(b *testing.B) {
 	_, res := benchSetup(b)
 	parsed := res.Parsed

@@ -9,7 +9,6 @@
 //	          [-data-dir DIR] [-fsync interval] [-fsync-interval 1s]
 //	          [-snapshot-interval 5m] [-max-skew 0] [-no-clusters]
 //	          [-cluster-threshold 0.9] [-cluster-max-boxes 4096]
-//	          [-no-sketches]
 //	          [-log-level info] [-log-format text] [-slow-request 1s]
 //	          [-version]
 //
@@ -18,9 +17,9 @@
 //	POST /ingest   NDJSON entries {"time","user","session","rows","statement"},
 //	               or TSV lines with ?format=tsv; 429 + Retry-After when the
 //	               ingest queues are full
-//	GET  /report   incremental cleaning report (JSON), including the sketch
-//	               block: HLL distinct-identity estimate and the SWS
-//	               classification of the per-template evidence
+//	GET  /report   incremental cleaning report (JSON): counters, templates
+//	               with their SWS verdicts, and the sketch block (HLL
+//	               distinct-identity estimate, SWS template and query counts)
 //	GET  /toplist  the k most frequent templates by exact count (?k=N), and
 //	               the distinct-identity estimate
 //	GET  /clusters overlap clustering of the observed predicate boxes
@@ -62,7 +61,6 @@ import (
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/server"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/stream"
 )
 
@@ -89,7 +87,6 @@ func main() {
 		noClusters = flag.Bool("no-clusters", false, "disable the GET /clusters overlap-clustering surface")
 		clusterT   = flag.Float64("cluster-threshold", 0.9, "default overlap-distance threshold for GET /clusters")
 		clusterMax = flag.Int("cluster-max-boxes", 4096, "distinct predicate boxes kept for clustering (further ones are counted as dropped)")
-		noSketch   = flag.Bool("no-sketches", false, "disable the sketches (HLL, SWS evidence) and GET /toplist")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		slowReq    = flag.Duration("slow-request", time.Second, "log a warn line with stage timings for ingest requests at or above this latency (<0 disables)")
@@ -140,7 +137,6 @@ func main() {
 		DuplicateThreshold: *dup,
 		SessionGap:         *gap,
 		DisableKeyCheck:    *noKeyCheck,
-		Sketches:           sketch.Config{Disabled: *noSketch},
 	}
 	if *extraRules {
 		streamCfg.ExtraRules, streamCfg.ExtraSolvers = extraRuleSet()

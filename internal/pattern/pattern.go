@@ -211,9 +211,10 @@ func mergeTmpl(dst, src map[uint64]*tmplAgg) {
 
 // HashWhere is the hash the template miner applies to concrete WHERE
 // clauses when counting DistinctWhere; parse results carry it precomputed
-// as skeleton.Info.WCHash. It is part of the streaming contract: the sketch
-// layer's SWS evidence must hash WHERE texts with exactly this function, or
-// its drain-time DisjointRatio would diverge from the batch pipeline's.
+// as skeleton.Info.WCHash. It is part of the streaming contract: the
+// stream's template table and its snapshots count WHERE clauses by exactly
+// this hash, or their drain-time DisjointRatio would diverge from the batch
+// pipeline's.
 func HashWhere(wc string) uint64 { return skeleton.HashClause(wc) }
 
 // ---------------------------------------------------------------------------

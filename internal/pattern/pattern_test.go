@@ -218,7 +218,7 @@ func TestSequencesUserPopularity(t *testing.T) {
 	}
 }
 
-// TestWCHashIsHashWhere pins the SWS evidence contract on parse results:
+// TestWCHashIsHashWhere pins the WHERE-hash contract on parse results:
 // Info.WCHash equals HashWhere of the rendered concrete WHERE clause
 // (identifiers normalized, literals kept) for every SELECT of a generated
 // log, so WHERE hashes stored in existing snapshots stay valid.

@@ -887,12 +887,13 @@ func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (a
 }
 
 // ReportPayload is the GET /report document: the incremental counterpart of
-// the batch pipeline's export. The global statistics the exact stream
-// counters cannot afford — SWS classification, distinct-identity counts —
-// come from the sketch layer: distinct_users is the HLL estimate,
-// sws_templates/sws_queries classify the per-template evidence (exact below
-// sketch.UserCap), and the sketches block summarizes the sketch state
-// itself. All of it is omitted when the daemon runs with sketches disabled.
+// the batch pipeline's export. The template rows and the SWS verdicts come
+// from the engine's exact template table: sws_templates/sws_queries and each
+// row's sws and disjoint_ratio apply the batch SWS predicate to it, over
+// every accepted SELECT, open sessions included, so once the stream drains
+// they equal the batch pipeline's. distinct_users is the HLL estimate, the
+// one statistic the stream counts approximately; the sketches block
+// carries it with the HLL's state and the SWS counts.
 type ReportPayload struct {
 	Version       string              `json:"version"`
 	UptimeSeconds float64             `json:"uptime_seconds"`
@@ -902,10 +903,11 @@ type ReportPayload struct {
 	QueueDepth    int                 `json:"queue_depth"`
 	QueueCapacity int                 `json:"queue_capacity"`
 	Templates     []core.TemplateJSON `json:"templates,omitempty"`
-	Sketch        *SketchReport       `json:"sketches,omitempty"`
+	Sketch        SketchReport        `json:"sketches"`
 }
 
-// SketchReport summarizes the merged cross-shard sketch state.
+// SketchReport holds the distinct-identity estimate, the merged HLL's state
+// and the SWS counts.
 type SketchReport struct {
 	// DistinctUsersEstimate is the HLL estimate of distinct identities over
 	// every entry the stream accepted (±~0.8 % at the default precision).
@@ -913,9 +915,9 @@ type SketchReport struct {
 	// HLLPrecision/HLLRegistersOccupied describe the counter's state.
 	HLLPrecision         int `json:"hll_precision"`
 	HLLRegistersOccupied int `json:"hll_registers_occupied"`
-	// SWSTemplates/SWSQueries classify the per-template SWS evidence with
-	// the default thresholds against the stream's accepted-SELECT total —
-	// the streaming counterpart of the batch report's columns.
+	// SWSTemplates/SWSQueries are the templates the default SWS thresholds
+	// classify in the template table, against the stream's accepted-SELECT
+	// total, and the SELECTs they cover — the batch report's columns.
 	SWSTemplates int `json:"sws_templates"`
 	SWSQueries   int `json:"sws_queries"`
 }
@@ -947,24 +949,23 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 	if len(templates) > 0 {
 		p.Report.MaxTemplateFreq = templates[0].Frequency
 	}
-	var sws map[uint64]bool
-	sk := s.eng.Sketches()
-	if sk != nil {
-		var swsQueries int
-		sws, swsQueries = sk.SWS.Classify(st.Selects, pattern.DefaultSWSOptions())
-		sr := &SketchReport{
-			DistinctUsersEstimate: sk.HLL.Count(),
-			HLLPrecision:          sk.HLL.Precision(),
-			HLLRegistersOccupied:  sk.HLL.Occupied(),
-			SWSTemplates:          len(sws),
-			SWSQueries:            swsQueries,
-		}
-		p.Sketch = sr
-		p.Report.DistinctUsers = int(sr.DistinctUsersEstimate)
-		p.Report.SWSTemplates = sr.SWSTemplates
-		p.Report.SWSQueries = sr.SWSQueries
-		s.gHLLOcc.Set(int64(sr.HLLRegistersOccupied))
+	sws := pattern.ClassifySWS(templates, st.Selects, pattern.DefaultSWSOptions())
+	hll := s.eng.Sketches()
+	p.Sketch = SketchReport{
+		DistinctUsersEstimate: hll.Count(),
+		HLLPrecision:          hll.Precision(),
+		HLLRegistersOccupied:  hll.Occupied(),
+		SWSTemplates:          len(sws),
 	}
+	for _, t := range templates {
+		if sws[t.Fingerprint] {
+			p.Sketch.SWSQueries += t.Frequency
+		}
+	}
+	p.Report.DistinctUsers = int(p.Sketch.DistinctUsersEstimate)
+	p.Report.SWSTemplates = p.Sketch.SWSTemplates
+	p.Report.SWSQueries = p.Sketch.SWSQueries
+	s.gHLLOcc.Set(int64(p.Sketch.HLLRegistersOccupied))
 	for kind, n := range st.Antipatterns {
 		p.Report.Antipatterns = append(p.Report.Antipatterns, core.AntipatternSummaryJSON{
 			Kind: string(kind), Instances: n,
@@ -978,17 +979,14 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 		if i >= topTemplates {
 			break
 		}
-		tj := core.TemplateJSON{
+		p.Templates = append(p.Templates, core.TemplateJSON{
 			Fingerprint:    t.Fingerprint,
 			Skeleton:       t.Skeleton,
 			Frequency:      t.Frequency,
 			UserPopularity: t.UserPopularity,
 			SWS:            sws[t.Fingerprint],
-		}
-		if sk != nil {
-			tj.DisjointRatio = sk.SWS.Stats(t.Fingerprint).DisjointRatio()
-		}
-		p.Templates = append(p.Templates, tj)
+			DisjointRatio:  t.DisjointRatio(),
+		})
 	}
 	return p
 }

@@ -34,19 +34,15 @@ type ToplistEntry struct {
 	Count       int64  `json:"count"`
 }
 
-// Toplist assembles the payload from the engine's template table, or nil
-// when the daemon runs with sketches disabled.
-func (s *Server) Toplist(k int) *ToplistPayload {
-	sk := s.eng.Sketches()
-	if sk == nil {
-		return nil
-	}
-	s.gHLLOcc.Set(int64(sk.HLL.Occupied()))
+// Toplist assembles the payload from the engine's template table.
+func (s *Server) Toplist(k int) ToplistPayload {
+	hll := s.eng.Sketches()
+	s.gHLLOcc.Set(int64(hll.Occupied()))
 	templates := s.eng.Templates()
-	p := &ToplistPayload{
+	p := ToplistPayload{
 		K:                     k,
 		Tracked:               len(templates),
-		DistinctUsersEstimate: sk.HLL.Count(),
+		DistinctUsersEstimate: hll.Count(),
 		Entries:               make([]ToplistEntry, len(templates)),
 	}
 	for i, t := range templates {
@@ -76,10 +72,5 @@ func (s *Server) handleToplist(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	p := s.Toplist(k)
-	if p == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "sketches disabled"})
-		return
-	}
-	writeJSON(w, http.StatusOK, p)
+	writeJSON(w, http.StatusOK, s.Toplist(k))
 }

@@ -1,12 +1,11 @@
-// Package sketch holds the mergeable summaries behind the daemon's
-// streaming analytics: a dense HyperLogLog distinct counter (distinct
-// identities) and an SWS evidence accumulator, one summary per template,
-// whose drain-time classification equals the batch pipeline's bit for bit.
-// Per-template counts are not here: the stream's template table keeps them
-// exactly. Both summaries share the properties the sharded stream needs:
-// memory that does not grow with the log's length, deterministic state (no
-// process-random seeds — snapshots restore across processes), and an
-// order-free Merge for the cross-shard global view.
+// Package sketch holds the mergeable summary behind the daemon's
+// distinct-identity analytics: a dense HyperLogLog counter. Per-template
+// statistics are not here: the stream's template table keeps each
+// template's count, users and distinct WHERE clauses exactly, and SWS
+// classification reads them there. The counter has the properties the
+// sharded stream needs: memory that does not grow with the log's length,
+// deterministic state (no process-random seeds — snapshots restore across
+// processes), and an order-free Merge for the cross-shard global view.
 package sketch
 
 import (

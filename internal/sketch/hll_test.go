@@ -116,6 +116,11 @@ func TestHLLSnapshotRoundTrip(t *testing.T) {
 	if _, err := restoreHLL(HLLSnapshot{Precision: 99}); err == nil {
 		t.Error("restore accepted an out-of-range precision")
 	}
+	for _, v := range []int{0, SnapshotVersion + 1} {
+		if _, err := Restore(&Snapshot{Version: v, HLL: h.Snapshot()}); err == nil {
+			t.Errorf("Restore accepted snapshot version %d", v)
+		}
+	}
 
 	// AddHash never writes a rank above 65−p, so a register holding one is
 	// corrupt. Unchecked, rank 64 in a full p=4 counter made Count() 0.

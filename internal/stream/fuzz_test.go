@@ -1,0 +1,83 @@
+package stream
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"sqlclean/internal/parsedlog"
+	"sqlclean/internal/pattern"
+	"sqlclean/internal/schema"
+	"sqlclean/internal/sketch"
+)
+
+// FuzzShardedRestore feeds arbitrary bytes to the engine's snapshot decoder,
+// as a daemon reads them from its data directory. Whatever a one-shard
+// engine's Restore accepts must be safe to read, snapshot and close, and its
+// re-snapshot must be a fixed point: snapshot → JSON → Restore → snapshot
+// gives the same value again.
+func FuzzShardedRestore(f *testing.F) {
+	parser, catalog := parsedlog.NewParser(), schema.SkyServer()
+	engine := func() *Sharded { return serial(Config{Parser: parser, Catalog: catalog}) }
+
+	// A live snapshot with open sessions, closed ones and verdicts, its HLL
+	// cut to precision 4 so the mutator works on a short register file.
+	live := engine()
+	for _, e := range parentFixtureLog()[:parentFixtureCut] {
+		if _, err := live.Add(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	liveSnap := live.Snapshot()
+	liveSnap.Procs[0].Sketches.HLL = sketch.NewHLL(4).Snapshot()
+	dropTable := live.Snapshot()
+	dropTable.Procs[0].Sketches.HLL = sketch.NewHLL(4).Snapshot()
+	dropTable.Procs[0].Open[0].Entries[0].Statement = "DROP TABLE x"
+	for _, snap := range []ShardedSnapshot{liveSnap, dropTable} {
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	// The fixture as written, with its evidence's counts, user sets and
+	// window bounds and its top block, minus the indentation.
+	var fixture bytes.Buffer
+	if err := json.Compact(&fixture, readParentFixtureBytes(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap ShardedSnapshot
+		if json.Unmarshal(data, &snap) != nil {
+			return
+		}
+		eng := engine()
+		if eng.Restore(snap) != nil {
+			return
+		}
+		eng.Stats()
+		eng.Templates()
+		eng.ClassifySWS(pattern.DefaultSWSOptions())
+		eng.Sketches().Count()
+		first := eng.Snapshot()
+		blob, err := json.Marshal(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded ShardedSnapshot
+		if err := json.Unmarshal(blob, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		again := engine()
+		if err := again.Restore(decoded); err != nil {
+			t.Fatalf("restore refused its own re-snapshot: %v", err)
+		}
+		if !reflect.DeepEqual(again.Snapshot(), first) {
+			t.Fatalf("re-snapshot is not a fixed point:\n%s", blob)
+		}
+		eng.Close()
+	})
+}

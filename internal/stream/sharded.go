@@ -18,6 +18,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -354,12 +355,14 @@ func (s *Sharded) Stats() Stats {
 }
 
 // Templates returns the per-template statistics, most frequent first.
-// Shards partition users, so frequencies and user popularities add exactly.
-// (DistinctWhere is not tracked streaming; SWS classification over these
-// stats is the caller's choice of pattern.SWSOptions.)
+// Shards partition users, so frequencies and user popularities add exactly;
+// one WHERE clause can reach several shards, so DistinctWhere is the size
+// of the union of the shards' sets. These are the statistics the batch
+// miner computes, over every accepted SELECT, open sessions included.
 func (s *Sharded) Templates() []pattern.TemplateStats {
 	idx := map[uint64]int{}
 	var out []pattern.TemplateStats
+	var wcs []map[uint64]struct{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for fp, a := range sh.templateAgg {
@@ -368,11 +371,19 @@ func (s *Sharded) Templates() []pattern.TemplateStats {
 				i = len(out)
 				idx[fp] = i
 				out = append(out, pattern.TemplateStats{Fingerprint: fp, Skeleton: a.skeleton})
+				wcs = append(wcs, maps.Clone(a.wcs))
+			} else {
+				for h := range a.wcs {
+					wcs[i][h] = struct{}{}
+				}
 			}
 			out[i].Frequency += a.count
 			out[i].UserPopularity += len(a.users)
 		}
 		sh.mu.Unlock()
+	}
+	for i := range out {
+		out[i].DistinctWhere = len(wcs[i])
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frequency != out[j].Frequency {
@@ -412,41 +423,32 @@ func (s *Sharded) TemplateKinds() map[uint64][]string {
 	return out
 }
 
-// Sketches returns the merged cross-shard sketch view as a deep clone (nil
-// when the layer is disabled). HLL registers union exactly; SWS evidence
-// unions per template. The clone is a consistent-enough global read: each
-// shard is locked while copied, like Stats.
-func (s *Sharded) Sketches() *sketch.Sketches {
-	var merged *sketch.Sketches
+// Sketches returns the shards' distinct-identity HLLs merged into a copy:
+// registers union exactly. It is a consistent-enough global read: each
+// shard is locked while merged, like Stats.
+func (s *Sharded) Sketches() *sketch.HLL {
+	var merged *sketch.HLL
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.sk != nil {
-			if merged == nil {
-				merged = sh.sk.Clone()
-			} else {
-				// Every shard is built at DefaultPrecision or restored from
-				// one engine snapshot, so the HLL precisions agree and Merge
-				// cannot fail.
-				_ = merged.Merge(sh.sk)
-			}
+		if merged == nil {
+			merged = sh.hll.Clone()
+		} else {
+			// Every shard is built at DefaultPrecision or restored from one
+			// engine snapshot, whose precisions Restore checks agree, so
+			// Merge cannot fail.
+			_ = merged.Merge(sh.hll)
 		}
 		sh.mu.Unlock()
 	}
 	return merged
 }
 
-// ClassifySWS drains the merged SWS evidence into a classification, using
-// the engine-wide accepted-SELECT count as the batch pipeline's total.
-// After Close it matches internal/core's batch SWS decision bit for bit (the
-// evidence is exact: frequency and WHERE hashes are uncapped, and user sets
-// are exact below sketch.UserCap). Nil when sketches are disabled.
+// ClassifySWS runs the batch SWS predicate over Templates, with the
+// engine-wide accepted-SELECT count as the total. After Close both are the
+// batch pipeline's statistics, so the set equals internal/core's decision
+// for every option set.
 func (s *Sharded) ClassifySWS(opt pattern.SWSOptions) map[uint64]bool {
-	sk := s.Sketches()
-	if sk == nil {
-		return nil
-	}
-	sws, _ := sk.SWS.Classify(s.Stats().Selects, opt)
-	return sws
+	return pattern.ClassifySWS(s.Templates(), s.Stats().Selects, opt)
 }
 
 // RunSharded streams a whole in-memory log through a fresh sharded engine,

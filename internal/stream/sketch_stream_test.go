@@ -4,83 +4,125 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"sqlclean/internal/core"
+	"sqlclean/internal/logmodel"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/sketch"
 	"sqlclean/internal/workload"
 )
 
 // TestStreamingSWSMatchesBatch is the acceptance property: after the stream
-// drains, the SWS classifier's verdict must be byte-identical to the batch
+// drains, its template statistics and SWS verdicts must equal the batch
 // pipeline's (core.Run) on seeded logs — for the default thresholds and for
-// harder variants.
+// harder variants, at one shard and at eight, where one WHERE clause reaches
+// several shards. A popularity threshold above 32 pins that no template's
+// user set is capped.
 func TestStreamingSWSMatchesBatch(t *testing.T) {
 	opts := []pattern.SWSOptions{
 		pattern.DefaultSWSOptions(),
 		{FrequencyPct: 0.05, MaxUserPopularity: 5, MinDisjointRatio: 0.3},
 		{FrequencyPct: 0.01, MaxUserPopularity: 12, MinDisjointRatio: 0.9},
+		{FrequencyPct: 0.01, MaxUserPopularity: 40, MinDisjointRatio: 0},
 	}
 	nonEmpty := 0
-	for _, seed := range []int64{1, 7, 42} {
-		cfg := workload.DefaultConfig().Scale(0.1)
-		cfg.Seed = seed
-		log, _ := workload.Generate(cfg)
-		log.SortStable()
-		for i := range log {
-			log[i].Seq = int64(i)
-		}
+	for _, scale := range []float64{0.1, 1} {
+		for _, seed := range []int64{1, 7, 42} {
+			cfg := workload.DefaultConfig().Scale(scale)
+			cfg.Seed = seed
+			log, _ := workload.Generate(cfg)
+			log.SortStable()
+			for i := range log {
+				log[i].Seq = int64(i)
+			}
 
-		batch, err := core.Run(log, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		p := serial(Config{})
-		for _, e := range log {
-			if _, err := p.Add(e); err != nil {
+			batch, err := core.Run(log, core.Config{})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		p.Close()
-		if p.Stats().Selects != len(batch.PreClean) {
-			t.Fatalf("seed %d: stream accepted %d selects, batch kept %d", seed, p.Stats().Selects, len(batch.PreClean))
-		}
-
-		for _, opt := range opts {
-			want := pattern.ClassifySWS(batch.Templates, len(batch.PreClean), opt)
-			got := p.ClassifySWS(opt)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d opt %+v: streaming SWS %v, batch %v", seed, opt, got, want)
+			exact := map[string]struct{}{}
+			for _, e := range log {
+				exact[e.User] = struct{}{}
 			}
-			nonEmpty += len(got)
-		}
-		// The default-threshold verdict is also what core.Run itself reports.
-		if got := p.ClassifySWS(pattern.DefaultSWSOptions()); !reflect.DeepEqual(got, batch.SWS) {
-			t.Errorf("seed %d: streaming default SWS %v, core.Run reported %v", seed, got, batch.SWS)
-		}
 
-		// The distinct-identity sketch must track the exact user count within
-		// the acceptance bound.
-		exact := map[string]struct{}{}
-		for _, e := range log {
-			exact[e.User] = struct{}{}
-		}
-		est := p.Sketches().HLL.Estimate()
-		if rel := math.Abs(est-float64(len(exact))) / float64(len(exact)); rel > 0.02 {
-			t.Errorf("seed %d: HLL estimate %.1f for %d users (relative error %.4f)", seed, est, len(exact), rel)
+			for _, shards := range []int{1, 8} {
+				name := fmt.Sprintf("scale %g seed %d shards %d", scale, seed, shards)
+				p := NewSharded(ShardedConfig{Shards: shards})
+				for _, e := range log {
+					if _, err := p.Add(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p.Close()
+				if p.Stats().Selects != len(batch.PreClean) {
+					t.Fatalf("%s: stream accepted %d selects, batch kept %d", name, p.Stats().Selects, len(batch.PreClean))
+				}
+				if got, want := templateCounts(p.Templates()), templateCounts(batch.Templates); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: template statistics differ from core.Run's:\n%s", name, diffCounts(got, want))
+				}
+
+				for _, opt := range opts {
+					want := pattern.ClassifySWS(batch.Templates, len(batch.PreClean), opt)
+					got := p.ClassifySWS(opt)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s opt %+v: streaming SWS %d templates, batch %d", name, opt, len(got), len(want))
+					}
+					nonEmpty += len(got)
+				}
+				// The default-threshold verdict is also what core.Run itself reports.
+				if got := p.ClassifySWS(pattern.DefaultSWSOptions()); !reflect.DeepEqual(got, batch.SWS) {
+					t.Errorf("%s: streaming default SWS %v, core.Run reported %v", name, got, batch.SWS)
+				}
+
+				// The distinct-identity sketch must track the exact user count
+				// within the acceptance bound.
+				est := p.Sketches().Estimate()
+				if rel := math.Abs(est-float64(len(exact))) / float64(len(exact)); rel > 0.02 {
+					t.Errorf("%s: HLL estimate %.1f for %d users (relative error %.4f)", name, est, len(exact), rel)
+				}
+			}
 		}
 	}
 	if nonEmpty == 0 {
-		t.Fatal("no (seed, option) pair classified any template as SWS; the property test is vacuous")
+		t.Fatal("no (log, option) pair classified any template as SWS; the property test is vacuous")
 	}
 }
 
+// counts are the three statistics SWS classification reads.
+type counts struct{ freq, users, wheres int }
+
+func templateCounts(ts []pattern.TemplateStats) map[uint64]counts {
+	m := make(map[uint64]counts, len(ts))
+	for _, t := range ts {
+		m[t.Fingerprint] = counts{t.Frequency, t.UserPopularity, t.DistinctWhere}
+	}
+	return m
+}
+
+func diffCounts(got, want map[uint64]counts) string {
+	var b strings.Builder
+	for fp, w := range want {
+		if g, ok := got[fp]; !ok || g != w {
+			fmt.Fprintf(&b, "  template %d: stream %+v, batch %+v\n", fp, g, w)
+		}
+	}
+	for fp, g := range got {
+		if _, ok := want[fp]; !ok {
+			fmt.Fprintf(&b, "  template %d: stream %+v, not in batch\n", fp, g)
+		}
+	}
+	return b.String()
+}
+
 // TestShardedSketchSnapshotRoundTrip is the durability property for the
-// sketch layer: cut a sharded stream mid-flight, snapshot, restore into a
-// fresh engine, finish — the merged cross-shard sketches must equal the
+// template table and the HLL: cut a sharded stream mid-flight, snapshot,
+// restore into a fresh engine, finish — the merged HLL, the templates (with
+// their distinct WHERE clauses) and the SWS verdicts must equal the
 // uninterrupted run's, at 1 and 4 workers, and re-snapshotting immediately
 // after restore must reproduce the decoded snapshot.
 func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
@@ -89,12 +131,13 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 	for i := range log {
 		log[i].Seq = int64(i)
 	}
+	opt := pattern.SWSOptions{FrequencyPct: 0.01, MaxUserPopularity: 12, MinDisjointRatio: 0.9}
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := ShardedConfig{Shards: 8, SweepEvery: 64, Workers: workers}
 
-			run := func(cut int) *sketch.Sketches {
+			run := func(cut int) *Sharded {
 				eng := NewSharded(cfg)
 				for i, e := range log {
 					if i == cut {
@@ -111,7 +154,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 							t.Fatal(err)
 						}
 						// Restore must be lossless: a snapshot taken right
-						// now reproduces the decoded one, sketches included.
+						// now reproduces the decoded one, HLL included.
 						if again := eng.Snapshot(); !reflect.DeepEqual(again, decoded) {
 							t.Fatal("re-snapshot after restore differs from the restored snapshot")
 						}
@@ -121,24 +164,22 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 					}
 				}
 				eng.Close()
-				return eng.Sketches()
+				return eng
 			}
 
 			want := run(-1)
-			if want.HLL.Occupied() == 0 || want.SWS.Snapshot().Evidence == nil {
-				t.Fatal("uninterrupted run left a sketch empty; the round trip proves nothing")
+			wantSWS := want.ClassifySWS(opt)
+			if want.Sketches().Occupied() == 0 || len(wantSWS) == 0 {
+				t.Fatal("uninterrupted run left the HLL or the SWS set empty; the round trip proves nothing")
 			}
 			got := run(len(log) / 2)
-			if !reflect.DeepEqual(got.HLL.Snapshot(), want.HLL.Snapshot()) {
+			if !reflect.DeepEqual(got.Sketches().Snapshot(), want.Sketches().Snapshot()) {
 				t.Error("merged HLL registers diverged across the snapshot cut")
 			}
-			if !reflect.DeepEqual(got.SWS.Snapshot(), want.SWS.Snapshot()) {
-				t.Error("merged SWS evidence diverged across the snapshot cut")
+			if !reflect.DeepEqual(got.Templates(), want.Templates()) {
+				t.Error("templates diverged across the snapshot cut")
 			}
-			opt := pattern.SWSOptions{FrequencyPct: 0.01, MaxUserPopularity: 12, MinDisjointRatio: 0.9}
-			gotSWS, _ := got.SWS.Classify(3000, opt)
-			wantSWS, _ := want.SWS.Classify(3000, opt)
-			if !reflect.DeepEqual(gotSWS, wantSWS) {
+			if !reflect.DeepEqual(got.ClassifySWS(opt), wantSWS) {
 				t.Error("SWS classification diverged across the snapshot cut")
 			}
 		})
@@ -146,8 +187,9 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRestoreKeepsSnapshotSketchParameters pins the restore policy: the
-// snapshot's own HLL precision wins over the default a fresh engine uses, and
-// a pre-sketch snapshot (no sketches field) restores to fresh sketches.
+// snapshot's own HLL precision wins over the default a fresh engine uses, a
+// pre-sketch snapshot (no sketches field) restores a fresh HLL, and shards
+// whose precisions differ, which Sketches could not merge, are refused.
 func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
 	p := serial(Config{})
 	snap := p.Snapshot()
@@ -161,7 +203,7 @@ func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Sketches().HLL.Precision(); got != 10 {
+	if got := q.Sketches().Precision(); got != 10 {
 		t.Errorf("restored precision %d, want the snapshot's 10 over the default %d", got, sketch.DefaultPrecision)
 	}
 
@@ -169,21 +211,141 @@ func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if q.Sketches() == nil || q.Sketches().HLL.Precision() != sketch.DefaultPrecision {
-		t.Error("pre-sketch snapshot must restore fresh sketches at the default precision")
+	if q.Sketches().Precision() != sketch.DefaultPrecision {
+		t.Error("pre-sketch snapshot must restore a fresh HLL at the default precision")
 	}
 
-	d := serial(Config{Sketches: sketch.Config{Disabled: true}})
-	if d.Sketches() != nil {
-		t.Fatal("disabled config still built sketches")
+	two := NewSharded(ShardedConfig{Shards: 2})
+	mixed := two.Snapshot()
+	mixed.Procs[1].Sketches.HLL = sketch.NewHLL(10).Snapshot()
+	if err := NewSharded(ShardedConfig{Shards: 2}).Restore(mixed); err == nil {
+		t.Error("Restore accepted shards with different HLL precisions")
 	}
-	if err := d.Restore(p.Snapshot()); err != nil {
+}
+
+// parentFixtureLog is the log behind testdata/parent-shard-snapshot.json, a
+// one-shard snapshot taken after its first parentFixtureCut entries by the
+// engine that kept per-template SWS evidence beside the template table. The
+// fixture is that engine's output with its HLL cut to precision 4, its
+// evidence split into a base and an event-time window, and a "top" block
+// added, as older versions of the encoding wrote them. The bot's and
+// alice's first sessions closed before the cut, so their WHERE clauses are
+// in the evidence; the bot's second session and carol's are open at the
+// cut, and objid 99, 4 and 5 appear in no closed session, so only the open
+// sessions can restore them.
+func parentFixtureLog() logmodel.Log {
+	t0 := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
+	at := func(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+	obj := func(id int) string { return fmt.Sprintf("SELECT ra, dec FROM PhotoObj WHERE objid = %d", id) }
+	box := func(lo int) string {
+		return fmt.Sprintf("SELECT objid FROM PhotoObj WHERE ra BETWEEN %d AND %d", lo, lo+1)
+	}
+	l := logmodel.Log{
+		{Time: at(0), User: "bot", Statement: obj(1)},
+		{Time: at(2), User: "bot", Statement: obj(2)},
+		{Time: at(4), User: "bot", Statement: obj(3)},
+		{Time: at(10), User: "alice", Statement: box(10)},
+		{Time: at(20), User: "alice", Statement: box(20)},
+		{Time: at(600), User: "bot", Statement: obj(4)},
+		{Time: at(602), User: "bot", Statement: obj(5)},
+		{Time: at(604), User: "carol", Statement: obj(99)},
+		{Time: at(606), User: "bot", Statement: obj(6)},
+		{Time: at(1200), User: "alice", Statement: box(10)},
+	}
+	for i := range l {
+		l[i].Seq = int64(i)
+	}
+	return l
+}
+
+const parentFixtureCut = 8
+
+func readParentFixtureBytes(t testing.TB) []byte {
+	blob, err := os.ReadFile("testdata/parent-shard-snapshot.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Sketches() != nil {
-		t.Error("restore resurrected sketches on a disabled engine")
+	return blob
+}
+
+func readParentFixture(t testing.TB) ShardedSnapshot {
+	var snap ShardedSnapshot
+	if err := json.Unmarshal(readParentFixtureBytes(t), &snap); err != nil {
+		t.Fatal(err)
 	}
-	if d.ClassifySWS(pattern.DefaultSWSOptions()) != nil {
-		t.Error("ClassifySWS on a disabled engine must be nil")
+	return snap
+}
+
+// TestRestoresParentSnapshot restores a snapshot in the encoding that kept
+// SWS evidence beside the template table: finishing the feed must give the
+// uninterrupted run's templates, distinct WHERE clauses included, and its
+// SWS verdicts. The evidence's base, its window and the open sessions each
+// hold WHERE clauses the others lack, so dropping any of the three folds
+// fails the comparison. Evidence for a template with no row is refused.
+func TestRestoresParentSnapshot(t *testing.T) {
+	log := parentFixtureLog()
+	want := serial(Config{})
+	for _, e := range log {
+		if _, err := want.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want.Close()
+
+	snap := readParentFixture(t)
+	got := serial(Config{})
+	if err := got.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range log[parentFixtureCut:] {
+		if _, err := got.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.Close()
+	if !reflect.DeepEqual(got.Templates(), want.Templates()) {
+		t.Errorf("templates after restore %+v, uninterrupted %+v", got.Templates(), want.Templates())
+	}
+	for _, opt := range []pattern.SWSOptions{
+		pattern.DefaultSWSOptions(),
+		{FrequencyPct: 1, MaxUserPopularity: 2, MinDisjointRatio: 0.9},
+	} {
+		g, w := got.ClassifySWS(opt), want.ClassifySWS(opt)
+		if len(w) == 0 || !reflect.DeepEqual(g, w) {
+			t.Errorf("opt %+v: SWS after restore %v, uninterrupted %v", opt, g, w)
+		}
+	}
+
+	orphan := readParentFixture(t)
+	sh := &orphan.Procs[0]
+	for i, row := range sh.Templates {
+		if row.Fingerprint == sh.Sketches.SWS.Base[0].Fingerprint {
+			sh.Templates = append(sh.Templates[:i], sh.Templates[i+1:]...)
+			sh.Open = nil // its open-session entries have no row either
+			break
+		}
+	}
+	if err := serial(Config{}).Restore(orphan); err == nil || !strings.Contains(err.Error(), "no row") {
+		t.Errorf("Restore of evidence for a template with no row: err %v", err)
+	}
+}
+
+// TestRestoreRefusesNonSelectSession: the engine only puts accepted SELECTs
+// into sessions, so a snapshot whose open session holds anything else is
+// refused rather than detected, solved and emitted.
+func TestRestoreRefusesNonSelectSession(t *testing.T) {
+	p := serial(Config{})
+	for _, e := range parentFixtureLog()[:parentFixtureCut] {
+		if _, err := p.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := p.Snapshot()
+	if len(snap.Procs[0].Open) == 0 {
+		t.Fatal("no open session to corrupt")
+	}
+	snap.Procs[0].Open[0].Entries[0].Statement = "DROP TABLE x"
+	if err := serial(Config{}).Restore(snap); err == nil || !strings.Contains(err.Error(), "not a SELECT") {
+		t.Fatalf("Restore of a session holding DROP TABLE: err %v", err)
 	}
 }

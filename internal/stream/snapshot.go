@@ -14,13 +14,16 @@ package stream
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"sqlclean/internal/antipattern"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/sketch"
+	"sqlclean/internal/sqlast"
 )
 
 // EntrySnapshot is one raw log entry in serialized form (times as Unix
@@ -72,6 +75,10 @@ type TemplateSnapshot struct {
 	// Kinds are the antipattern kinds attributed to the template so far
 	// (absent in snapshots written before verdict tracking existed).
 	Kinds []string `json:"kinds,omitempty"`
+	// WCs are the distinct WHERE-clause hashes, sorted. Snapshots written
+	// while SWS evidence lived beside the table lack them; Restore rebuilds
+	// them from that evidence and from the open sessions.
+	WCs []uint64 `json:"wcs,omitempty"`
 }
 
 // ShardSnapshot is the full serializable state of one shard. Its
@@ -85,9 +92,9 @@ type ShardSnapshot struct {
 	Open           []SessionSnapshot  `json:"open,omitempty"`
 	Dedup          []DedupSnapshot    `json:"dedup,omitempty"`
 	Templates      []TemplateSnapshot `json:"templates,omitempty"`
-	// Sketches carries the approximate-analytics state (its own versioned
-	// encoding). Absent when the layer is disabled — and in snapshots written
-	// before the layer existed, which restore to fresh sketches.
+	// Sketches carries the distinct-identity HLL (its own versioned
+	// encoding). Snapshots without it, written before the sketch layer
+	// existed or with it switched off, restore a fresh HLL.
 	Sketches *sketch.Snapshot `json:"sketches,omitempty"`
 }
 
@@ -134,55 +141,53 @@ func (sh *shard) Snapshot() ShardSnapshot {
 			kinds = append(kinds, string(k))
 		}
 		sort.Strings(kinds)
+		var wcs []uint64
+		for h := range a.wcs {
+			wcs = append(wcs, h)
+		}
+		slices.Sort(wcs)
 		s.Templates = append(s.Templates, TemplateSnapshot{
-			Fingerprint: fp, Skeleton: a.skeleton, Count: a.count, Users: users, Kinds: kinds,
+			Fingerprint: fp, Skeleton: a.skeleton, Count: a.count, Users: users, Kinds: kinds, WCs: wcs,
 		})
 	}
 	sort.Slice(s.Templates, func(i, j int) bool { return s.Templates[i].Fingerprint < s.Templates[j].Fingerprint })
-	if sh.sk != nil {
-		s.Sketches = sh.sk.Snapshot()
-	}
+	s.Sketches = &sketch.Snapshot{Version: sketch.SnapshotVersion, HLL: sh.hll.Snapshot()}
 	return s
 }
 
 // Restore replaces the shard's state with a snapshot. Open-session entries
 // are re-parsed through the engine's parser (statement texts are the
 // canonical state; parse results are derived and deterministic).
+//
+// A template row's WHERE-clause set is its wcs list plus, from snapshots
+// that kept SWS evidence beside the table, the evidence's hashes (sessions
+// closed before the snapshot) and the open sessions' (the rest). The engine
+// records every accepted SELECT in the table before it adds the entry to a
+// session, so evidence or an open-session entry without a template row is
+// refused, as is an open-session entry that is not a SELECT.
 func (sh *shard) Restore(s ShardSnapshot) error {
 	sh.stats = s.Stats
-	if sh.stats.Antipatterns != nil {
-		// The snapshot owner may reuse the map; copy defensively.
-		m := make(map[antipattern.Kind]int, len(sh.stats.Antipatterns))
-		for k, v := range sh.stats.Antipatterns {
-			m[k] = v
-		}
-		sh.stats.Antipatterns = m
+	// The snapshot owner may reuse the map, so copy it; an empty one stays
+	// nil, as a JSON round trip leaves it.
+	sh.stats.Antipatterns = nil
+	if len(s.Stats.Antipatterns) > 0 {
+		sh.stats.Antipatterns = maps.Clone(s.Stats.Antipatterns)
 	}
 	sh.watermark = time.Time{}
 	if s.WatermarkValid {
 		sh.watermark = time.Unix(0, s.WatermarkNS).UTC()
 	}
-	sh.open = make(map[string]*openSession, len(s.Open))
-	for _, ss := range s.Open {
-		if len(ss.Entries) == 0 {
-			return fmt.Errorf("stream: snapshot session for %q has no entries", ss.User)
-		}
-		os := &openSession{user: ss.User, label: ss.Label, last: time.Unix(0, ss.LastNS).UTC()}
-		for _, es := range ss.Entries {
-			os.entries = append(os.entries, sh.cfg.Parser.ParseEntry(es.entry()))
-		}
-		sh.open[ss.User] = os
-	}
-	sh.lastSeen = make(map[dupKey]time.Time, len(s.Dedup))
-	for _, d := range s.Dedup {
-		sh.lastSeen[dupKey{user: d.User, stmt: d.Statement}] = time.Unix(0, d.LastNS).UTC()
-	}
-	sh.dedupPruned = len(sh.lastSeen)
 	sh.templateAgg = make(map[uint64]*templateAgg, len(s.Templates))
 	for _, t := range s.Templates {
-		a := &templateAgg{skeleton: t.Skeleton, count: t.Count, users: make(map[string]struct{}, len(t.Users))}
+		a := &templateAgg{
+			skeleton: t.Skeleton, count: t.Count,
+			users: make(map[string]struct{}, len(t.Users)), wcs: make(map[uint64]struct{}, len(t.WCs)),
+		}
 		for _, u := range t.Users {
 			a.users[u] = struct{}{}
+		}
+		for _, h := range t.WCs {
+			a.wcs[h] = struct{}{}
 		}
 		if len(t.Kinds) > 0 {
 			a.kinds = make(map[antipattern.Kind]struct{}, len(t.Kinds))
@@ -192,19 +197,53 @@ func (sh *shard) Restore(s ShardSnapshot) error {
 		}
 		sh.templateAgg[t.Fingerprint] = a
 	}
-	switch {
-	case sh.sk == nil:
-		// Sketches disabled in this engine's config: ignore any snapshot
-		// state, the layer stays off.
-	case s.Sketches != nil:
-		sk, err := sketch.Restore(s.Sketches)
+	sh.hll = sketch.NewHLL(sketch.DefaultPrecision)
+	if s.Sketches != nil {
+		hll, err := sketch.Restore(s.Sketches)
 		if err != nil {
 			return err
 		}
-		sh.sk = sk
-	default:
-		// Pre-sketch snapshot: start the layer fresh from here on.
-		sh.sk = sketch.New(sh.cfg.Sketches)
+		sh.hll = hll
+		for _, ev := range s.Sketches.SWS.Evidence() {
+			if err := sh.foldWheres(ev.Fingerprint, ev.WCs...); err != nil {
+				return err
+			}
+		}
+	}
+	sh.open = make(map[string]*openSession, len(s.Open))
+	for _, ss := range s.Open {
+		if len(ss.Entries) == 0 {
+			return fmt.Errorf("stream: snapshot session for %q has no entries", ss.User)
+		}
+		os := &openSession{user: ss.User, label: ss.Label, last: time.Unix(0, ss.LastNS).UTC()}
+		for _, es := range ss.Entries {
+			pe := sh.cfg.Parser.ParseEntry(es.entry())
+			if pe.Class != sqlast.ClassSelect || pe.Info == nil {
+				return fmt.Errorf("stream: snapshot session for %q holds %q, which is not a SELECT", ss.User, es.Statement)
+			}
+			if err := sh.foldWheres(pe.Info.Fingerprint, pe.Info.WCHash); err != nil {
+				return err
+			}
+			os.entries = append(os.entries, pe)
+		}
+		sh.open[ss.User] = os
+	}
+	sh.lastSeen = make(map[dupKey]time.Time, len(s.Dedup))
+	for _, d := range s.Dedup {
+		sh.lastSeen[dupKey{user: d.User, stmt: d.Statement}] = time.Unix(0, d.LastNS).UTC()
+	}
+	sh.dedupPruned = len(sh.lastSeen)
+	return nil
+}
+
+// foldWheres adds restored WHERE-clause hashes to a template's row.
+func (sh *shard) foldWheres(fp uint64, hashes ...uint64) error {
+	a := sh.templateAgg[fp]
+	if a == nil {
+		return fmt.Errorf("stream: snapshot has WHERE clauses for template %d, which has no row", fp)
+	}
+	for _, h := range hashes {
+		a.wcs[h] = struct{}{}
 	}
 	return nil
 }
@@ -255,13 +294,20 @@ func (s *Sharded) Restore(snap ShardedSnapshot) error {
 		return fmt.Errorf("stream: snapshot carries %d shard states for %d shards", len(snap.Procs), snap.Shards)
 	}
 	var open int64
+	var precision int
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		err := sh.Restore(snap.Procs[i])
-		n := len(sh.open)
+		n, p := len(sh.open), sh.hll.Precision()
 		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("stream: restore shard %d: %w", i, err)
+		}
+		if i == 0 {
+			precision = p
+		} else if p != precision {
+			// Sketches merges the shards' HLLs, which needs one precision.
+			return fmt.Errorf("stream: restore shard %d: HLL precision %d, shard 0 has %d", i, p, precision)
 		}
 		open += int64(n)
 	}

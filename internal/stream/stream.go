@@ -16,17 +16,17 @@
 //   - the dedup window, pruned to the (user, statement) slots a future entry
 //     can still duplicate;
 //   - the template table: one aggregate per template, with its exact
-//     frequency and the set of its users;
-//   - the sketches: the HLL bounded by its precision, the SWS evidence one
-//     summary per template;
+//     frequency, the set of its users and the set of its distinct WHERE
+//     clauses — the three statistics SWS classification reads;
+//   - the distinct-identity HLL, bounded by its precision;
 //   - the parse cache, which keeps a small summary of every distinct
 //     statement text for the parser's lifetime. On a log of mostly distinct
 //     statements it is the largest part.
 //
 // Input must be time-ordered. Output is emitted session by session, in
 // session-close order. Template statistics accumulate across the whole
-// stream. SWS classification needs global statistics and is therefore
-// reported at Close time only.
+// stream, open sessions included, so SWS classification over them equals
+// the batch pipeline's once the stream has drained.
 package stream
 
 import (
@@ -77,10 +77,6 @@ type Config struct {
 	// stream_sessions_emitted_total, stream_rejected_future_skew_total, and
 	// a session-length histogram. Nil keeps the zero-overhead path.
 	Metrics *obs.Registry
-	// Sketches switches the sketch layer (the distinct-identity HLL and the
-	// SWS evidence: one summary per template). The zero value enables it;
-	// set Sketches.Disabled to opt out.
-	Sketches sketch.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -161,8 +157,8 @@ type shard struct {
 	// accumulated across the whole stream.
 	templateAgg map[uint64]*templateAgg
 
-	// sk holds the approximate-analytics sketches; nil when disabled.
-	sk *sketch.Sketches
+	// hll counts the distinct users of every in-order entry.
+	hll *sketch.HLL
 
 	stats Stats
 	met   streamMetrics
@@ -194,6 +190,9 @@ type templateAgg struct {
 	skeleton string
 	count    int
 	users    map[string]struct{}
+	// wcs holds the distinct WHERE-clause hashes (skeleton.Info.WCHash) of
+	// the occurrences, the batch miner's DistinctWhere.
+	wcs map[uint64]struct{}
 	// kinds are the antipattern kinds ever attributed to this template by a
 	// detected instance (nil until the first attribution). This is the
 	// long-horizon verdict the retention store stamps into compacted blocks.
@@ -218,7 +217,7 @@ func newShard(cfg Config, met streamMetrics) *shard {
 		open:        map[string]*openSession{},
 		lastSeen:    map[dupKey]time.Time{},
 		templateAgg: map[uint64]*templateAgg{},
-		sk:          sketch.New(cfg.Sketches),
+		hll:         sketch.NewHLL(sketch.DefaultPrecision),
 		met:         met,
 	}
 }
@@ -236,12 +235,10 @@ func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
 	if e.Time.After(sh.watermark) {
 		sh.watermark = e.Time
 	}
-	if sh.sk != nil {
-		// Distinct identities count every in-order entry's user, SELECT or
-		// not — the sketch answers "how many identities touched the service",
-		// not "how many queried templates".
-		sh.sk.HLL.AddString(e.User)
-	}
+	// Distinct identities count every in-order entry's user, SELECT or not:
+	// the HLL answers "how many identities touched the service", not "how
+	// many queried templates".
+	sh.hll.AddString(e.User)
 
 	var out logmodel.Log
 
@@ -370,14 +367,6 @@ func sortByTime(l logmodel.Log) {
 
 // closeSession runs detection and solving over one finished session.
 func (sh *shard) closeSession(os *openSession) logmodel.Log {
-	if sh.sk != nil {
-		// Every accepted SELECT lives in exactly one session and every close
-		// path funnels through here, so the SWS accumulator sees each entry
-		// exactly once.
-		for _, pe := range os.entries {
-			sh.sk.SWS.Observe(pe.Info.Fingerprint, pe.User, pe.Info.WCHash)
-		}
-	}
 	sh.stats.SessionsEmitted++
 	sh.met.emitted.Inc()
 	sh.met.sessionLen.Observe(int64(len(os.entries)))
@@ -420,9 +409,10 @@ func (sh *shard) recordTemplate(pe parsedlog.Entry) {
 	fp := pe.Info.Fingerprint
 	a, ok := sh.templateAgg[fp]
 	if !ok {
-		a = &templateAgg{skeleton: pe.Info.SkeletonText(), users: map[string]struct{}{}}
+		a = &templateAgg{skeleton: pe.Info.SkeletonText(), users: map[string]struct{}{}, wcs: map[uint64]struct{}{}}
 		sh.templateAgg[fp] = a
 	}
 	a.count++
 	a.users[pe.User] = struct{}{}
+	a.wcs[pe.Info.WCHash] = struct{}{}
 }

@@ -45,7 +45,6 @@ import (
 	"sqlclean/internal/schema"
 	"sqlclean/internal/session"
 	"sqlclean/internal/skeleton"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/sqlast"
 	"sqlclean/internal/stream"
 	"sqlclean/internal/traffic"
@@ -293,11 +292,6 @@ func ServeDebug(addr string, m *Metrics) (string, *http.Server, error) {
 // StreamConfig configures the bounded-memory streaming pipeline.
 type StreamConfig = stream.Config
 
-// SketchConfig switches the streaming sketch layer (the
-// StreamConfig.Sketches field): the HLL distinct-identity counter and the
-// per-template SWS evidence.
-type SketchConfig = sketch.Config
-
 // StreamStats are the streaming pipeline's counters.
 type StreamStats = stream.Stats
 
@@ -306,38 +300,34 @@ type StreamStats = stream.Stats
 func ScanLogTSV(r io.Reader, fn func(Entry) error) error { return logmodel.ScanTSV(r, fn) }
 
 // StreamSketchJSON is the sketch block of the streaming -json export: the
-// analytics the sketches accumulate alongside the exact counters and the
-// template table. Present only when the engine runs with sketches enabled.
+// HLL distinct-identity estimate, and the SWS counts of the template table.
 type StreamSketchJSON struct {
 	// DistinctUsersEstimate is the HLL distinct-identity estimate.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
-	// SWSTemplates/SWSQueries classify the drained per-template evidence
-	// with the default thresholds — matching the batch pipeline's decision.
+	// SWSTemplates/SWSQueries are the templates the default SWS thresholds
+	// classify in the drained template table and the SELECTs they cover —
+	// the batch pipeline's decision.
 	SWSTemplates int `json:"sws_templates"`
 	SWSQueries   int `json:"sws_queries"`
 }
 
 // WriteStreamJSON writes a streaming run's counters, accumulated template
-// statistics and sketch analytics as indented JSON — the batch -json
-// export's streaming counterpart, using the same JSON names as the daemon's
+// statistics and sketch block as indented JSON — the batch -json export's
+// streaming counterpart, using the same JSON names as the daemon's
 // GET /report payload.
 func WriteStreamJSON(w io.Writer, s *ShardedStream) error {
 	doc := struct {
 		Stream    StreamStats         `json:"stream"`
 		Templates []core.TemplateJSON `json:"templates"`
-		Sketches  *StreamSketchJSON   `json:"sketches,omitempty"`
+		Sketches  StreamSketchJSON    `json:"sketches"`
 	}{Stream: s.Stats()}
-	var sws map[uint64]bool
-	if sk := s.Sketches(); sk != nil {
-		var swsQueries int
-		sws, swsQueries = sk.SWS.Classify(doc.Stream.Selects, pattern.DefaultSWSOptions())
-		doc.Sketches = &StreamSketchJSON{
-			DistinctUsersEstimate: sk.HLL.Count(),
-			SWSTemplates:          len(sws),
-			SWSQueries:            swsQueries,
+	templates := s.Templates()
+	sws := pattern.ClassifySWS(templates, doc.Stream.Selects, pattern.DefaultSWSOptions())
+	doc.Sketches = StreamSketchJSON{DistinctUsersEstimate: s.Sketches().Count(), SWSTemplates: len(sws)}
+	for _, t := range templates {
+		if sws[t.Fingerprint] {
+			doc.Sketches.SWSQueries += t.Frequency
 		}
-	}
-	for _, t := range s.Templates() {
 		doc.Templates = append(doc.Templates, core.TemplateJSON{
 			Fingerprint:    t.Fingerprint,
 			Skeleton:       t.Skeleton,
