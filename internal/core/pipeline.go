@@ -435,7 +435,14 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 		solvers = append(solvers, cfg.ExtraSolvers...)
 		rres := rewrite.Apply(res.Parsed, res.Instances, solvers)
 		res.Clean = rres.Clean
-		res.Removal = rres.Removal
+		// The removal log (§6.9) drops every instance member, solvable or
+		// not: the entries the detect stage left unmarked.
+		res.Removal = make(logmodel.Log, 0, len(res.Parsed)-queriesInAnti)
+		for i, pe := range res.Parsed {
+			if !inAnti[i] {
+				res.Removal = append(res.Removal, pe.Entry)
+			}
+		}
 		res.Report.SolveStats = rres.Stats
 		res.Replacements = rres.Replacements
 		res.Report.SolvePasses = 1

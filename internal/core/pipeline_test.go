@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -353,6 +354,43 @@ func TestSolveToFixpoint(t *testing.T) {
 	}
 	if len(res.Clean) > len(res1.Clean) {
 		t.Errorf("fixpoint %d > single pass %d", len(res.Clean), len(res1.Clean))
+	}
+}
+
+// TestRemovalDropsEveryInstanceMember pins the removal log (§6.9): the
+// pre-clean log, in order, without any member of any detected instance,
+// solvable or not. Extra solve passes rewrite only the clean log.
+func TestRemovalDropsEveryInstanceMember(t *testing.T) {
+	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.3))
+	for _, fixpoint := range []bool{false, true} {
+		res, err := Run(log, Config{SolveToFixpoint: fixpoint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		member := make([]bool, len(res.Parsed))
+		kinds := map[antipattern.Kind]bool{}
+		for _, in := range res.Instances {
+			kinds[in.Kind] = true
+			for _, idx := range in.Indices {
+				member[idx] = true
+			}
+		}
+		if !kinds[antipattern.CTH] || !kinds[antipattern.DWStifle] {
+			t.Fatalf("fixpoint %v: want CTH and DW-Stifle instances, got kinds %v", fixpoint, kinds)
+		}
+		var want logmodel.Log
+		for i, pe := range res.Parsed {
+			if !member[i] {
+				want = append(want, pe.Entry)
+			}
+		}
+		if !reflect.DeepEqual(res.Removal, want) {
+			t.Fatalf("fixpoint %v: removal has %d entries, want the %d non-members", fixpoint, len(res.Removal), len(want))
+		}
+		if len(want) != len(res.Parsed)-res.Report.QueriesInAntipattern {
+			t.Fatalf("fixpoint %v: %d non-members, report counts %d of %d in antipatterns",
+				fixpoint, len(want), res.Report.QueriesInAntipattern, len(res.Parsed))
+		}
 	}
 }
 

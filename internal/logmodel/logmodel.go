@@ -8,6 +8,7 @@ package logmodel
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -204,30 +205,38 @@ func appendEscaped(b []byte, s string) []byte {
 	return append(b, s[start:]...)
 }
 
-func unescape(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' || i+1 >= len(s) {
-			b.WriteByte(s[i])
+// unescape returns a field with appendEscaped's escapes undone, as a new
+// string. A field without a backslash, nearly every one, is copied in one
+// piece. An unknown escape or a lone trailing backslash is kept as written.
+func unescape(b []byte) string {
+	i := bytes.IndexByte(b, '\\')
+	if i < 0 {
+		return string(b)
+	}
+	var sb strings.Builder
+	sb.Grow(len(b))
+	sb.Write(b[:i])
+	for ; i < len(b); i++ {
+		if b[i] != '\\' || i+1 >= len(b) {
+			sb.WriteByte(b[i])
 			continue
 		}
 		i++
-		switch s[i] {
+		switch b[i] {
 		case 't':
-			b.WriteByte('\t')
+			sb.WriteByte('\t')
 		case 'n':
-			b.WriteByte('\n')
+			sb.WriteByte('\n')
 		case 'r':
-			b.WriteByte('\r')
+			sb.WriteByte('\r')
 		case '\\':
-			b.WriteByte('\\')
+			sb.WriteByte('\\')
 		default:
-			b.WriteByte('\\')
-			b.WriteByte(s[i])
+			sb.WriteByte('\\')
+			sb.WriteByte(b[i])
 		}
 	}
-	return b.String()
+	return sb.String()
 }
 
 // WriteTSV writes the log as tab-separated lines:
@@ -290,8 +299,8 @@ func ScanTSVLines(r io.Reader, fn func(line int, e Entry) error) error {
 	seq := int64(0)
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if line == "" {
+		line := sc.Bytes()
+		if len(line) == 0 {
 			continue
 		}
 		e, err := parseTSVLine(line)
@@ -307,29 +316,86 @@ func ScanTSVLines(r io.Reader, fn func(line int, e Entry) error) error {
 	return sc.Err()
 }
 
-func parseTSVLine(line string) (Entry, error) {
-	parts := strings.SplitN(line, "\t", 5)
-	if len(parts) != 5 {
-		return Entry{}, fmt.Errorf("expected 5 tab-separated fields, got %d", len(parts))
+// parseTSVLine decodes one line in place: the scanner's buffer is cut into
+// the five fields, and only the three text fields are copied out.
+func parseTSVLine(line []byte) (Entry, error) {
+	var f [5][]byte
+	n := 0
+	for ; n < 4; n++ {
+		i := bytes.IndexByte(line, '\t')
+		if i < 0 {
+			break
+		}
+		f[n], line = line[:i], line[i+1:]
 	}
-	t, err := time.Parse(TimeFormat, parts[0])
+	f[n] = line
+	if n < 4 {
+		return Entry{}, fmt.Errorf("expected 5 tab-separated fields, got %d", n+1)
+	}
+	t, err := parseTime(f[0])
 	if err != nil {
 		return Entry{}, fmt.Errorf("bad timestamp: %v", err)
 	}
-	rows := int64(-1)
-	if parts[3] != "" {
-		rows, err = strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return Entry{}, fmt.Errorf("bad row count: %v", err)
-		}
+	rows, err := parseRows(f[3])
+	if err != nil {
+		return Entry{}, fmt.Errorf("bad row count: %v", err)
 	}
 	return Entry{
 		Time:      t,
-		User:      unescape(parts[1]),
-		Session:   unescape(parts[2]),
+		User:      unescape(f[1]),
+		Session:   unescape(f[2]),
 		Rows:      rows,
-		Statement: unescape(parts[4]),
+		Statement: unescape(f[4]),
 	}, nil
+}
+
+// parseTime reads a TimeFormat timestamp. When every field is ASCII digits
+// in a range that every month accepts (days 1–28), it builds the time by
+// hand; anything else, such as day 31 or a one-digit hour, goes to
+// time.Parse, so exactly what time.Parse accepts is accepted, with its
+// result and its error.
+func parseTime(b []byte) (time.Time, error) {
+	if len(b) == len(TimeFormat) && b[4] == '-' && b[7] == '-' && b[10] == 'T' && b[13] == ':' && b[16] == ':' && b[19] == '.' {
+		year, ok0 := digits(b[0:4])
+		month, ok1 := digits(b[5:7])
+		day, ok2 := digits(b[8:10])
+		hour, ok3 := digits(b[11:13])
+		minute, ok4 := digits(b[14:16])
+		sec, ok5 := digits(b[17:19])
+		ms, ok6 := digits(b[20:23])
+		if ok0 && ok1 && ok2 && ok3 && ok4 && ok5 && ok6 &&
+			month >= 1 && month <= 12 && day >= 1 && day <= 28 && hour < 24 && minute < 60 && sec < 60 {
+			return time.Date(int(year), time.Month(month), int(day), int(hour), int(minute), int(sec), int(ms)*int(time.Millisecond), time.UTC), nil
+		}
+	}
+	return time.Parse(TimeFormat, string(b))
+}
+
+// parseRows reads the row-count field: empty is unknown (-1). Up to 18
+// ASCII digits cannot overflow and are read by hand; anything else goes to
+// strconv.ParseInt, for its result and its error.
+func parseRows(b []byte) (int64, error) {
+	if len(b) == 0 {
+		return -1, nil
+	}
+	if len(b) <= 18 {
+		if n, ok := digits(b); ok {
+			return n, nil
+		}
+	}
+	return strconv.ParseInt(string(b), 10, 64)
+}
+
+// digits reads b as an unsigned decimal number; ok is false unless every
+// byte is an ASCII digit. The caller bounds len(b) so the value fits.
+func digits(b []byte) (n int64, ok bool) {
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	return n, true
 }
 
 // ReadTSV reads a log previously written by WriteTSV. Seq numbers are

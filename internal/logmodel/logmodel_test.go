@@ -158,10 +158,10 @@ func TestClone(t *testing.T) {
 
 func TestUnescapeOddTrailingBackslash(t *testing.T) {
 	// A lone trailing backslash must survive.
-	if got := unescape(`abc\`); got != `abc\` {
+	if got := unescape([]byte(`abc\`)); got != `abc\` {
 		t.Errorf("got %q", got)
 	}
-	if got := unescape(`a\x`); got != `a\x` {
+	if got := unescape([]byte(`a\x`)); got != `a\x` {
 		t.Errorf("unknown escape: got %q", got)
 	}
 }

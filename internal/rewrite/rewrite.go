@@ -54,10 +54,6 @@ type Replacement struct {
 type Result struct {
 	// Clean is the log with solvable antipattern instances rewritten.
 	Clean logmodel.Log
-	// Removal is the log with every antipattern instance's queries removed
-	// entirely (including unsolvable kinds such as CTH) — the "removal"
-	// variant of the paper's §6.9 experiment.
-	Removal logmodel.Log
 	// Stats aggregates per kind, ordered by kind name as produced.
 	Stats []Stats
 	// Replacements lists every solved instance in clean-log order.
@@ -93,7 +89,7 @@ func Apply(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver)
 	}
 	replaceAt := map[int]replacement{} // first index -> replacement
 	drop := make([]bool, len(pl))      // true: entry consumed by a solved instance
-	inAnti := make([]bool, len(pl))    // member of any antipattern instance
+	dropped := 0
 	statsByKind := map[antipattern.Kind]*Stats{}
 	var kindOrder []antipattern.Kind
 
@@ -108,9 +104,6 @@ func Apply(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver)
 	}
 
 	for _, inst := range instances {
-		for _, idx := range inst.Indices {
-			inAnti[idx] = true
-		}
 		if !inst.Solvable {
 			continue
 		}
@@ -142,11 +135,14 @@ func Apply(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver)
 		rows := sumRows(pl, inst.Indices)
 		replaceAt[inst.Indices[0]] = replacement{stmt: stmt, rows: rows, kind: inst.Kind, replaced: len(inst.Indices)}
 		for _, idx := range inst.Indices[1:] {
-			drop[idx] = true
+			if !drop[idx] {
+				drop[idx] = true
+				dropped++
+			}
 		}
 	}
 
-	res := Result{}
+	res := Result{Clean: make(logmodel.Log, 0, len(pl)-dropped)}
 	for i, e := range pl {
 		if r, ok := replaceAt[i]; ok {
 			ne := e.Entry
@@ -165,11 +161,6 @@ func Apply(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver)
 			continue
 		}
 		res.Clean = append(res.Clean, e.Entry)
-	}
-	for i, e := range pl {
-		if !inAnti[i] {
-			res.Removal = append(res.Removal, e.Entry)
-		}
 	}
 	for _, k := range kindOrder {
 		res.Stats = append(res.Stats, *statsByKind[k])

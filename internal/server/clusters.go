@@ -45,11 +45,12 @@ func newBoxRegistry(maxBoxes int) *boxRegistry {
 }
 
 // observe folds one cleaned batch into the registry. Statements were just
-// parsed by the engine, so the shared parser resolves them from cache.
+// parsed by the engine, so the shared parser resolves each from cache.
 func (s *Server) observeBoxes(l logmodel.Log) {
-	parsed, _ := s.cfg.Stream.Parser.ParseParallelSpan(l, 1, nil)
+	p := s.cfg.Stream.Parser
 	r := s.boxes
-	for _, pe := range parsed {
+	for _, e := range l {
+		pe := p.ParseEntry(e)
 		if pe.Info == nil {
 			continue
 		}

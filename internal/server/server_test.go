@@ -232,21 +232,29 @@ func TestIngestBackpressure(t *testing.T) {
 		return fmt.Sprintf(`{"time":%q,"user":"u","statement":"SELECT %s FROM Employees WHERE id = %d"}`+"\n",
 			ts.UTC().Format(time.RFC3339), cols[i%2], i)
 	}
+	// waitDrained waits until the drainer has taken every queued entry.
+	waitDrained := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.qDepth.Value() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("drainer never picked up %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	// Entry 0 opens a session; entry 1 (next session, 2×gap later so even
 	// lateness-slack eviction fires) forces the drainer into the gated Emit.
 	// With the drainer wedged, entry 2 occupies the single queue slot and
-	// entry 3 must bounce.
+	// entry 3 must bounce. The queue holds one batch, so entry 1 is only
+	// sent once entry 0 has left it: until then a 429 for entry 1 would be
+	// correct.
 	postIngest(t, ts.URL, bytes.NewBufferString(line(0, base)))
+	waitDrained("the session-opening entry")
 	postIngest(t, ts.URL, bytes.NewBufferString(line(1, base.Add(3*time.Minute))))
 
 	// Wait until the drainer is actually blocked in Emit (queue drained).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.qDepth.Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drainer never picked up the session-closing entry")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDrained("the session-closing entry")
 
 	postIngest(t, ts.URL, bytes.NewBufferString(line(2, base.Add(3*time.Minute+time.Second))))
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -347,17 +348,121 @@ func TestOneShardSweepClosesNothing(t *testing.T) {
 	}
 }
 
+// TestEvictionBoundHolds checks the shards' eviction bound (minLast) under
+// what can move it: per-user entries that step back in time by less than
+// the gap, cross-shard sweeps, direct Advance calls to earlier and later
+// times, and a restore of an earlier snapshot into the running engine. After
+// every call no open session may be more than a gap behind its shard's
+// watermark, and a set bound must not exceed any open session's last
+// activity. The run after the restore must emit what the first pass emitted
+// from the same point.
+func TestEvictionBoundHolds(t *testing.T) {
+	const gap = 5 * time.Minute
+	type op struct {
+		e       logmodel.Entry
+		advance int           // 1 + shard to Advance, or 0 for an Add
+		offset  time.Duration // Advance to the global watermark plus offset
+	}
+	rng := rand.New(rand.NewSource(21))
+	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
+	clock := base
+	var ops []op
+	for i := 0; i < 4000; i++ {
+		if rng.Intn(10) == 0 {
+			ops = append(ops, op{advance: 1 + rng.Intn(4), offset: time.Duration(rng.Int63n(int64(2*gap))) - gap})
+			continue
+		}
+		if rng.Intn(50) == 0 {
+			clock = clock.Add(gap + time.Duration(rng.Int63n(int64(gap))))
+		} else {
+			clock = clock.Add(time.Duration(rng.Int63n(int64(4 * time.Second))))
+		}
+		back := time.Duration(rng.Int63n(int64(gap * 9 / 10)))
+		ops = append(ops, op{e: logmodel.Entry{
+			Seq:       int64(i),
+			Time:      clock.Add(-back),
+			User:      fmt.Sprintf("10.0.0.%d", rng.Intn(40)),
+			Rows:      1,
+			Statement: fmt.Sprintf("SELECT %s FROM Employees WHERE id = %d", []string{"name", "age"}[rng.Intn(2)], rng.Intn(30)),
+		}})
+	}
+
+	check := func(eng *Sharded, when string) {
+		t.Helper()
+		for i, sh := range eng.shards {
+			sh.mu.Lock()
+			for _, os := range sh.open {
+				if sh.watermark.Sub(os.last) > gap {
+					t.Fatalf("%s: shard %d keeps %s's session open, last active %v, %v behind the watermark",
+						when, i, os.user, os.last, sh.watermark.Sub(os.last))
+				}
+				if !sh.minLast.IsZero() && os.last.Before(sh.minLast) {
+					t.Fatalf("%s: shard %d bound %v is after %s's last activity %v", when, i, sh.minLast, os.user, os.last)
+				}
+			}
+			sh.mu.Unlock()
+		}
+	}
+	apply := func(eng *Sharded, k int) logmodel.Log {
+		o := ops[k]
+		if o.advance == 0 {
+			out, err := eng.Add(o.e)
+			if err != nil {
+				t.Fatalf("op %d: %v", k, err)
+			}
+			return out
+		}
+		sh := eng.shards[o.advance-1]
+		sh.mu.Lock()
+		before := len(sh.open)
+		out := sh.Advance(eng.Watermark().Add(o.offset))
+		eng.noteOpenDelta(len(sh.open) - before)
+		sh.mu.Unlock()
+		return out
+	}
+
+	cfg := ShardedConfig{Shards: 4, SweepEvery: 7, Config: Config{SessionGap: gap}}
+	eng := NewSharded(cfg)
+	mid, rewind := len(ops)/3, 2*len(ops)/3
+	var snap ShardedSnapshot
+	var firstPass []logmodel.Log
+	for k := 0; k < rewind; k++ {
+		if k == mid {
+			snap = eng.Snapshot()
+		}
+		out := apply(eng, k)
+		if k >= mid {
+			firstPass = append(firstPass, out)
+		}
+		check(eng, fmt.Sprintf("op %d", k))
+	}
+	if eng.OpenSessions() == 0 {
+		t.Fatal("no session open at the rewind: the test exercises nothing")
+	}
+	if err := eng.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check(eng, "restore")
+	for k := mid; k < len(ops); k++ {
+		out := apply(eng, k)
+		if k < rewind && !reflect.DeepEqual(out, firstPass[k-mid]) {
+			t.Fatalf("op %d after the restore emitted %d entries, first pass %d", k, len(out), len(firstPass[k-mid]))
+		}
+		check(eng, fmt.Sprintf("op %d after the restore", k))
+	}
+}
+
 // TestAddShardAllocsPerEntry pins the engine's allocations per entry: one
 // lap of the scale-1 generator log through AddShard at 8 shards, with the
 // parser warmed by a first lap on another engine that shares it, so no
 // parse is counted. The bound sits just above what the engine allocated
-// when the pin was last lowered: 35,112–35,114 allocations per lap of 8,149
-// entries, 4.309 per entry.
+// when the pin was last lowered: 27,844 allocations per lap of 8,149
+// entries, 3.417 per entry.
 func TestAddShardAllocsPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const maxPerEntry = 4.315
+	const maxPerEntry = 3.42
 	log, _ := workload.Generate(workload.DefaultConfig())
 	log.SortStable()
 	parser := parsedlog.NewParser()

@@ -211,6 +211,7 @@ func (sh *shard) Restore(s ShardSnapshot) error {
 		}
 	}
 	sh.open = make(map[string]*openSession, len(s.Open))
+	sh.minLast = time.Time{}
 	for _, ss := range s.Open {
 		if len(ss.Entries) == 0 {
 			return fmt.Errorf("stream: snapshot session for %q has no entries", ss.User)

@@ -30,7 +30,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -145,6 +147,13 @@ type shard struct {
 
 	// open holds each user's current session.
 	open map[string]*openSession
+	// minLast is a lower bound on the open sessions' last activity, so an
+	// eviction pass that cannot close anything returns without a scan. The
+	// zero time means "unknown": the next pass scans and sets it.
+	minLast time.Time
+	// spares are cleared entry buffers of closed sessions, handed to the
+	// next new sessions (at most maxSpares, each of capacity ≤ maxSpareCap).
+	spares []parsedlog.Log
 	// lastSeen tracks (user, statement) → last time, for dedup. Slots past
 	// the dedup horizon are pruned whenever the map has doubled since the
 	// last prune, which left dedupPruned slots.
@@ -263,17 +272,20 @@ func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
 				gap := e.Time.Sub(os.last) > sh.cfg.SessionGap
 				labelChange := e.Session != "" && os.label != "" && e.Session != os.label
 				if gap || labelChange {
-					out = append(out, sh.closeSession(os)...)
+					out = appendOut(out, sh.closeSession(os))
 					delete(sh.open, e.User)
 					os = nil
 				}
 			}
 			if os == nil {
-				os = &openSession{user: e.User, label: e.Session}
+				os = &openSession{user: e.User, label: e.Session, entries: sh.spare()}
 				sh.open[e.User] = os
 			}
 			os.entries = append(os.entries, pe)
 			os.last = e.Time
+			if !sh.minLast.IsZero() && e.Time.Before(sh.minLast) {
+				sh.minLast = e.Time
+			}
 			if e.Session != "" {
 				os.label = e.Session
 			}
@@ -282,9 +294,51 @@ func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
 
 	// Watermark eviction: every user silent for longer than the gap can be
 	// closed — no future in-order entry can extend those sessions.
-	out = append(out, sh.evictBefore(sh.watermark)...)
+	out = appendOut(out, sh.evictBefore(sh.watermark))
 	sortByTime(out)
 	return out, nil
+}
+
+// appendOut appends more to out, without a copy while out is empty: a
+// closed session's clean log is its own fresh slice.
+func appendOut(out, more logmodel.Log) logmodel.Log {
+	if len(out) == 0 {
+		return more
+	}
+	return append(out, more...)
+}
+
+// Spare entry buffers: sessions are short, so a closed session's buffer,
+// cleared, serves the shard's next new session instead of growing a fresh
+// one by doubling. The bounds keep the list under 64 KB per shard.
+const (
+	maxSpares   = 8
+	maxSpareCap = 64
+)
+
+// spare returns an empty entry buffer for a new session: a spare one if the
+// shard has it, else nil.
+func (sh *shard) spare() parsedlog.Log {
+	n := len(sh.spares)
+	if n == 0 {
+		return nil
+	}
+	b := sh.spares[n-1]
+	sh.spares[n-1] = nil
+	sh.spares = sh.spares[:n-1]
+	return b
+}
+
+// recycle clears a closed session's entry buffer and keeps it as a spare
+// while the list has room and the buffer is small.
+func (sh *shard) recycle(os *openSession) {
+	b := os.entries
+	os.entries = nil
+	if cap(b) == 0 || cap(b) > maxSpareCap || len(sh.spares) >= maxSpares {
+		return
+	}
+	clear(b)
+	sh.spares = append(sh.spares, b[:0])
 }
 
 // minDedupPrune is the dedup-window growth below which pruning is not worth
@@ -314,15 +368,26 @@ func (sh *shard) pruneDedup() {
 }
 
 // evictBefore closes every open session that t proves silent and returns
-// their cleaned entries (unsorted).
+// their cleaned entries (unsorted). While minLast is within a session gap of
+// t no session can be silent long enough, so it returns at once; otherwise
+// it scans every open session and resets minLast to the survivors' least
+// last activity.
 func (sh *shard) evictBefore(t time.Time) logmodel.Log {
+	if !sh.minLast.IsZero() && t.Sub(sh.minLast) <= sh.cfg.SessionGap {
+		return nil
+	}
 	var out logmodel.Log
+	var least time.Time
+	found := false
 	for user, os := range sh.open {
 		if t.Sub(os.last) > sh.cfg.SessionGap {
-			out = append(out, sh.closeSession(os)...)
+			out = appendOut(out, sh.closeSession(os))
 			delete(sh.open, user)
+		} else if !found || os.last.Before(least) {
+			least, found = os.last, true
 		}
 	}
+	sh.minLast = least
 	return out
 }
 
@@ -356,12 +421,17 @@ func (sh *shard) Close() logmodel.Log {
 	return out
 }
 
+// sortByTime orders emitted entries by (Time, Seq), stably and without
+// allocating.
 func sortByTime(l logmodel.Log) {
-	sort.SliceStable(l, func(i, j int) bool {
-		if !l[i].Time.Equal(l[j].Time) {
-			return l[i].Time.Before(l[j].Time)
+	if len(l) < 2 {
+		return
+	}
+	slices.SortStableFunc(l, func(a, b logmodel.Entry) int {
+		if c := a.Time.Compare(b.Time); c != 0 {
+			return c
 		}
-		return l[i].Seq < l[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 }
 
@@ -402,6 +472,8 @@ func (sh *shard) closeSession(os *openSession) logmodel.Log {
 	}
 	sh.stats.Out += len(res.Clean)
 	sh.met.out.Add(int64(len(res.Clean)))
+	// The clean log holds copies of the entries, so the buffer is free.
+	sh.recycle(os)
 	return res.Clean
 }
 
