@@ -7,6 +7,8 @@
 package antipattern
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sqlclean/internal/obs"
@@ -71,11 +73,6 @@ type Options struct {
 	RequireKeyColumn bool
 }
 
-// DefaultOptions returns the paper-faithful settings.
-func DefaultOptions() Options {
-	return Options{MinRun: 2, RequireKeyColumn: true}
-}
-
 func (o Options) withDefaults() Options {
 	if o.MinRun < 2 {
 		o.MinRun = 2
@@ -105,24 +102,27 @@ func DefaultRegistry(cat *schema.Catalog, opt Options) *Registry {
 // Register appends a rule (the §5.4 extension hook).
 func (r *Registry) Register(rule Rule) { r.rules = append(r.rules, rule) }
 
-// Rules returns the registered rules.
-func (r *Registry) Rules() []Rule { return r.rules }
-
-// Detect runs every rule over every session and returns all instances,
-// ordered by the position of their first member query (the paper's "solving
-// starts with the antipattern which appears in the log first", §5.5).
+// Detect runs every rule over every session on the calling goroutine and
+// returns all instances, ordered by the position of their first member query
+// (the paper's "solving starts with the antipattern which appears in the log
+// first", §5.5).
 func (r *Registry) Detect(pl parsedlog.Log, sessions []session.Session) []Instance {
-	return r.DetectParallel(pl, sessions, 1)
+	var out []Instance
+	for _, sess := range sessions {
+		out = r.detectSession(out, pl, sess)
+	}
+	sortByFirstIndex(out)
+	return out
 }
 
 // DetectParallel is Detect fanned out over up to `workers` goroutines
-// (0 selects GOMAXPROCS, 1 is the serial path). Sessions are independent
+// (0 selects GOMAXPROCS, 1 runs serially). Sessions are independent
 // detection units — Definition 8 scopes every pattern instance to a single
 // session — so each session's rule scan runs on whichever worker is free,
 // and the per-session results are merged back in session order before the
-// same stable sort Detect applies. The output is therefore identical to the
-// serial result. Rules must be safe for concurrent use; the built-in rules
-// are stateless and qualify, custom Config.ExtraRules must not mutate shared
+// same stable sort Detect applies. The output is therefore identical to
+// Detect's. Rules must be safe for concurrent use; the built-in rules are
+// stateless and qualify, custom Config.ExtraRules must not mutate shared
 // state during Detect.
 func (r *Registry) DetectParallel(pl parsedlog.Log, sessions []session.Session, workers int) []Instance {
 	return r.DetectParallelSpan(pl, sessions, workers, nil)
@@ -132,20 +132,30 @@ func (r *Registry) DetectParallel(pl parsedlog.Log, sessions []session.Session, 
 // to sp (nil sp skips tracing; the result is unchanged either way).
 func (r *Registry) DetectParallelSpan(pl parsedlog.Log, sessions []session.Session, workers int, sp *obs.Span) []Instance {
 	perSession := parallel.MapSpan(sp, workers, sessions, func(_ int, sess session.Session) []Instance {
-		var found []Instance
-		for _, rule := range r.rules {
-			found = append(found, rule.Detect(pl, sess)...)
-		}
-		return found
+		return r.detectSession(nil, pl, sess)
 	})
 	var out []Instance
 	for _, found := range perSession {
 		out = append(out, found...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Indices[0] < out[j].Indices[0]
-	})
+	sortByFirstIndex(out)
 	return out
+}
+
+// detectSession appends every rule's instances in one session to out.
+func (r *Registry) detectSession(out []Instance, pl parsedlog.Log, sess session.Session) []Instance {
+	for _, rule := range r.rules {
+		out = append(out, rule.Detect(pl, sess)...)
+	}
+	return out
+}
+
+// sortByFirstIndex orders instances by their first member query, keeping
+// the detection order among instances that start at the same query.
+func sortByFirstIndex(out []Instance) {
+	slices.SortStableFunc(out, func(a, b Instance) int {
+		return cmp.Compare(a.Indices[0], b.Indices[0])
+	})
 }
 
 // Summary aggregates instances per kind.

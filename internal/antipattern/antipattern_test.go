@@ -42,7 +42,7 @@ func buildLog(t *testing.T, user string, stmts ...string) (parsedlog.Log, []sess
 func detect(t *testing.T, stmts ...string) []Instance {
 	t.Helper()
 	pl, sess := buildLog(t, "u", stmts...)
-	reg := DefaultRegistry(demoCatalog(), DefaultOptions())
+	reg := DefaultRegistry(demoCatalog(), Options{MinRun: 2, RequireKeyColumn: true})
 	return reg.Detect(pl, sess)
 }
 
@@ -208,7 +208,7 @@ func TestStifleUsersDoNotMix(t *testing.T) {
 	}
 	pl, _ := parsedlog.Parse(l)
 	sess := session.Build(l, session.Options{})
-	reg := DefaultRegistry(demoCatalog(), DefaultOptions())
+	reg := DefaultRegistry(demoCatalog(), Options{MinRun: 2, RequireKeyColumn: true})
 	if n := len(reg.Detect(pl, sess)); n != 0 {
 		t.Errorf("cross-user stifle: %d instances", n)
 	}
@@ -295,14 +295,14 @@ func TestDetectOrdersByLogPosition(t *testing.T) {
 }
 
 func TestRegistryExtension(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(&SNCRule{})
-	if len(reg.Rules()) != 1 {
-		t.Fatal("rule not registered")
-	}
 	pl, sess := buildLog(t, "u", "SELECT a FROM t WHERE b = NULL")
-	if n := len(reg.Detect(pl, sess)); n != 1 {
-		t.Errorf("custom registry: %d instances", n)
+	reg := NewRegistry()
+	if n := len(reg.Detect(pl, sess)); n != 0 {
+		t.Fatalf("empty registry: %d instances", n)
+	}
+	reg.Register(&SNCRule{})
+	if got := reg.Detect(pl, sess); len(got) != 1 || got[0].Kind != SNC {
+		t.Errorf("custom registry: %+v", got)
 	}
 }
 
@@ -334,10 +334,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MinRun != 2 {
 		t.Errorf("MinRun default: %d", o.MinRun)
 	}
-	d := DefaultOptions()
-	if !d.RequireKeyColumn || d.MinRun != 2 {
-		t.Errorf("defaults: %+v", d)
-	}
 }
 
 func TestDBObjectsBrowsingFormsDSStifle(t *testing.T) {
@@ -347,7 +343,7 @@ func TestDBObjectsBrowsingFormsDSStifle(t *testing.T) {
 		"SELECT text FROM DBObjects WHERE name='photoobjall'",
 		"SELECT description FROM DBObjects WHERE name='photoobjall'",
 	)
-	reg := DefaultRegistry(schema.SkyServer(), DefaultOptions())
+	reg := DefaultRegistry(schema.SkyServer(), Options{MinRun: 2, RequireKeyColumn: true})
 	instances := reg.Detect(pl, sess)
 	if kindsOf(instances)[DSStifle] != 1 {
 		t.Fatalf("instances: %+v", instances)
@@ -361,7 +357,7 @@ func TestStifleRelationPriority(t *testing.T) {
 		"SELECT name FROM Employee WHERE empId = 8",
 		"SELECT name FROM Employee WHERE empId = 8",
 	)
-	reg := DefaultRegistry(demoCatalog(), DefaultOptions())
+	reg := DefaultRegistry(demoCatalog(), Options{MinRun: 2, RequireKeyColumn: true})
 	for _, in := range reg.Detect(pl, sess) {
 		if in.Kind == DWStifle || in.Kind == DSStifle || in.Kind == DFStifle {
 			t.Fatalf("identical statements formed a Stifle: %+v", in)

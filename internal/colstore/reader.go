@@ -225,7 +225,7 @@ func (b *Block) decodeIndex() error {
 	maxNS := d.varint()
 	b.Meta.FirstLSN = d.uvarint()
 	b.Meta.LastLSN = d.uvarint()
-	if d.err != nil {
+	if d.err != nil || n < 0 {
 		return errors.New("bad meta section")
 	}
 	b.Meta.Entries = n
@@ -237,12 +237,14 @@ func (b *Block) decodeIndex() error {
 		return err
 	}
 	d = decoder{buf: dict}
-	nt := int(d.uvarint())
-	if d.err != nil || nt < 0 || nt > n {
+	nt := d.uvarint()
+	// Every template takes at least one byte of the dictionary, so a larger
+	// count is corrupt; refusing it here keeps it from sizing an allocation.
+	if d.err != nil || nt > uint64(n) || nt > uint64(len(dict)) {
 		return errors.New("bad dictionary count")
 	}
 	b.Templates = make([]Template, 0, nt)
-	for i := 0; i < nt; i++ {
+	for range nt {
 		flags := d.byte()
 		t := Template{
 			Skeleton: d.string(),
@@ -260,7 +262,8 @@ func (b *Block) decodeIndex() error {
 		t.Count = int(d.uvarint())
 		t.MinTime = time.Unix(0, d.varint()).UTC()
 		t.MaxTime = time.Unix(0, d.varint()).UTC()
-		if d.err != nil {
+		// Each slot is one byte of the skeleton.
+		if d.err != nil || t.Slots < 0 || t.Slots > len(t.Skeleton) || t.Count < 0 {
 			return errors.New("bad dictionary entry")
 		}
 		b.Templates = append(b.Templates, t)
@@ -317,16 +320,21 @@ func (b *Block) Columns() (timesNS []int64, tids []uint32, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	isec, err := b.section(secTID)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Every entry takes at least one byte in each column, so a larger count
+	// is corrupt; refusing it here keeps it from sizing an allocation.
+	if n := b.Meta.Entries; n > len(tsec) || n > len(isec) {
+		return nil, nil, fmt.Errorf("%w: %d entries overrun the column sections", ErrCorrupt, n)
+	}
 	d := decoder{buf: tsec}
 	timesNS = make([]int64, b.Meta.Entries)
 	prev := int64(0)
 	for i := range timesNS {
 		prev += d.varint()
 		timesNS[i] = prev
-	}
-	isec, err := b.section(secTID)
-	if err != nil {
-		return nil, nil, err
 	}
 	d2 := decoder{buf: isec}
 	tids = make([]uint32, b.Meta.Entries)
@@ -395,6 +403,15 @@ func (b *Block) scan(match []bool, fn func(lsn uint64, e logmodel.Entry) error) 
 		return fmt.Errorf("%w: bad column section", ErrCorrupt)
 	}
 
+	// Every parameter value takes at least one byte, so templates whose
+	// slots × counts overrun the section are corrupt.
+	need := 0
+	for _, t := range b.Templates {
+		if t.Slots > 0 && t.Count > (len(paramSec)-need)/t.Slots {
+			return fmt.Errorf("%w: bad params section", ErrCorrupt)
+		}
+		need += t.Slots * t.Count
+	}
 	// Parameter cursors: values are grouped by (template, slot) in entry
 	// order, so each (template, slot) pair advances independently.
 	dp := decoder{buf: paramSec}
@@ -416,7 +433,7 @@ func (b *Block) scan(match []bool, fn func(lsn uint64, e logmodel.Entry) error) 
 	scratch := make([]string, 0, 8)
 	for i := 0; i < n; i++ {
 		ti := int(tids[i])
-		if ti >= len(b.Templates) ||
+		if ti >= len(b.Templates) || cursors[ti] >= b.Templates[ti].Count ||
 			int(userIDs[i]) >= len(users) || int(sessIDs[i]) >= len(sessions) {
 			return fmt.Errorf("%w: column id out of range", ErrCorrupt)
 		}

@@ -571,17 +571,10 @@ func applySWSMode(clean logmodel.Log, sws map[uint64]bool, mode SWSMode, parser 
 	return out
 }
 
-// IsAntipatternTemplate reports whether the template fingerprint occurs as
-// (part of) any detected antipattern instance — used to mark antipatterns in
-// Fig. 2(a)-style rankings. The instance scan runs once (see
-// AntipatternTemplates); each call after the first is one map lookup.
-func (r *Result) IsAntipatternTemplate(fp uint64) bool {
-	return r.AntipatternTemplates()[fp]
-}
-
 // AntipatternTemplates returns the set of template fingerprints that occur
-// inside antipattern instances. The set is computed on first use and cached
-// on the Result (safe for concurrent callers); treat it as read-only.
+// inside antipattern instances — used to mark antipatterns in Fig. 2(a)-style
+// rankings. The set is computed on first use and cached on the Result (safe
+// for concurrent callers); treat it as read-only.
 func (r *Result) AntipatternTemplates() map[uint64]bool {
 	r.antiTmplOnce.Do(func() {
 		out := make(map[uint64]bool, len(r.Instances))

@@ -118,9 +118,6 @@ func (e *Engine) RegisterFunc(name string, fn TableFunc) {
 	e.funcs[strings.ToLower(name)] = fn
 }
 
-// ResetStats clears the accumulated statistics.
-func (e *Engine) ResetStats() { e.Stats = Stats{} }
-
 // Execute parses and runs one SELECT statement (one round trip).
 func (e *Engine) Execute(sql string) (*ResultSet, error) {
 	sel, err := sqlparser.ParseSelect(sql)

@@ -464,3 +464,29 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		t.Error("DecodeEntry accepted trailing bytes")
 	}
 }
+
+// FuzzDecodeEntry holds the entry codec to a round trip on any payload:
+// whatever DecodeEntry accepts, EncodeEntry re-encodes to bytes that decode
+// to the same entry, and that encoding is its own fixed point.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add(EncodeEntry(nil, logmodel.Entry{Seq: 3, Time: time.Date(2003, 6, 1, 12, 0, 0, 5, time.UTC), User: "10.0.0.1", Session: "s1", Rows: -1, Statement: "SELECT objid FROM PhotoObj WHERE objid = 7"}))
+	f.Add(EncodeEntry(nil, logmodel.Entry{Time: time.Unix(0, 0).UTC()}))
+	f.Add([]byte{0x80})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		e, err := DecodeEntry(payload)
+		if err != nil {
+			return
+		}
+		enc := EncodeEntry(nil, e)
+		again, err := DecodeEntry(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of %+v does not decode: %v", e, err)
+		}
+		if again != e {
+			t.Fatalf("round trip: got %+v want %+v", again, e)
+		}
+		if re := EncodeEntry(nil, again); !bytes.Equal(re, enc) {
+			t.Fatalf("encoding is not a fixed point: %x then %x", enc, re)
+		}
+	})
+}

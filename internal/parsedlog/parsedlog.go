@@ -232,14 +232,6 @@ func (p *Parser) ParseEntry(e logmodel.Entry) Entry {
 	return pe
 }
 
-// Intern returns the cache's canonical string instance for a statement text
-// (inserting a slot if the statement was never seen). Content is always
-// equal to stmt; only the backing allocation is shared.
-func (p *Parser) Intern(stmt string) string {
-	r, _ := p.lookup(stmt)
-	return r.info.Statement
-}
-
 // parseInto fills in a slot: it tokenizes the statement, binds the summary
 // of a SELECT whose shape the table knows, and parses everything else from
 // the tokens, recording the shapes of new SELECTs while the table has room.

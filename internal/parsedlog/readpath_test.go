@@ -59,25 +59,6 @@ func TestParserReadPathHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIntern pins the canonical-instance contract: Intern returns the same
-// backing string for equal content, including for statements that were never
-// parsed, and ParseEntry carries that instance on its entries.
-func TestIntern(t *testing.T) {
-	p := NewParser()
-	a := p.Intern("SELECT a FROM t")
-	b := p.Intern(string([]byte("SELECT a FROM t")))
-	if a != b {
-		t.Fatalf("Intern content mismatch: %q vs %q", a, b)
-	}
-	if unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Fatal("Intern returned two different backing arrays for equal content")
-	}
-	e := p.ParseEntry(logmodel.Entry{Statement: string([]byte("SELECT a FROM t"))})
-	if unsafe.StringData(e.Statement) != unsafe.StringData(a) {
-		t.Fatal("ParseEntry did not return the interned statement instance")
-	}
-}
-
 // TestReadSnapshotPromotion checks that cache slots are stable: after 1000
 // inserts spread over every shard, re-parsing each statement returns the
 // same interned instance and Info as the first pass.

@@ -12,7 +12,6 @@ import (
 	"sqlclean/internal/parallel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/session"
-	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 )
 
@@ -208,14 +207,6 @@ func mergeTmpl(dst, src map[uint64]*tmplAgg) {
 		g.wcs = append(g.wcs, a.wcs...)
 	}
 }
-
-// HashWhere is the hash the template miner applies to concrete WHERE
-// clauses when counting DistinctWhere; parse results carry it precomputed
-// as skeleton.Info.WCHash. It is part of the streaming contract: the
-// stream's template table and its snapshots count WHERE clauses by exactly
-// this hash, or their drain-time DisjointRatio would diverge from the batch
-// pipeline's.
-func HashWhere(wc string) uint64 { return skeleton.HashClause(wc) }
 
 // ---------------------------------------------------------------------------
 // Multi-template sequence patterns

@@ -7,6 +7,7 @@ import (
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/session"
+	"sqlclean/internal/skeleton"
 	"sqlclean/internal/sqlast"
 	"sqlclean/internal/sqlparser"
 	"sqlclean/internal/workload"
@@ -219,9 +220,9 @@ func TestSequencesUserPopularity(t *testing.T) {
 }
 
 // TestWCHashIsHashWhere pins the WHERE-hash contract on parse results:
-// Info.WCHash equals HashWhere of the rendered concrete WHERE clause
-// (identifiers normalized, literals kept) for every SELECT of a generated
-// log, so WHERE hashes stored in existing snapshots stay valid.
+// Info.WCHash equals skeleton.HashClause of the rendered concrete WHERE
+// clause (identifiers normalized, literals kept) for every SELECT of a
+// generated log, so WHERE hashes stored in existing snapshots stay valid.
 func TestWCHashIsHashWhere(t *testing.T) {
 	l, _ := workload.Generate(workload.DefaultConfig().Scale(0.3))
 	pl, _ := parsedlog.Parse(l)
@@ -238,8 +239,8 @@ func TestWCHashIsHashWhere(t *testing.T) {
 		if sel.Where != nil {
 			wc = sqlast.PrintExpr(sel.Where, sqlast.PrintOptions{NormalizeIdents: true})
 		}
-		if got, want := pe.Info.WCHash, HashWhere(wc); got != want {
-			t.Fatalf("%q: WCHash %x, HashWhere(%q) = %x", pe.Statement, got, wc, want)
+		if got, want := pe.Info.WCHash, skeleton.HashClause(wc); got != want {
+			t.Fatalf("%q: WCHash %x, HashClause(%q) = %x", pe.Statement, got, wc, want)
 		}
 		n++
 	}

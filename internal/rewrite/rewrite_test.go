@@ -39,7 +39,7 @@ func parseLog(t *testing.T, stmts ...string) (parsedlog.Log, []antipattern.Insta
 	}
 	pl, _ := parsedlog.Parse(l)
 	sess := session.Build(l, session.Options{})
-	reg := antipattern.DefaultRegistry(demoCatalog(), antipattern.DefaultOptions())
+	reg := antipattern.DefaultRegistry(demoCatalog(), antipattern.Options{MinRun: 2, RequireKeyColumn: true})
 	return pl, reg.Detect(pl, sess)
 }
 
@@ -112,7 +112,7 @@ func TestDWSolveStringValues(t *testing.T) {
 	}
 	pl, _ := parsedlog.Parse(l)
 	sess := session.Build(l, session.Options{})
-	reg := antipattern.DefaultRegistry(cat, antipattern.DefaultOptions())
+	reg := antipattern.DefaultRegistry(cat, antipattern.Options{MinRun: 2, RequireKeyColumn: true})
 	instances := reg.Detect(pl, sess)
 	res := Apply(pl, instances, DefaultSolvers(cat))
 	if len(res.Clean) != 1 {
@@ -291,7 +291,7 @@ func TestApplyRowsUnknownPropagates(t *testing.T) {
 	}
 	pl, _ := parsedlog.Parse(l)
 	sess := session.Build(l, session.Options{})
-	reg := antipattern.DefaultRegistry(demoCatalog(), antipattern.DefaultOptions())
+	reg := antipattern.DefaultRegistry(demoCatalog(), antipattern.Options{MinRun: 2, RequireKeyColumn: true})
 	res := Apply(pl, reg.Detect(pl, sess), DefaultSolvers(demoCatalog()))
 	if len(res.Clean) != 1 || res.Clean[0].Rows != -1 {
 		t.Errorf("rows: %+v", res.Clean)
@@ -312,7 +312,7 @@ func TestDFSolveFailsWithoutSharedKey(t *testing.T) {
 	}
 	pl, _ := parsedlog.Parse(l)
 	sess := session.Build(l, session.Options{})
-	reg := antipattern.DefaultRegistry(cat, antipattern.DefaultOptions())
+	reg := antipattern.DefaultRegistry(cat, antipattern.Options{MinRun: 2, RequireKeyColumn: true})
 	instances := reg.Detect(pl, sess)
 	res := Apply(pl, instances, DefaultSolvers(cat))
 	// The DF instance cannot be solved (no shared key): both queries stay.

@@ -38,17 +38,6 @@ func (t *Table) Column(name string) (Column, bool) {
 	return t.Columns[i], true
 }
 
-// KeyColumns returns the names of this table's key columns.
-func (t *Table) KeyColumns() []string {
-	var out []string
-	for _, c := range t.Columns {
-		if c.Key {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
 // Catalog is a set of tables plus key metadata. The zero value is unusable;
 // construct with New.
 type Catalog struct {

@@ -99,15 +99,6 @@ func TestSharedKey(t *testing.T) {
 	}
 }
 
-func TestKeyColumns(t *testing.T) {
-	c := demo()
-	tbl, _ := c.Table("employee")
-	keys := tbl.KeyColumns()
-	if len(keys) != 1 || keys[0] != "empId" {
-		t.Errorf("keys: %v", keys)
-	}
-}
-
 func TestTableNamesSorted(t *testing.T) {
 	c := demo()
 	names := c.TableNames()

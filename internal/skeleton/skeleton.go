@@ -83,8 +83,13 @@ type Info struct {
 	Fingerprint uint64
 	// SCHash, FCHash and WCHash are HashClause of the concrete clause texts
 	// (identifiers normalized, literals kept) — Definition 3. Their readers
-	// only compare them for equality; WCHash is also the key under which
-	// distinct WHERE clauses are counted (pattern.HashWhere).
+	// only compare them for equality.
+	//
+	// WCHash is also the key under which the batch template miner counts
+	// DistinctWhere. It is part of the streaming contract: the stream's
+	// template table and its snapshots count WHERE clauses by exactly this
+	// hash, HashClause of the rendered WHERE text ("" without one), or their
+	// drain-time DisjointRatio would diverge from the batch pipeline's.
 	SCHash, FCHash, WCHash uint64
 
 	// Predicates are the top-level AND-connected conjuncts of WHERE.
@@ -98,12 +103,6 @@ func (in *Info) CP() int { return len(in.Predicates) }
 
 // HasWhere reports whether the statement has a WHERE clause.
 func (in *Info) HasWhere() bool { return in.SWC != "" }
-
-// TemplateEqual reports whether two statements have equal skeletons
-// (Definition 5: SFC, SWC and SSC all equal).
-func TemplateEqual(a, b *Info) bool {
-	return a.SFC == b.SFC && a.SWC == b.SWC && a.SSC == b.SSC
-}
 
 // HashClause is the 64-bit FNV-1a hash of a clause text, inlined because
 // hash/fnv's interface-based writer escapes to the heap.
@@ -242,10 +241,6 @@ func fingerprint(sfc, swc, ssc string) uint64 {
 	return h.Sum64()
 }
 
-// FingerprintOf returns the template fingerprint for arbitrary clause texts.
-// Exposed for tests and for the loose-matching ablation.
-func FingerprintOf(sfc, swc, ssc string) uint64 { return fingerprint(sfc, swc, ssc) }
-
 func appendSelectList(b *strings.Builder, sel *sqlast.SelectStatement, o sqlast.PrintOptions) {
 	for i, it := range sel.Items {
 		if i > 0 {
@@ -268,11 +263,8 @@ func appendFromList(b *strings.Builder, sel *sqlast.SelectStatement, o sqlast.Pr
 	}
 }
 
-// ExtractPredicates flattens a WHERE expression over AND and summarizes each
-// conjunct. A nil expression yields nil.
-func ExtractPredicates(where sqlast.Expr) []Predicate { return extractPredicates(where, nil) }
-
-// extractPredicates is ExtractPredicates that, given a non-nil from, also
+// extractPredicates flattens a WHERE expression over AND and summarizes each
+// conjunct; a nil expression yields nil. Given a non-nil from, it also
 // appends the node each predicate literal was copied from, in the order the
 // literals appear across the predicates.
 func extractPredicates(where sqlast.Expr, from *[]*sqlast.Literal) []Predicate {

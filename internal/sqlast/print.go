@@ -118,14 +118,6 @@ func PrintExpr(e Expr, o PrintOptions) string {
 	return b.String()
 }
 
-// PrintTableSource renders a single FROM entry under the given options.
-func PrintTableSource(ts TableSource, o PrintOptions) string {
-	var b strings.Builder
-	p := printer{b: &b, o: o}
-	p.tableSource(ts)
-	return b.String()
-}
-
 // AppendExpr renders e into b under the given options, saving the
 // intermediate string PrintExpr would allocate.
 func AppendExpr(b *strings.Builder, e Expr, o PrintOptions) {

@@ -133,19 +133,22 @@ func TestPrintSetOps(t *testing.T) {
 }
 
 func TestPrintTableSourceVariants(t *testing.T) {
+	from := func(ts TableSource) string {
+		return Print(&SelectStatement{Items: []SelectItem{{Expr: &ColumnRef{Name: "x"}}}, From: []TableSource{ts}}, PrintOptions{})
+	}
 	dt := &DerivedTable{
 		Sub:   &SelectStatement{Items: []SelectItem{{Expr: &ColumnRef{Name: "a"}}}, From: []TableSource{&TableRef{Name: "t"}}},
 		Alias: "sub",
 	}
-	if got := PrintTableSource(dt, PrintOptions{}); got != "(SELECT a FROM t) AS sub" {
+	if got := from(dt); got != "SELECT x FROM (SELECT a FROM t) AS sub" {
 		t.Errorf("got %q", got)
 	}
 	fs := &FuncSource{Call: &FuncCall{Schema: "dbo", Name: "f", Args: []Expr{&Literal{Kind: "num", Val: "1"}}}, Alias: "n"}
-	if got := PrintTableSource(fs, PrintOptions{}); got != "dbo.f(1) AS n" {
+	if got := from(fs); got != "SELECT x FROM dbo.f(1) AS n" {
 		t.Errorf("got %q", got)
 	}
 	cj := &Join{Kind: CrossJoin, Left: &TableRef{Name: "a"}, Right: &TableRef{Name: "b"}}
-	if got := PrintTableSource(cj, PrintOptions{}); got != "a CROSS JOIN b" {
+	if got := from(cj); got != "SELECT x FROM a CROSS JOIN b" {
 		t.Errorf("got %q", got)
 	}
 }

@@ -54,6 +54,17 @@ func TestKeywordsAreUppercasedAndIdentsKeepCase(t *testing.T) {
 	if toks[0].Kind != Keyword || toks[1].Kind != Ident {
 		t.Errorf("kind mismatch: %v", toks)
 	}
+	// Every word of the keyword table lexes as a keyword in any case;
+	// column names such as objid stay identifiers.
+	for kw := range keywords {
+		toks, err := Tokenize(strings.ToLower(kw) + " objid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(toks) != 2 || toks[0].Kind != Keyword || toks[0].Val != kw || toks[1].Kind != Ident {
+			t.Errorf("%s: got %v", kw, toks)
+		}
+	}
 }
 
 func TestStringLiteralWithEscapedQuote(t *testing.T) {
@@ -226,18 +237,6 @@ func TestPositionsAreMonotonic(t *testing.T) {
 		if toks[i].Pos <= toks[i-1].Pos {
 			t.Fatalf("positions not monotonic: %v", toks)
 		}
-	}
-}
-
-func TestIsKeyword(t *testing.T) {
-	if !IsKeyword("SELECT") || !IsKeyword("BETWEEN") {
-		t.Error("expected keywords")
-	}
-	if IsKeyword("select") {
-		t.Error("IsKeyword takes upper-case input only")
-	}
-	if IsKeyword("OBJID") {
-		t.Error("objid is not a keyword")
 	}
 }
 

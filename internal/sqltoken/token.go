@@ -84,9 +84,6 @@ var keywords = map[string]bool{
 	"CAST": true, "CONVERT": true,
 }
 
-// IsKeyword reports whether the upper-cased word is reserved.
-func IsKeyword(upper string) bool { return keywords[upper] }
-
 // maxKeywordLen is the longest keyword's length; longer words can never be
 // keywords, so KeywordCanon rejects them without touching the map.
 const maxKeywordLen = 9

@@ -180,65 +180,6 @@ func (t *Table) BuildIndex(column string) error {
 	return nil
 }
 
-// DeleteRows removes the rows at the given positions and rebuilds the
-// table's indexes. Positions refer to the pre-delete row numbering;
-// out-of-range positions are ignored.
-func (t *Table) DeleteRows(positions []int) int {
-	if len(positions) == 0 {
-		return 0
-	}
-	drop := make(map[int]bool, len(positions))
-	for _, p := range positions {
-		if p >= 0 && p < len(t.Rows) {
-			drop[p] = true
-		}
-	}
-	if len(drop) == 0 {
-		return 0
-	}
-	kept := t.Rows[:0]
-	for i, r := range t.Rows {
-		if !drop[i] {
-			kept = append(kept, r)
-		}
-	}
-	t.Rows = kept
-	t.rebuildIndexes()
-	return len(drop)
-}
-
-// UpdateRow overwrites one cell and maintains the column's index.
-func (t *Table) UpdateRow(pos int, column string, v Value) error {
-	ci, ok := t.ColIndex(column)
-	if !ok {
-		return fmt.Errorf("storage: table %s has no column %s", t.Def.Name, column)
-	}
-	if pos < 0 || pos >= len(t.Rows) {
-		return fmt.Errorf("storage: table %s: row %d out of range", t.Def.Name, pos)
-	}
-	col := strings.ToLower(column)
-	if idx, has := t.indexes[col]; has {
-		oldKey := t.Rows[pos][ci].Key()
-		bucket := idx[oldKey]
-		for i, p := range bucket {
-			if p == pos {
-				idx[oldKey] = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		newKey := v.Key()
-		idx[newKey] = append(idx[newKey], pos)
-	}
-	t.Rows[pos][ci] = v
-	return nil
-}
-
-func (t *Table) rebuildIndexes() {
-	for col := range t.indexes {
-		_ = t.BuildIndex(col)
-	}
-}
-
 // Lookup returns the positions of rows whose column equals v, using the hash
 // index if one exists. ok is false when no index covers the column.
 func (t *Table) Lookup(column string, v Value) (rows []int, ok bool) {

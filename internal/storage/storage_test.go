@@ -183,57 +183,3 @@ func TestTableNamesSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestDeleteRows(t *testing.T) {
-	db := demoDB()
-	tbl, _ := db.Table("t")
-	for i := int64(0); i < 5; i++ {
-		_ = tbl.Insert(Row{Int(i), Str("n"), Float(0)})
-	}
-	n := tbl.DeleteRows([]int{1, 3, 99, -1})
-	if n != 2 || len(tbl.Rows) != 3 {
-		t.Fatalf("deleted %d, %d rows left", n, len(tbl.Rows))
-	}
-	// Index rebuilt: survivors still found, victims gone.
-	if rows, _ := tbl.Lookup("id", Int(0)); len(rows) != 1 {
-		t.Errorf("survivor lost: %v", rows)
-	}
-	if rows, _ := tbl.Lookup("id", Int(1)); len(rows) != 0 {
-		t.Errorf("victim still indexed: %v", rows)
-	}
-	if tbl.DeleteRows(nil) != 0 {
-		t.Error("empty delete must be a no-op")
-	}
-	if tbl.DeleteRows([]int{100}) != 0 {
-		t.Error("out-of-range delete must be a no-op")
-	}
-}
-
-func TestUpdateRowDirect(t *testing.T) {
-	db := demoDB()
-	tbl, _ := db.Table("t")
-	_ = tbl.Insert(Row{Int(1), Str("a"), Float(0)})
-	if err := tbl.UpdateRow(0, "id", Int(7)); err != nil {
-		t.Fatal(err)
-	}
-	if rows, _ := tbl.Lookup("id", Int(7)); len(rows) != 1 {
-		t.Errorf("index not moved: %v", rows)
-	}
-	if rows, _ := tbl.Lookup("id", Int(1)); len(rows) != 0 {
-		t.Errorf("stale index entry: %v", rows)
-	}
-	// Unindexed column update works too.
-	if err := tbl.UpdateRow(0, "name", Str("b")); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows[0][1].S != "b" {
-		t.Errorf("cell not updated: %v", tbl.Rows[0])
-	}
-	// Errors.
-	if err := tbl.UpdateRow(0, "ghost", Int(1)); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if err := tbl.UpdateRow(9, "id", Int(1)); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-}

@@ -8,11 +8,11 @@
 //
 // Ordering contract: each shard must see its own entries in time order.
 // Cross-shard skew is tolerated: the coordinator evicts a silent session
-// only when the global watermark is a full session gap *plus* the allowed
-// lateness past the session's last activity, so a partition lagging by less
-// than the lateness budget never has a session split under it. With one
-// shard the global watermark is the shard's own, so the sweep closes nothing
-// and the engine emits exactly what the serial stream does.
+// only when the global watermark is two session gaps past the session's last
+// activity, so a partition lagging by less than one session gap never has a
+// session split under it. With one shard the global watermark is the
+// shard's own, so the sweep closes nothing and the engine emits exactly what
+// the serial stream does.
 package stream
 
 import (
@@ -48,12 +48,6 @@ type ShardedConfig struct {
 	// (0 selects 256). Smaller values evict silent sessions in quiet shards
 	// sooner at the cost of more cross-shard locking.
 	SweepEvery int
-	// AllowedLateness is the extra silence required before a *cross-shard*
-	// sweep closes a session, protecting sessions in partitions whose
-	// ingestion lags the global watermark. Zero selects the session gap
-	// (i.e. cross-shard eviction after 2× gap of silence); shard-local
-	// eviction stays at exactly one gap.
-	AllowedLateness time.Duration
 	// MaxFutureSkew bounds how far one entry may advance the global
 	// watermark past its current value. Without a bound, a single corrupted
 	// far-future timestamp drags the watermark ahead of every live session,
@@ -77,9 +71,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	c.Shards = nextPow2(c.Shards)
 	if c.SweepEvery <= 0 {
 		c.SweepEvery = 256
-	}
-	if c.AllowedLateness <= 0 {
-		c.AllowedLateness = c.SessionGap
 	}
 	return c
 }
@@ -296,14 +287,16 @@ func (s *Sharded) noteOpenDelta(d int) {
 	s.gauge.Add(int64(d))
 }
 
-// sweep advances every shard to the global watermark minus the allowed
-// lateness, closing sessions whose silence only other partitions can prove.
+// sweep advances every shard to the global watermark minus one session gap,
+// closing sessions whose silence only other partitions can prove. The extra
+// gap protects sessions in partitions whose ingestion lags the global
+// watermark; shard-local eviction stays at exactly one gap.
 func (s *Sharded) sweep() logmodel.Log {
 	wm := s.watermarkNS.Load()
 	if wm == math.MinInt64 {
 		return nil
 	}
-	t := time.Unix(0, wm).UTC().Add(-s.cfg.AllowedLateness)
+	t := time.Unix(0, wm).UTC().Add(-s.cfg.SessionGap)
 	var out logmodel.Log
 	for _, sh := range s.shards {
 		sh.mu.Lock()
