@@ -80,6 +80,42 @@ func TestRunParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunStagesReproducible pins that the stage tree records no scheduling:
+// two runs at Workers: 2 give equal trees once durations and busy time are
+// zeroed.
+func TestRunStagesReproducible(t *testing.T) {
+	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.5))
+	log.SortStable()
+	workers := 0
+	var strip func(st *obs.StageTiming)
+	strip = func(st *obs.StageTiming) {
+		st.DurationNS = 0
+		if _, ok := st.Attrs["busy_ns"]; ok {
+			st.Attrs["busy_ns"] = 0
+			workers++
+		}
+		for i := range st.Children {
+			strip(&st.Children[i])
+		}
+	}
+	stages := func() obs.StageTiming {
+		res, err := Run(log, Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Report.Stages
+		strip(&st)
+		return st
+	}
+	a, b := stages(), stages()
+	if workers == 0 {
+		t.Fatal("no worker span: the runs fanned out nothing")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("stage trees differ:\n%+v\n%+v", a, b)
+	}
+}
+
 // TestRunSingleParse pins the double-parse fix: the pre-clean log's parse
 // results must be the stage-1 results carried through dedup by index (shared
 // *skeleton.Info pointers), not a fresh re-parse.

@@ -181,8 +181,8 @@ type Report struct {
 	Duration time.Duration
 	// Stages is the hierarchical stage-timing tree: one node per pipeline
 	// stage with its duration and input/output cardinalities, and — for the
-	// parallel stages — one child per worker goroutine with busy time and
-	// chunk/item counts. Serialized by the -json export.
+	// parallel stages — one child per worker goroutine with its busy time.
+	// Serialized by the -json export.
 	Stages obs.StageTiming
 }
 

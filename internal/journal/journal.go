@@ -702,13 +702,19 @@ func Replay(dir string, from uint64, fn func(lsn uint64, payload []byte) error) 
 // scanSegment reads frames from one segment, calling fn (when non-nil) for
 // every frame with lsn >= from. It returns the byte offset of the end of the
 // last valid frame, the last valid LSN, and the number of valid frames
-// scanned. A short or CRC-corrupted tail stops the scan without error.
+// scanned. A short or CRC-corrupted tail stops the scan without error, and
+// so does a length longer than the bytes left in the file, before it sizes
+// an allocation.
 func scanSegment(path string, from uint64, fn func(lsn uint64, payload []byte) error) (valid int64, lastLSN uint64, n int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	var hdr [frameHeader]byte
 	var payload []byte
@@ -719,6 +725,9 @@ func scanSegment(path string, from uint64, fn func(lsn uint64, payload []byte) e
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
 		lsn := binary.LittleEndian.Uint64(hdr[8:16])
+		if int64(length) > fi.Size()-valid-frameHeader {
+			return valid, lastLSN, n, nil // torn or forged length
+		}
 		if int(length) > cap(payload) {
 			payload = make([]byte, length)
 		}

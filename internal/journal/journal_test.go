@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -177,6 +179,48 @@ func TestCorruptedFrameStopsReplay(t *testing.T) {
 	got, res := replayAll(t, dir, 0)
 	if len(got) != 1 || !res.Torn {
 		t.Fatalf("after corruption: %d frames (want 1), torn=%v", len(got), res.Torn)
+	}
+}
+
+// TestForgedLengthIsTorn forges the second frame's length field to 4 GiB:
+// Replay and Open must treat it as a torn tail after the first frame,
+// without sizing an allocation by it.
+func TestForgedLengthIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 0, 2)
+	w.Close()
+	segs, _ := listSegments(dir)
+	data, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := frameHeader + len(EncodeEntry(nil, textEntry("payload-0000")))
+	binary.LittleEndian.PutUint32(data[frame:], math.MaxUint32)
+	if err := os.WriteFile(segs[0].path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	got, res := replayAll(t, dir, 0)
+	w, err = Open(Options{Dir: dir, Policy: FsyncNever})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("Replay and Open allocated %d bytes", alloc)
+	}
+	if len(got) != 1 || !res.Torn {
+		t.Errorf("replay: %d frames (want 1), torn=%v", len(got), res.Torn)
+	}
+	if w.LastLSN() != 1 {
+		t.Errorf("LastLSN = %d, want 1", w.LastLSN())
 	}
 }
 
@@ -487,6 +531,69 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 		if re := EncodeEntry(nil, again); !bytes.Equal(re, enc) {
 			t.Fatalf("encoding is not a fixed point: %x then %x", enc, re)
+		}
+	})
+}
+
+// FuzzReplay mutates a segment the Writer wrote. Replay must deliver only
+// frames the writer wrote, each with its own LSN; Open on the same directory
+// must then succeed, truncating no frame Replay delivered.
+func FuzzReplay(f *testing.F) {
+	dir := f.TempDir()
+	w, err := Open(Options{Dir: dir, Policy: FsyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	written := map[uint64]string{}
+	for i := 0; i < 4; i++ {
+		e := textEntry(fmt.Sprintf("payload-%04d", i))
+		if _, lsn, err := w.AppendBatch([]logmodel.Entry{e}); err != nil {
+			f.Fatal(err)
+		} else {
+			written[lsn] = string(EncodeEntry(nil, e))
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("segments: %v %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	name := filepath.Base(segs[0].path)
+	f.Add(seg)
+	f.Add(seg[:len(seg)-5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replay := func() int {
+			res, err := Replay(d, 0, func(lsn uint64, payload []byte) error {
+				if want, ok := written[lsn]; !ok || want != string(payload) {
+					t.Fatalf("replay delivered frame %d (%x), which the writer did not write", lsn, payload)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Frames
+		}
+		before := replay()
+		w, err := Open(Options{Dir: d, Policy: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := replay(); after != before {
+			t.Fatalf("Open left %d frames, Replay delivered %d before it", after, before)
 		}
 	})
 }

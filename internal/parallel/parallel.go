@@ -10,8 +10,8 @@
 // reducing serially).
 //
 // Observability: the Span variants attach one child span per worker
-// goroutine (busy time, chunks, items — the utilization view of a fan-out),
-// and Instrument wires process-wide pool counters into an obs.Registry.
+// goroutine (its busy time — the utilization view of a fan-out), and
+// Instrument wires process-wide pool counters into an obs.Registry.
 // Both are nil fast paths: with no span and no registry the hot loop is
 // exactly the uninstrumented code.
 package parallel
@@ -164,9 +164,11 @@ func ShardRun(workers, n int, fn func(s int)) {
 
 // ChunksSpan is Chunks with observability: when sp is non-nil and the
 // parallel path is taken, each worker goroutine records a child span
-// ("worker00", ...) carrying its busy time, chunk count and item count —
-// idle workers show up as zero-chunk spans. When Instrument attached a
-// registry, the process-wide pool counters are updated as well.
+// ("worker00", ...) carrying its busy time — idle workers show up with zero.
+// Which chunks a worker drew depends on scheduling, so the spans do not
+// record it: a run's span tree has the same shape and attributes every
+// time. When Instrument attached a registry, the process-wide pool counters
+// (chunks and items included) are updated as well.
 func ChunksSpan(sp *obs.Span, workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -231,8 +233,6 @@ func ChunksSpan(sp *obs.Span, workers, n int, fn func(lo, hi int)) {
 			}
 			if ws != nil {
 				ws.AddInt("busy_ns", int64(busy))
-				ws.AddInt("chunks", chunks)
-				ws.AddInt("items", items)
 				ws.End()
 			}
 		}(ws)

@@ -160,14 +160,16 @@ type Server struct {
 	reqlog *obs.RequestLog
 	eng    *stream.Sharded
 	// queues carry batches: one request's entries for one shard travel as a
-	// single []queued — one channel send, one drain receive, one journal
-	// AppendBatch per (request, shard) instead of one of each per entry.
-	queues []chan []queued
+	// single batch — one channel send, one drain receive per (request,
+	// shard) instead of one of each per entry.
+	queues []chan batch
 	// qMu serializes same-shard enqueues so that, with a journal, a shard's
 	// frame order in the WAL equals its queue order — the invariant that
 	// makes a replay apply entries exactly as the crashed run did. A batch
 	// flush touching several shards locks them in ascending index order.
 	qMu []sync.Mutex
+	// stagers are the requests' staging buffers, reused across requests.
+	stagers sync.Pool
 
 	drainWG  sync.WaitGroup // drain goroutines
 	ingestWG sync.WaitGroup // in-flight ingest requests
@@ -298,7 +300,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.queues = make([]chan []queued, s.eng.NumShards())
+	s.queues = make([]chan batch, s.eng.NumShards())
 	s.qMu = make([]sync.Mutex, len(s.queues))
 	s.qDepthShard = make([]*obs.Gauge, len(s.queues))
 	for i := range s.queues {
@@ -306,11 +308,12 @@ func New(cfg Config) (*Server, error) {
 		// queued entries to QueueSize and every batch holds at least one
 		// entry, so batches in flight can never exceed the capacity either —
 		// the dispatch-side send is provably non-blocking.
-		s.queues[i] = make(chan []queued, cfg.QueueSize)
+		s.queues[i] = make(chan batch, cfg.QueueSize)
 		s.qDepthShard[i] = cfg.Metrics.Gauge(fmt.Sprintf("ingest_queue_depth_shard%03d", i))
 		s.drainWG.Add(1)
 		go s.drain(i)
 	}
+	s.stagers.New = func() any { return newStager(s) }
 	if s.jw != nil && cfg.SnapshotInterval > 0 {
 		s.snapWG.Add(1)
 		go s.snapshotLoop()
@@ -324,33 +327,28 @@ func (s *Server) Engine() *stream.Sharded { return s.eng }
 // Replayed reports how many journal entries the server re-applied at startup.
 func (s *Server) Replayed() int { return s.replayed }
 
-// queued is one ingest queue element: the entry plus the trace of the
-// request that carried it, so the drain can stamp the async emit stage.
-// Traces ride the queue, never the WAL — replayed entries carry a nil trace.
-type queued struct {
-	e  logmodel.Entry
-	tr *obs.ReqTrace
+// batch is one ingest queue element: one request's entries for one shard,
+// in input order, plus that request's trace, so the drain can stamp the
+// async emit stage. Traces ride the queue, never the WAL — replayed entries
+// carry none.
+type batch struct {
+	entries []logmodel.Entry
+	tr      *obs.ReqTrace
 }
 
-// drain is shard i's single consumer: it preserves per-user ordering and
-// feeds the shard processor, emitting cleaned sessions as they close. It
-// receives whole batches but applies them entry by entry through the
-// engine's faithful batch loop, so ordering, watermark and sweep semantics
-// are exactly those of per-entry dispatch.
+// drain is shard i's single consumer: it applies the shard's queue in
+// order and emits cleaned sessions as they close. Sessions close on the
+// shard's own watermark, which only the entries it applies can raise, so
+// what the shard emits depends on its queue's contents and order, not on
+// how far the other drains have got.
 func (s *Server) drain(i int) {
 	defer s.drainWG.Done()
-	var entries []logmodel.Entry // per-batch scratch, reused
-	for batch := range s.queues[i] {
+	for b := range s.queues[i] {
 		// The whole batch leaves the queue at once. Admission reads these
-		// gauges as its capacity budget, so they drop at receive time — the
-		// batched analogue of the per-entry path's receive-time decrement.
-		s.qDepth.Add(-int64(len(batch)))
-		s.qDepthShard[i].Add(-int64(len(batch)))
-		entries = entries[:0]
-		for _, q := range batch {
-			entries = append(entries, q.e)
-		}
-		s.eng.AddShardBatch(i, entries, func(k int, out logmodel.Log, err error) {
+		// gauges as its capacity budget, so they drop at receive time.
+		s.qDepth.Add(-int64(len(b.entries)))
+		s.qDepthShard[i].Add(-int64(len(b.entries)))
+		s.eng.AddShardBatch(i, b.entries, func(_ int, out logmodel.Log, err error) {
 			if err != nil {
 				switch {
 				case errors.Is(err, stream.ErrFutureSkew):
@@ -368,7 +366,7 @@ func (s *Server) drain(i int) {
 			// Applied (and emitted): only now may a snapshot consider this
 			// entry covered. Decremented after emit so a quiescence wait also
 			// proves the Emit callback is idle.
-			batch[k].tr.DonePending("emit")
+			b.tr.DonePending("emit")
 			s.pending.Add(-1)
 		})
 	}
@@ -513,46 +511,47 @@ var errJournal = errors.New("journal append failed")
 // decisions indefinitely.
 const flushEvery = 512
 
-// stagedEntry is one decoded ingest line waiting for batch dispatch.
-type stagedEntry struct {
-	e     logmodel.Entry
-	shard int
-	line  int // 1-based input line, for failure reporting
-}
-
 // stager accumulates one request's decoded entries and dispatches them in
 // per-shard batches: one qMu acquisition, one journal AppendBatch, one
 // channel send and one set of pending/qDepth updates per (flush, shard),
-// instead of one of each per entry.
+// instead of one of each per entry. Requests take stagers from the server's
+// pool, so its buffers are reused.
 type stager struct {
 	s        *Server
 	tr       *obs.ReqTrace
-	buf      []stagedEntry
 	accepted int // entries dispatched and journaled across all flushes
 	failLine int // input line of the first rejected entry (0 = none)
 
+	// The staged chunk, in input order: the entries, which the journal
+	// appends as they stand, and each one's shard and 1-based input line.
+	entries []logmodel.Entry
+	shards  []int
+	lines   []int
+
 	// Per-shard scratch, reused across flushes.
-	room    []int            // remaining queue capacity during a flush
-	count   []int            // entries bound for each shard in this flush
-	entries []logmodel.Entry // journal batch, in input order
-	touched []int            // shard indexes this flush uses, ascending
+	room    []int // remaining queue capacity during a flush
+	count   []int // entries bound for each shard in this flush
+	touched []int // shard indexes this flush uses, ascending
 }
 
-func newStager(s *Server, tr *obs.ReqTrace) *stager {
+func newStager(s *Server) *stager {
 	n := len(s.queues)
 	return &stager{
-		s: s, tr: tr,
-		buf:     make([]stagedEntry, 0, flushEvery),
+		s:       s,
+		entries: make([]logmodel.Entry, 0, flushEvery),
+		shards:  make([]int, 0, flushEvery),
+		lines:   make([]int, 0, flushEvery),
 		room:    make([]int, n),
 		count:   make([]int, n),
-		entries: make([]logmodel.Entry, 0, flushEvery),
 	}
 }
 
 // add stages one decoded entry, flushing when the chunk is full.
 func (st *stager) add(e logmodel.Entry, line int) error {
-	st.buf = append(st.buf, stagedEntry{e: e, shard: st.s.eng.ShardFor(e.User), line: line})
-	if len(st.buf) >= flushEvery {
+	st.entries = append(st.entries, e)
+	st.shards = append(st.shards, st.s.eng.ShardFor(e.User))
+	st.lines = append(st.lines, line)
+	if len(st.entries) >= flushEvery {
 		return st.flush()
 	}
 	return nil
@@ -579,16 +578,18 @@ func (st *stager) finish() error { return st.flush() }
 // buffered in the WAL, so queue order equals WAL order per shard and a
 // replayed journal re-applies exactly what the queues saw.
 func (st *stager) flush() error {
-	n := len(st.buf)
+	n := len(st.entries)
 	if n == 0 {
 		return nil
 	}
 	s := st.s
-	defer func() { st.buf = st.buf[:0] }()
+	defer func() {
+		clear(st.entries) // a pooled stager must not pin the statements
+		st.entries, st.shards, st.lines = st.entries[:0], st.shards[:0], st.lines[:0]
+	}()
 
 	st.touched = st.touched[:0]
-	for k := range st.buf {
-		i := st.buf[k].shard
+	for _, i := range st.shards {
 		if st.count[i] == 0 {
 			st.touched = append(st.touched, i)
 		}
@@ -617,8 +618,7 @@ func (st *stager) flush() error {
 		st.room[i] = s.cfg.QueueSize - int(s.qDepthShard[i].Value())
 	}
 	cut, full := n, false
-	for k := range st.buf {
-		i := st.buf[k].shard
+	for k, i := range st.shards {
 		if st.room[i] <= 0 {
 			cut, full = k, true
 			break
@@ -630,13 +630,11 @@ func (st *stager) flush() error {
 	var jerr error
 	if cut > 0 {
 		base := s.seq.Add(int64(cut)) - int64(cut)
-		st.entries = st.entries[:0]
-		for k := 0; k < cut; k++ {
-			st.buf[k].e.Seq = base + int64(k)
-			st.entries = append(st.entries, st.buf[k].e)
+		for k := range st.entries[:cut] {
+			st.entries[k].Seq = base + int64(k)
 		}
 		if s.jw != nil {
-			p, _, err := s.jw.AppendBatch(st.entries)
+			p, _, err := s.jw.AppendBatch(st.entries[:cut])
 			if err != nil {
 				s.mJournalErrs.Inc()
 				journaled = p
@@ -650,8 +648,8 @@ func (st *stager) flush() error {
 			c := st.count[i]
 			if journaled < n {
 				c = 0
-				for k := 0; k < journaled; k++ {
-					if st.buf[k].shard == i {
+				for _, j := range st.shards[:journaled] {
+					if j == i {
 						c++
 					}
 				}
@@ -659,10 +657,10 @@ func (st *stager) flush() error {
 			if c == 0 {
 				continue
 			}
-			batch := make([]queued, 0, c)
-			for k := 0; k < journaled; k++ {
-				if st.buf[k].shard == i {
-					batch = append(batch, queued{e: st.buf[k].e, tr: st.tr})
+			b := batch{entries: make([]logmodel.Entry, 0, c), tr: st.tr}
+			for k, j := range st.shards[:journaled] {
+				if j == i {
+					b.entries = append(b.entries, st.entries[k])
 				}
 			}
 			// Register the async completions before the send: the drain may
@@ -670,11 +668,11 @@ func (st *stager) flush() error {
 			// must not race the counter to zero ahead of this registration.
 			// The gauges rise before the send too, so the admission budget
 			// above never under-counts a batch the drain already received.
-			st.tr.AddPending(int64(len(batch)))
-			s.pending.Add(int64(len(batch)))
-			s.qDepth.Add(int64(len(batch)))
-			s.qDepthShard[i].Add(int64(len(batch)))
-			s.queues[i] <- batch // non-blocking by construction (see New)
+			st.tr.AddPending(int64(c))
+			s.pending.Add(int64(c))
+			s.qDepth.Add(int64(c))
+			s.qDepthShard[i].Add(int64(c))
+			s.queues[i] <- b // non-blocking by construction (see New)
 		}
 		s.mAccepted.Add(int64(journaled))
 		st.accepted += journaled
@@ -686,10 +684,10 @@ func (st *stager) flush() error {
 	switch {
 	case jerr != nil:
 		// The journal failure line precedes any queue-full line.
-		st.failLine = st.buf[journaled].line
+		st.failLine = st.lines[journaled]
 		return jerr
 	case full:
-		st.failLine = st.buf[cut].line
+		st.failLine = st.lines[cut]
 		s.mRejectedFull.Inc()
 		return errQueueFull
 	}
@@ -824,7 +822,12 @@ func (s *Server) finishTrace(tr *obs.ReqTrace, status int, outcome string, accep
 // dispatch failure and a parse failure occur, the dispatch failure wins —
 // its line is always the earlier one.
 func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (accepted, line int, err error) {
-	st := newStager(s, tr)
+	st := s.stagers.Get().(*stager)
+	st.tr, st.accepted, st.failLine = tr, 0, 0
+	defer func() {
+		st.tr = nil
+		s.stagers.Put(st)
+	}()
 	var scanErr error
 	badLine := 0
 	if format == "tsv" {

@@ -84,6 +84,18 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
+// waitDrained waits until the drains have taken every queued entry.
+func waitDrained(t *testing.T, s *Server, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.qDepth.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("drainer never picked up %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestIngestReportHealthz is the end-to-end happy path: ingest a small log
 // over HTTP, close, and check the report and health documents.
 func TestIngestReportHealthz(t *testing.T) {
@@ -232,29 +244,17 @@ func TestIngestBackpressure(t *testing.T) {
 		return fmt.Sprintf(`{"time":%q,"user":"u","statement":"SELECT %s FROM Employees WHERE id = %d"}`+"\n",
 			ts.UTC().Format(time.RFC3339), cols[i%2], i)
 	}
-	// waitDrained waits until the drainer has taken every queued entry.
-	waitDrained := func(what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for s.qDepth.Value() != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("drainer never picked up %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Entry 0 opens a session; entry 1 (next session, 2×gap later so even
-	// lateness-slack eviction fires) forces the drainer into the gated Emit.
-	// With the drainer wedged, entry 2 occupies the single queue slot and
-	// entry 3 must bounce. The queue holds one batch, so entry 1 is only
+	// Entry 0 opens a session; entry 1, three gaps later, closes it and
+	// forces the drainer into the gated Emit. With the drainer wedged,
+	// entry 2 occupies the single queue slot and entry 3 must bounce. The queue holds one batch, so entry 1 is only
 	// sent once entry 0 has left it: until then a 429 for entry 1 would be
 	// correct.
 	postIngest(t, ts.URL, bytes.NewBufferString(line(0, base)))
-	waitDrained("the session-opening entry")
+	waitDrained(t, s, "the session-opening entry")
 	postIngest(t, ts.URL, bytes.NewBufferString(line(1, base.Add(3*time.Minute))))
 
 	// Wait until the drainer is actually blocked in Emit (queue drained).
-	waitDrained("the session-closing entry")
+	waitDrained(t, s, "the session-closing entry")
 
 	postIngest(t, ts.URL, bytes.NewBufferString(line(2, base.Add(3*time.Minute+time.Second))))
 
@@ -295,8 +295,9 @@ func TestIngestBackpressure(t *testing.T) {
 // concurrent HTTP clients, then a graceful Close — every accepted entry must
 // come out. The clients proceed in lockstep rounds with one shared timestamp
 // per round: within a round all 8 POST concurrently (racing on the queues,
-// the shard locks and the sweep), and the barrier between rounds bounds the
-// cross-client skew the per-shard ordering contract requires. Run with -race.
+// the shard locks and the global watermark), and the barrier between rounds
+// bounds the cross-client skew the per-shard ordering contract requires.
+// Run with -race.
 func TestConcurrentIngestGracefulShutdown(t *testing.T) {
 	const (
 		clients = 8
@@ -305,7 +306,7 @@ func TestConcurrentIngestGracefulShutdown(t *testing.T) {
 	var mu sync.Mutex
 	var emitted logmodel.Log
 	s, ts := newTestServer(t, Config{
-		Stream: stream.ShardedConfig{Shards: 4, SweepEvery: 16},
+		Stream: stream.ShardedConfig{Shards: 4},
 		Emit: func(l logmodel.Log) {
 			mu.Lock()
 			emitted = append(emitted, l...)

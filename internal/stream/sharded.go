@@ -2,17 +2,18 @@
 // to one user session; sharding exploits the next invariant out: *users* are
 // independent too. Entries are partitioned by user hash into independent
 // shards — dedup keys (user, statement) and sessions (per user) both live
-// wholly inside one shard — so shards only ever synchronize on two things:
-// the shared statement-parse cache (sharded + singleflight itself) and the
-// global event watermark that proves silence across partitions.
+// wholly inside one shard — so shards share only the statement-parse cache
+// (sharded + singleflight itself) and the global event watermark that the
+// MaxFutureSkew guard reads.
 //
-// Ordering contract: each shard must see its own entries in time order.
-// Cross-shard skew is tolerated: the coordinator evicts a silent session
-// only when the global watermark is two session gaps past the session's last
-// activity, so a partition lagging by less than one session gap never has a
-// session split under it. With one shard the global watermark is the
-// shard's own, so the sweep closes nothing and the engine emits exactly what
-// the serial stream does.
+// Ordering contract: each shard must see its own entries in time order. An
+// entry up to one session gap behind its shard's watermark is accepted; one
+// further behind is rejected as out of order. A session closes on its own
+// shard's clock — when that shard's watermark is a session gap past the
+// session's last entry — or at Close, never because another shard's event
+// time ran ahead. A shard's output is therefore a function of the entries it
+// was given, in the order it was given them, and the engine emits the same
+// multiset at every shard count and under every interleaving of its shards.
 package stream
 
 import (
@@ -44,19 +45,18 @@ type ShardedConfig struct {
 	// Workers bounds the fan-out used by Close and RunSharded (0 selects
 	// GOMAXPROCS, 1 is serial).
 	Workers int
-	// SweepEvery is the number of Adds between cross-shard watermark sweeps
-	// (0 selects 256). Smaller values evict silent sessions in quiet shards
-	// sooner at the cost of more cross-shard locking.
-	SweepEvery int
 	// MaxFutureSkew bounds how far one entry may advance the global
 	// watermark past its current value. Without a bound, a single corrupted
-	// far-future timestamp drags the watermark ahead of every live session,
-	// so the next sweep closes them all and subsequent in-order entries are
-	// rejected as late. Entries beyond the bound are rejected with
-	// ErrFutureSkew (and counted as stream_rejected_future_skew_total when
-	// Metrics is set) instead of poisoning the watermark. Zero disables the
-	// bound — batch replays of historic logs legitimately jump the event
-	// clock by months.
+	// far-future timestamp raises its shard's watermark past every session
+	// open there, closing them all, and the shard then rejects its later
+	// in-order entries as out of order. Entries beyond the bound are
+	// rejected with ErrFutureSkew (and counted as
+	// stream_rejected_future_skew_total when Metrics is set) instead. The
+	// guard compares against the global watermark, the newest event time
+	// any shard has applied, so where shards are fed concurrently (the
+	// daemon's drains) whether an entry is rejected can depend on how far
+	// the other shards have got. Zero disables the bound — batch replays of
+	// historic logs legitimately jump the event clock by months.
 	MaxFutureSkew time.Duration
 }
 
@@ -69,9 +69,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 		}
 	}
 	c.Shards = nextPow2(c.Shards)
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = 256
-	}
 	return c
 }
 
@@ -116,8 +113,6 @@ type Sharded struct {
 
 	// watermarkNS is the global max event time (unix nanos) across shards.
 	watermarkNS atomic.Int64
-	// adds triggers the periodic cross-shard sweep.
-	adds atomic.Int64
 	// openCount/openHigh count the sessions open between calls, across all
 	// shards, and their peak: the engine's only open-session count. Each
 	// delta is computed under the owning shard's lock.
@@ -205,8 +200,8 @@ func (s *Sharded) ShardWatermarks() []time.Time {
 }
 
 // Add offers one entry, routing it to its user's shard. Cleaned entries of
-// any session that closed as a consequence (in this shard, or in others via
-// the periodic watermark sweep) are returned, sorted by time.
+// any session of that shard that closed as a consequence are returned,
+// sorted by time.
 func (s *Sharded) Add(e logmodel.Entry) (logmodel.Log, error) {
 	return s.AddShard(s.ShardFor(e.User), e)
 }
@@ -218,7 +213,7 @@ func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
 	ns := e.Time.UnixNano()
 	if s.cfg.MaxFutureSkew > 0 {
 		// Guard the global watermark before raising it: one bogus far-future
-		// timestamp must not close every open session in every shard.
+		// timestamp must not close every open session in its shard.
 		wm := s.watermarkNS.Load()
 		if wm != math.MinInt64 && ns > wm+int64(s.cfg.MaxFutureSkew) {
 			s.mSkew.Inc()
@@ -233,25 +228,16 @@ func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
 	out, err := sh.Add(e)
 	s.noteOpenDelta(len(sh.open) - before)
 	sh.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if s.adds.Add(1)%int64(s.cfg.SweepEvery) == 0 {
-		if more := s.sweep(); len(more) > 0 {
-			out = append(out, more...)
-			sortByTime(out)
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // AddShardBatch applies a batch of already-routed entries to shard i in
 // order, invoking done after each with the entry's index, emitted output and
-// error. It is semantically identical to calling AddShard once per entry —
-// a faithful per-entry loop, so per-user ordering, the watermark raise, the
-// skew guard and the periodic cross-shard sweep all behave exactly as they
-// would under per-entry dispatch. Batch callers (the daemon's shard drains)
-// get one call site per queue batch without weakening any invariant.
+// error. It is a faithful loop over AddShard, so the shard's ordering
+// check, the watermark raise and the skew guard behave exactly as under
+// per-entry dispatch: the shard's output depends on which entries it is
+// given and in what order, not on how they are batched. Batch callers (the
+// daemon's shard drains) get one call site per queue batch.
 func (s *Sharded) AddShardBatch(i int, entries []logmodel.Entry, done func(k int, out logmodel.Log, err error)) {
 	for k := range entries {
 		out, err := s.AddShard(i, entries[k])
@@ -269,10 +255,10 @@ func (s *Sharded) raiseWatermark(ns int64) {
 }
 
 // noteOpenDelta applies one shard's change in open sessions to the global
-// count. Callers hold that shard's lock, so a sweep's close and a later
-// Add's reopen of the same session reach the count in the order they
-// happened: applied out of order, the pair would overshoot the high-water
-// mark.
+// count. Callers hold that shard's lock, so one shard's changes (an Add's
+// evictions and opens, Close, Restore) reach the count in the order they
+// happened: applied out of order, a close and a later open would overshoot
+// the high-water mark.
 func (s *Sharded) noteOpenDelta(d int) {
 	if d == 0 {
 		return
@@ -285,28 +271,6 @@ func (s *Sharded) noteOpenDelta(d int) {
 		}
 	}
 	s.gauge.Add(int64(d))
-}
-
-// sweep advances every shard to the global watermark minus one session gap,
-// closing sessions whose silence only other partitions can prove. The extra
-// gap protects sessions in partitions whose ingestion lags the global
-// watermark; shard-local eviction stays at exactly one gap.
-func (s *Sharded) sweep() logmodel.Log {
-	wm := s.watermarkNS.Load()
-	if wm == math.MinInt64 {
-		return nil
-	}
-	t := time.Unix(0, wm).UTC().Add(-s.cfg.SessionGap)
-	var out logmodel.Log
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		before := len(sh.open)
-		closed := sh.Advance(t)
-		s.noteOpenDelta(len(sh.open) - before)
-		sh.mu.Unlock()
-		out = append(out, closed...)
-	}
-	return out
 }
 
 // Close flushes all open sessions across all shards — detection and solving
@@ -446,10 +410,11 @@ func (s *Sharded) ClassifySWS(opt pattern.SWSOptions) map[uint64]bool {
 
 // RunSharded streams a whole in-memory log through a fresh sharded engine,
 // processing partitions concurrently on the worker pool, and returns the
-// cleaned log (sorted by time) plus the merged stats. Cross-shard watermark
-// sweeps are skipped — each partition's own watermark already proves every
-// eviction, since a partition sees its entries in order — so the output
-// multiset is the same at every shard count and equals the batch pipeline's.
+// cleaned log (sorted by time) plus the merged stats. Each partition sees
+// its entries in log order and closes sessions on its own watermark, as Add
+// does, so the output multiset is the same at every shard count and equals
+// the batch pipeline's. The entries skip the MaxFutureSkew guard and leave
+// the global watermark unset.
 func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) {
 	s := NewSharded(cfg)
 	out, err := s.run(l)

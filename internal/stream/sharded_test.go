@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,14 +179,14 @@ func TestShardedConcurrentAdds(t *testing.T) {
 	)
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
 	reg := obs.NewRegistry()
-	eng := NewSharded(ShardedConfig{Shards: 4, SweepEvery: 32, Config: Config{Metrics: reg}})
+	eng := NewSharded(ShardedConfig{Shards: 4, Config: Config{Metrics: reg}})
 
 	var mu sync.Mutex
 	var emitted logmodel.Log
 	// Clients proceed in lockstep rounds: within a round all 8 add
 	// concurrently (same timestamp — racing on shard locks, the shared
-	// parser and the sweep), and the barrier between rounds preserves the
-	// per-shard time-ordering contract.
+	// parser and the global watermark), and the barrier between rounds
+	// preserves the per-shard time-ordering contract.
 	for i := 0; i < perUser; i++ {
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
@@ -230,53 +231,56 @@ func TestShardedConcurrentAdds(t *testing.T) {
 	}
 }
 
-// TestShardedWatermarkSweep checks the cross-shard window merge: a session
-// in a quiet partition is closed by other partitions' traffic advancing the
-// global watermark — without its own shard ever seeing another entry and
-// without Close.
-func TestShardedWatermarkSweep(t *testing.T) {
-	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	eng := NewSharded(ShardedConfig{Shards: 8, SweepEvery: 4})
-
-	// Find two users in different shards.
-	quiet := "quiet-user"
-	busy := ""
-	for i := 0; ; i++ {
-		u := fmt.Sprintf("busy%d", i)
-		if eng.ShardFor(u) != eng.ShardFor(quiet) {
-			busy = u
-			break
+// TestQuietShardKeepsItsSession pins that sessions close on their own
+// shard's clock. User q opens a session; 300 entries of users on other
+// shards then carry the global watermark three gaps past it; q's next entry,
+// half a gap after the first, is in order for q's shard and must extend the
+// same session. The engine must then emit what RunSharded emits over the
+// same entries sorted by time, with the same counters.
+func TestQuietShardKeepsItsSession(t *testing.T) {
+	const gap = 5 * time.Minute
+	t0 := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
+	eng := NewSharded(ShardedConfig{Shards: 8})
+	const q = "quiet-user"
+	entries := logmodel.Log{{Seq: 0, Time: t0, User: q, Statement: "SELECT name FROM Employees WHERE id = 1"}}
+	for i := 0; len(entries) <= 300; i++ {
+		u := fmt.Sprintf("busy%d", i%40)
+		if eng.ShardFor(u) == eng.ShardFor(q) {
+			continue
 		}
-	}
-
-	if _, err := eng.Add(logmodel.Entry{Time: base, User: quiet, Statement: "SELECT 1"}); err != nil {
-		t.Fatal(err)
-	}
-	// Busy traffic far past quiet's gap + lateness; enough adds to trigger
-	// the periodic sweep.
-	var got logmodel.Log
-	for i := 0; i < 16; i++ {
-		out, err := eng.Add(logmodel.Entry{
-			Time:      base.Add(time.Hour + time.Duration(i)*time.Second),
-			User:      busy,
-			Statement: "SELECT 2",
+		entries = append(entries, logmodel.Entry{
+			Seq:       int64(len(entries)),
+			Time:      t0.Add(3*gap + time.Duration(i)*time.Second),
+			User:      u,
+			Statement: fmt.Sprintf("SELECT %s FROM Employees WHERE id = %d", []string{"name", "age"}[i%2], i),
 		})
+	}
+	entries = append(entries, logmodel.Entry{Seq: int64(len(entries)), Time: t0.Add(gap / 2), User: q, Statement: "SELECT name FROM Employees WHERE id = 2"})
+
+	var got logmodel.Log
+	for _, e := range entries {
+		out, err := eng.Add(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, out...)
 	}
-	found := false
-	for _, e := range got {
-		if e.User == quiet {
-			found = true
-		}
+	got = append(got, eng.Close()...)
+	gotStats := eng.Stats()
+	gotStats.OpenSessionsHighWater = 0
+
+	sorted := slices.Clone(entries)
+	sorted.SortStable()
+	want, wantStats, err := RunSharded(sorted, ShardedConfig{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("quiet user's session not swept out; emitted: %v", got)
+	wantStats.OpenSessionsHighWater = 0
+	if !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("stats %+v, sorted run %+v", gotStats, wantStats)
 	}
-	if eng.OpenSessions() != 1 {
-		t.Errorf("open sessions: %d, want 1 (busy only)", eng.OpenSessions())
+	if len(got) != len(want) || !reflect.DeepEqual(statementMultiset(got), statementMultiset(want)) {
+		t.Errorf("emitted %d entries, sorted run %d: output multisets differ", len(got), len(want))
 	}
 }
 
@@ -315,76 +319,33 @@ func TestShardedSharedParser(t *testing.T) {
 	}
 }
 
-// TestOneShardSweepClosesNothing pins why one shard is the serial stream:
-// its global watermark is the shard's own, so a cross-shard sweep after
-// every Add emits nothing the shard-local eviction had not, and the engine's
-// output, Add by Add, is the same as with no sweep at all.
-func TestOneShardSweepClosesNothing(t *testing.T) {
-	for _, seed := range []int64{1, 7} {
-		cfg := workload.DefaultConfig().Scale(0.5)
-		cfg.Seed = seed
-		log, _ := workload.Generate(cfg)
-		log.SortStable()
-		swept := NewSharded(ShardedConfig{Shards: 1, SweepEvery: 1})
-		unswept := NewSharded(ShardedConfig{Shards: 1, SweepEvery: 1 << 30})
-		for i, e := range log {
-			got, err := swept.Add(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := unswept.Add(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 0 || len(want) != 0 {
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d, entry %d: swept engine emitted %v, unswept %v", seed, i, got, want)
-				}
-			}
-		}
-		if got, want := swept.Close(), unswept.Close(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Close emitted %d entries swept, %d unswept", seed, len(got), len(want))
-		}
-	}
-}
-
 // TestEvictionBoundHolds checks the shards' eviction bound (minLast) under
 // what can move it: per-user entries that step back in time by less than
-// the gap, cross-shard sweeps, direct Advance calls to earlier and later
-// times, and a restore of an earlier snapshot into the running engine. After
-// every call no open session may be more than a gap behind its shard's
-// watermark, and a set bound must not exceed any open session's last
-// activity. The run after the restore must emit what the first pass emitted
-// from the same point.
+// the gap, and a restore of an earlier snapshot into the running engine.
+// After every call no open session may be more than a gap behind its
+// shard's watermark, and a set bound must not exceed any open session's
+// last activity. The run after the restore must emit what the first pass
+// emitted from the same point.
 func TestEvictionBoundHolds(t *testing.T) {
 	const gap = 5 * time.Minute
-	type op struct {
-		e       logmodel.Entry
-		advance int           // 1 + shard to Advance, or 0 for an Add
-		offset  time.Duration // Advance to the global watermark plus offset
-	}
 	rng := rand.New(rand.NewSource(21))
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
 	clock := base
-	var ops []op
-	for i := 0; i < 4000; i++ {
-		if rng.Intn(10) == 0 {
-			ops = append(ops, op{advance: 1 + rng.Intn(4), offset: time.Duration(rng.Int63n(int64(2*gap))) - gap})
-			continue
-		}
+	var entries logmodel.Log
+	for i := 0; i < 3600; i++ {
 		if rng.Intn(50) == 0 {
 			clock = clock.Add(gap + time.Duration(rng.Int63n(int64(gap))))
 		} else {
 			clock = clock.Add(time.Duration(rng.Int63n(int64(4 * time.Second))))
 		}
 		back := time.Duration(rng.Int63n(int64(gap * 9 / 10)))
-		ops = append(ops, op{e: logmodel.Entry{
+		entries = append(entries, logmodel.Entry{
 			Seq:       int64(i),
 			Time:      clock.Add(-back),
 			User:      fmt.Sprintf("10.0.0.%d", rng.Intn(40)),
 			Rows:      1,
 			Statement: fmt.Sprintf("SELECT %s FROM Employees WHERE id = %d", []string{"name", "age"}[rng.Intn(2)], rng.Intn(30)),
-		}})
+		})
 	}
 
 	check := func(eng *Sharded, when string) {
@@ -403,38 +364,28 @@ func TestEvictionBoundHolds(t *testing.T) {
 			sh.mu.Unlock()
 		}
 	}
-	apply := func(eng *Sharded, k int) logmodel.Log {
-		o := ops[k]
-		if o.advance == 0 {
-			out, err := eng.Add(o.e)
-			if err != nil {
-				t.Fatalf("op %d: %v", k, err)
-			}
-			return out
+	add := func(eng *Sharded, k int) logmodel.Log {
+		out, err := eng.Add(entries[k])
+		if err != nil {
+			t.Fatalf("entry %d: %v", k, err)
 		}
-		sh := eng.shards[o.advance-1]
-		sh.mu.Lock()
-		before := len(sh.open)
-		out := sh.Advance(eng.Watermark().Add(o.offset))
-		eng.noteOpenDelta(len(sh.open) - before)
-		sh.mu.Unlock()
 		return out
 	}
 
-	cfg := ShardedConfig{Shards: 4, SweepEvery: 7, Config: Config{SessionGap: gap}}
+	cfg := ShardedConfig{Shards: 4, Config: Config{SessionGap: gap}}
 	eng := NewSharded(cfg)
-	mid, rewind := len(ops)/3, 2*len(ops)/3
+	mid, rewind := len(entries)/3, 2*len(entries)/3
 	var snap ShardedSnapshot
 	var firstPass []logmodel.Log
 	for k := 0; k < rewind; k++ {
 		if k == mid {
 			snap = eng.Snapshot()
 		}
-		out := apply(eng, k)
+		out := add(eng, k)
 		if k >= mid {
 			firstPass = append(firstPass, out)
 		}
-		check(eng, fmt.Sprintf("op %d", k))
+		check(eng, fmt.Sprintf("entry %d", k))
 	}
 	if eng.OpenSessions() == 0 {
 		t.Fatal("no session open at the rewind: the test exercises nothing")
@@ -443,12 +394,12 @@ func TestEvictionBoundHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(eng, "restore")
-	for k := mid; k < len(ops); k++ {
-		out := apply(eng, k)
+	for k := mid; k < len(entries); k++ {
+		out := add(eng, k)
 		if k < rewind && !reflect.DeepEqual(out, firstPass[k-mid]) {
-			t.Fatalf("op %d after the restore emitted %d entries, first pass %d", k, len(out), len(firstPass[k-mid]))
+			t.Fatalf("entry %d after the restore emitted %d entries, first pass %d", k, len(out), len(firstPass[k-mid]))
 		}
-		check(eng, fmt.Sprintf("op %d after the restore", k))
+		check(eng, fmt.Sprintf("entry %d after the restore", k))
 	}
 }
 

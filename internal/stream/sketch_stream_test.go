@@ -135,7 +135,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := ShardedConfig{Shards: 8, SweepEvery: 64, Workers: workers}
+			cfg := ShardedConfig{Shards: 8, Workers: workers}
 
 			run := func(cut int) *Sharded {
 				eng := NewSharded(cfg)

@@ -391,20 +391,6 @@ func (sh *shard) evictBefore(t time.Time) logmodel.Log {
 	return out
 }
 
-// Advance returns the cleaned entries of any session t proves silent. It is
-// how the engine merges window boundaries: one shard only observes its own
-// partition's event times, so the coordinator periodically advances every
-// shard to the global maximum, closing sessions whose silence only the other
-// partitions can prove. Advance deliberately does NOT raise the shard's
-// ordering watermark: a partition lagging behind the global clock (an ingest
-// queue with backlog) must still be allowed to add its queued entries, which
-// are in order for *its* stream even when other partitions are far ahead.
-func (sh *shard) Advance(t time.Time) logmodel.Log {
-	out := sh.evictBefore(t)
-	sortByTime(out)
-	return out
-}
-
 // Close flushes all open sessions and returns their cleaned entries.
 func (sh *shard) Close() logmodel.Log {
 	var out logmodel.Log

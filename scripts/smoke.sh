@@ -3,17 +3,17 @@
 # generated log over HTTP, assert /healthz is OK and /report is non-empty,
 # then drain gracefully. A second phase checks crash durability: SIGKILL the
 # daemon mid-feed, restart it on the same -data-dir (journal replay), finish
-# the feed, and require the Add-driven /report numbers to equal an
-# uninterrupted run's. A third phase drives the closed-loop replay harness
-# (loggen -replay) against the daemon for a few seconds, requires its
-# bench-text/JSON output to round-trip through `benchjson -compare`, and
-# asserts GET /clusters returns a non-empty clustering, /debug/requests
-# holds completed traces, and the JSON log carries slow-request lines with
-# trace IDs. A fourth phase compacts the journal into columnar blocks, scans
-# them back and serves GET /history from them. The last phase runs the CLI's
-# streaming path: `sqlclean -stream` must write the same lines as the batch
-# `sqlclean -clean`, and its -json must count the lines it wrote. Run via
-# `make smoke` (which builds bin/ first).
+# the feed, and require the /report counts — sessions and cleaned entries
+# included — to equal an uninterrupted run's. A third phase drives the
+# closed-loop replay harness (loggen -replay) against the daemon for a few
+# seconds, requires its bench-text/JSON output to round-trip through
+# `benchjson -compare`, and asserts GET /clusters returns a non-empty
+# clustering, /debug/requests holds completed traces, and the JSON log
+# carries slow-request lines with trace IDs. A fourth phase compacts the
+# journal into columnar blocks, scans them back and serves GET /history from
+# them. The last phase runs the CLI's streaming path: `sqlclean -stream` must
+# write the same lines as the batch `sqlclean -clean`, and its -json must
+# count the lines it wrote. Run via `make smoke` (which builds bin/ first).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,9 +78,11 @@ wait "$PID"
 echo "smoke: ok ($(wc -l <"$TMP/log.tsv") in, $(wc -l <"$TMP/clean.tsv") cleaned)"
 
 # ---------------------------------------------------------------------------
-# Crash durability: acknowledged entries must survive a SIGKILL. Session-
-# boundary stats depend on sweep timing under concurrent drains, so the
-# comparison covers the Add-driven report fields, which are deterministic.
+# Crash durability: acknowledged entries must survive a SIGKILL. Replay gives
+# every shard its entries in the order its queue did, and sessions close on
+# their own shard's clock, so once the feed is applied the counts — sessions
+# emitted, cleaned entries and solved queries included — must equal the
+# uninterrupted run's.
 # ---------------------------------------------------------------------------
 
 TOTAL=$(wc -l <"$TMP/log.tsv")
@@ -116,9 +118,9 @@ wait_applied() { # $1 expected entries_in
   cat "$TMP/h.json" >&2; exit 1
 }
 
-add_driven_report() { # $1 out file
+report_counts() { # $1 out file
   curl -sf "http://$ADDR/report" | grep -oE \
-    '"(size_original|count_select|size_after_dedup|duplicates_found|count_templates|max_template_frequency)": *[0-9]+' \
+    '"(size_original|count_select|size_after_dedup|duplicates_found|final_size|count_templates|max_template_frequency|sessions_emitted|solved_queries)": *[0-9]+' \
     >"$1"
 }
 
@@ -126,7 +128,7 @@ add_driven_report() { # $1 out file
 start_daemon "$TMP/data-ref" "$TMP/ref.log"
 ingest_tsv "$TMP/log.tsv"
 wait_applied "$TOTAL"
-add_driven_report "$TMP/report-ref.txt"
+report_counts "$TMP/report-ref.txt"
 kill -TERM "$PID"
 wait "$PID"
 
@@ -145,7 +147,7 @@ grep -q "replayed=$HALF" "$TMP/crash.log" || {
 }
 ingest_tsv "$TMP/log2.tsv"
 wait_applied "$TOTAL"
-add_driven_report "$TMP/report-crash.txt"
+report_counts "$TMP/report-crash.txt"
 kill -TERM "$PID"
 wait "$PID"
 

@@ -349,10 +349,12 @@ type ShardedStreamConfig = stream.ShardedConfig
 // entries only the open sessions stay in memory — the right shape for logs
 // of the real SkyServer's 42-million-entry size. Entries are partitioned by
 // user hash into independent shards (dedup keys and sessions are per user,
-// so both stay shard-local), and a global event-time watermark closes
-// sessions in quiet partitions; one shard is the serial stream. Safe for
-// concurrent use; each user's entries must keep their time order (route one
-// user through one goroutine or queue).
+// so both stay shard-local). A shard closes a session when its own event
+// time is a session gap past the session's last entry, or at Close, so
+// each shard's output depends only on its own entries in order; one shard
+// is the serial stream. Safe for concurrent use; each shard's entries must
+// keep their time order (route one user through one goroutine or queue):
+// an entry more than a session gap behind its shard's newest is rejected.
 type ShardedStream = stream.Sharded
 
 // NewShardedStream returns a sharded streaming engine.
