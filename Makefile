@@ -9,7 +9,7 @@ LDFLAGS  = -X sqlclean/internal/buildinfo.Version=$(VERSION) \
            -X sqlclean/internal/buildinfo.Date=$(DATE)
 
 # The benchmarks of record (see `bench` below).
-BENCH_REGEX = BenchmarkParseParallel|BenchmarkPipelineParallel|BenchmarkPipelineSeedSerial|BenchmarkDedupSharded|BenchmarkStreamSharded|BenchmarkHLLIngest|BenchmarkClusterBoxes|BenchmarkColstore
+BENCH_REGEX = BenchmarkParseParallel|BenchmarkPipelineParallel|BenchmarkPipelineSeedSerial|BenchmarkDedupSharded|BenchmarkStreamSharded|BenchmarkClusterBoxes|BenchmarkColstore
 
 .PHONY: check build binaries test race bench bench-json bench-compare bench-ingest bench-ingest-compare profile vet smoke
 

@@ -30,7 +30,6 @@ import (
 	"sqlclean/internal/recommend"
 	"sqlclean/internal/schema"
 	"sqlclean/internal/skeleton"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/sqlparser"
 	"sqlclean/internal/storage"
 	"sqlclean/internal/stream"
@@ -865,25 +864,6 @@ func BenchmarkStreamSharded(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkHLLIngest measures the sketch layer's per-entry hot path: one
-// HLL distinct-identity update, the cost every in-order entry pays.
-func BenchmarkHLLIngest(b *testing.B) {
-	_, res := benchSetup(b)
-	parsed := res.Parsed
-	if len(parsed) == 0 {
-		b.Fatal("empty parsed log")
-	}
-	h := sketch.NewHLL(sketch.DefaultPrecision)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.AddString(parsed[i%len(parsed)].User)
-	}
-	if h.Occupied() == 0 {
-		b.Fatal("sketch saw no identities")
 	}
 }
 

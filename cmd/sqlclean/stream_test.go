@@ -50,3 +50,38 @@ func TestStreamHighWaterBetweenCalls(t *testing.T) {
 		t.Fatalf("open_sessions_high_water = %d, want 1", hw)
 	}
 }
+
+// TestStreamJSONCountsUsersExactly pins -stream -json's distinct-user count
+// to the batch pipeline's on the scale-1 generator log.
+func TestStreamJSONCountsUsersExactly(t *testing.T) {
+	defer func(old *slog.Logger) { logger = old }(logger)
+	logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+	log, _ := sqlclean.GenerateWorkload(sqlclean.DefaultWorkloadConfig())
+	log.SortStable()
+	batch, err := sqlclean.Clean(log, sqlclean.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in bytes.Buffer
+	if err := sqlclean.WriteLogTSV(&in, log); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jsonOut := filepath.Join(dir, "s.json")
+	runStreaming(&in, time.Second, 5*time.Minute, false, false, filepath.Join(dir, "s.tsv"), jsonOut, nil, false)
+
+	blob, err := os.ReadFile(jsonOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Sketches sqlclean.StreamSketchJSON `json:"sketches"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc.Sketches.DistinctUsersEstimate, int64(batch.Report.DistinctUsers); got != want {
+		t.Errorf("-stream -json counts %d distinct users, batch %d", got, want)
+	}
+}

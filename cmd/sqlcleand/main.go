@@ -18,10 +18,10 @@
 //	               or TSV lines with ?format=tsv; 429 + Retry-After when the
 //	               ingest queues are full
 //	GET  /report   incremental cleaning report (JSON): counters, templates
-//	               with their SWS verdicts, and the sketch block (HLL
-//	               distinct-identity estimate, SWS template and query counts)
+//	               with their SWS verdicts, and the sketch block (exact
+//	               distinct-user count, SWS template and query counts)
 //	GET  /toplist  the k most frequent templates by exact count (?k=N), and
-//	               the distinct-identity estimate
+//	               the exact distinct-user count
 //	GET  /clusters overlap clustering of the observed predicate boxes
 //	GET  /healthz  liveness, version, queue, session and watermark state
 //	GET  /statusz  human status page (?format=text for plain text)
@@ -86,7 +86,7 @@ func main() {
 		maxSkew    = flag.Duration("max-skew", 0, "reject entries this far past the event-time watermark (0 = disabled)")
 		noClusters = flag.Bool("no-clusters", false, "disable the GET /clusters overlap-clustering surface")
 		clusterT   = flag.Float64("cluster-threshold", 0.9, "default overlap-distance threshold for GET /clusters")
-		clusterMax = flag.Int("cluster-max-boxes", 4096, "distinct predicate boxes kept for clustering (further ones are counted as dropped)")
+		clusterMax = flag.Int("cluster-max-boxes", 4096, "distinct predicate boxes kept for clustering, split evenly over the shards (further ones are counted as dropped)")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		slowReq    = flag.Duration("slow-request", time.Second, "log a warn line with stage timings for ingest requests at or above this latency (<0 disables)")

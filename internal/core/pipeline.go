@@ -165,8 +165,8 @@ type Report struct {
 	SWSQueries           int
 	QueriesInAntipattern int
 	// DistinctUsers is the exact count of distinct user identities in the
-	// original log — the ground truth the streaming layer's HLL sketch
-	// approximates.
+	// original log; the streaming engine counts the same over the entries it
+	// accepts (stream.Sharded.DistinctUsers).
 	DistinctUsers int
 
 	// ClusterCount and ClusterAvgSize summarize the optional overlap

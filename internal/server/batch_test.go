@@ -41,15 +41,20 @@ func getBody(t *testing.T, url string) []byte {
 // TestBatchSizeEquivalence pins batch-size invariance: the same input fed
 // in request bodies of 1, 7, 64 and 600 lines (600 crosses the flushEvery
 // staging boundary, so one request spans several flushes) must produce a
-// byte-identical report, a byte-identical /toplist document and the same
-// watermark, at one shard and at 8. Each shard applies its queue in input
-// order and closes sessions on its own clock, so every run is fully
-// deterministic — sessionization included — however the drains interleave.
+// byte-identical report, /toplist document and /clusters documents (at
+// thresholds 0.9 and 0.5) and the same watermark, at one shard and at 8.
+// Each shard applies its queue in input order, closes sessions on its own
+// clock and fills its own box registry, so every run is fully deterministic
+// — sessionization and clustering included — however the drains interleave.
 func TestBatchSizeEquivalence(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.1))
 	log.SortStable()
 
-	run := func(shards, batch int) (report, toplist []byte, watermark time.Time) {
+	type docs struct {
+		report, toplist, clusters9, clusters5 []byte
+		watermark                             time.Time
+	}
+	run := func(shards, batch int) docs {
 		s, ts := newTestServer(t, Config{
 			Stream:    stream.ShardedConfig{Shards: shards},
 			QueueSize: 4096,
@@ -69,21 +74,34 @@ func TestBatchSizeEquivalence(t *testing.T) {
 		if err := s.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return comparableReport(t, s), getBody(t, ts.URL+"/toplist?k=20"), s.eng.Watermark()
+		return docs{
+			report:    comparableReport(t, s),
+			toplist:   getBody(t, ts.URL+"/toplist?k=20"),
+			clusters9: getBody(t, ts.URL+"/clusters?threshold=0.9&top=1000000"),
+			clusters5: getBody(t, ts.URL+"/clusters?threshold=0.5&top=1000000"),
+			watermark: s.eng.Watermark(),
+		}
 	}
 
 	for _, shards := range []int{1, 8} {
-		wantReport, wantTop, wantWM := run(shards, 1)
+		want := run(shards, 1)
 		for _, batch := range []int{7, 64, 600} {
-			gotReport, gotTop, gotWM := run(shards, batch)
-			if !bytes.Equal(gotReport, wantReport) {
-				t.Errorf("%d shards, batch %d: report diverged from per-entry feed:\n got %s\nwant %s", shards, batch, gotReport, wantReport)
+			got := run(shards, batch)
+			for _, d := range []struct {
+				name      string
+				got, want []byte
+			}{
+				{"report", got.report, want.report},
+				{"toplist", got.toplist, want.toplist},
+				{"clusters at 0.9", got.clusters9, want.clusters9},
+				{"clusters at 0.5", got.clusters5, want.clusters5},
+			} {
+				if !bytes.Equal(d.got, d.want) {
+					t.Errorf("%d shards, batch %d: %s diverged from per-entry feed:\n got %s\nwant %s", shards, batch, d.name, d.got, d.want)
+				}
 			}
-			if !bytes.Equal(gotTop, wantTop) {
-				t.Errorf("%d shards, batch %d: toplist diverged:\n got %s\nwant %s", shards, batch, gotTop, wantTop)
-			}
-			if !gotWM.Equal(wantWM) {
-				t.Errorf("%d shards, batch %d: watermark %v, want %v", shards, batch, gotWM, wantWM)
+			if !got.watermark.Equal(want.watermark) {
+				t.Errorf("%d shards, batch %d: watermark %v, want %v", shards, batch, got.watermark, want.watermark)
 			}
 		}
 	}

@@ -6,11 +6,18 @@
 // read clusters them as they are, with no conversion or re-keying.
 // This is the §6.9 user-interest view, live: which regions of the data
 // space the traffic touches, and how many queries share each region.
+//
+// The registry is split by shard, as the engine is: an emitted entry goes to
+// its user's shard's registry, so each registry sees its shard's emissions
+// in the order the shard made them, whatever the other drains do. A read
+// merges the registries in shard order, so /clusters depends only on the
+// input, at any shard count.
 package server
 
 import (
 	"net/http"
 	"strconv"
+	"sync"
 
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/overlap"
@@ -21,68 +28,90 @@ const (
 	defaultClusterMaxBoxes  = 4096
 )
 
-// boxRegistry accumulates distinct predicate boxes with occurrence counts.
-// Memory is bounded: once maxBoxes distinct boxes exist, new distinct
-// boxes are counted as dropped instead of stored (queries matching an
-// already-known box still count normally).
+// boxRegistry accumulates one shard's distinct predicate boxes with
+// occurrence counts. Memory is bounded: once maxBoxes distinct boxes exist,
+// new distinct boxes are counted as dropped instead of stored (queries
+// matching an already-known box still count normally).
 type boxRegistry struct {
-	// The registry is only mutated under Server.emitMu (observe runs inside
-	// emit) and snapshotted under it (snapshot), so it needs no lock of its
-	// own beyond that discipline.
+	mu       sync.Mutex
 	maxBoxes int
 	boxes    overlap.BoxSet
 	counts   []int64
 	examples []string
 	total    int64 // queries observed, including ones hitting dropped boxes
-	dropped  int64 // distinct boxes not stored because the registry was full
+	dropped  int64 // queries whose box was not stored because the registry was full
 }
 
-func newBoxRegistry(maxBoxes int) *boxRegistry {
+// newBoxRegistries splits a bound of maxBoxes distinct boxes (0 selects
+// 4096) over one registry per shard: each gets ⌊maxBoxes/shards⌋ and the
+// first maxBoxes mod shards one more, so no registry holds more than
+// ⌈maxBoxes/shards⌉ and together they hold at most maxBoxes.
+func newBoxRegistries(maxBoxes, shards int) []*boxRegistry {
 	if maxBoxes <= 0 {
 		maxBoxes = defaultClusterMaxBoxes
 	}
-	return &boxRegistry{maxBoxes: maxBoxes}
+	regs := make([]*boxRegistry, shards)
+	for i := range regs {
+		regs[i] = &boxRegistry{maxBoxes: maxBoxes / shards}
+		if i < maxBoxes%shards {
+			regs[i].maxBoxes++
+		}
+	}
+	return regs
 }
 
-// observe folds one cleaned batch into the registry. Statements were just
-// parsed by the engine, so the shared parser resolves each from cache.
+// observeBoxes folds one cleaned batch into the registries, each entry into
+// its user's shard's. Statements were just parsed by the engine, so the
+// shared parser resolves each from cache.
 func (s *Server) observeBoxes(l logmodel.Log) {
 	p := s.cfg.Stream.Parser
-	r := s.boxes
 	for _, e := range l {
 		pe := p.ParseEntry(e)
 		if pe.Info == nil {
 			continue
 		}
-		r.total++
 		b := overlap.FlatFromInfo(pe.Info)
+		r := s.boxes[s.eng.ShardFor(e.User)]
+		r.mu.Lock()
+		r.total++
 		di := r.boxes.Find(&b)
-		if di < 0 {
-			if r.boxes.Len() >= r.maxBoxes {
-				r.dropped++
-				s.mBoxesDropped.Inc()
-				continue
+		if di < 0 && r.boxes.Len() >= r.maxBoxes {
+			r.dropped++
+			s.mBoxesDropped.Inc()
+		} else {
+			if di < 0 {
+				di = r.boxes.Add(b)
+				r.counts = append(r.counts, 0)
+				r.examples = append(r.examples, pe.Statement)
+				s.gDistinctBoxes.Add(1)
 			}
-			di = r.boxes.Add(b)
-			r.counts = append(r.counts, 0)
-			r.examples = append(r.examples, pe.Statement)
-			s.gDistinctBoxes.Set(int64(r.boxes.Len()))
+			r.counts[di]++
 		}
-		r.counts[di]++
+		r.mu.Unlock()
 	}
 }
 
-// snapshot copies the registry state for lock-free clustering. The box
-// and example slices are append-only, so sharing their backing arrays with
-// length-bounded reslices is safe.
+// snapshotBoxes merges the registries in shard order into one box list for
+// lock-free clustering: a box stored by several shards appears once, with
+// their counts summed and the first shard's example.
 func (s *Server) snapshotBoxes() (boxes []overlap.FlatBox, counts []int64, examples []string, total, dropped int64) {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	r := s.boxes
-	boxes = r.boxes.Boxes()
-	counts = append([]int64(nil), r.counts...)
-	examples = r.examples[:len(r.examples):len(r.examples)]
-	return boxes, counts, examples, r.total, r.dropped
+	var set overlap.BoxSet
+	for _, r := range s.boxes {
+		r.mu.Lock()
+		for i, b := range r.boxes.Boxes() {
+			di := set.Find(&b)
+			if di < 0 {
+				di = set.Add(b)
+				counts = append(counts, 0)
+				examples = append(examples, r.examples[i])
+			}
+			counts[di] += r.counts[i]
+		}
+		total += r.total
+		dropped += r.dropped
+		r.mu.Unlock()
+	}
+	return set.Boxes(), counts, examples, total, dropped
 }
 
 // ClusterInfo is one cluster in the /clusters response.

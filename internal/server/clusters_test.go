@@ -141,9 +141,9 @@ func TestClustersKeepCollidingBoxesApart(t *testing.T) {
 	}
 }
 
-// TestClustersDuringIngest reads /clusters while ingestion adds boxes to
-// the registry: snapshots share the registry's backing arrays, so the
-// race detector checks that no read meets a write.
+// TestClustersDuringIngest reads /clusters while the shards' drains add
+// boxes to their registries: the race detector checks that no read meets a
+// write.
 func TestClustersDuringIngest(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.05))

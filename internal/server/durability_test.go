@@ -160,57 +160,6 @@ func TestKillAndReplay(t *testing.T) {
 	}
 }
 
-// TestKillAndReplayConcurrent is the same crash-recovery property with no
-// wait for the applies: the shard drains run concurrently with the feed and
-// with each other, and the recovered report must still equal the
-// uninterrupted run's.
-func TestKillAndReplayConcurrent(t *testing.T) {
-	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.1))
-	log.SortStable()
-
-	ref, err := New(durableConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTS := httptest.NewServer(ref.Handler())
-	feedChunks(t, refTS.URL, log)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := ref.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := comparableReport(t, ref)
-	refTS.Close()
-
-	dir := t.TempDir()
-	half := len(log) / 2
-	s1, err := New(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	feedChunks(t, ts1.URL, log[:half])
-	ts1.Close()
-	s1.crash()
-
-	s2, err := New(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Replayed() != half {
-		t.Errorf("replayed %d entries after crash, want %d", s2.Replayed(), half)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	feedChunks(t, ts2.URL, log[half:])
-	if err := s2.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := comparableReport(t, s2); !bytes.Equal(got, want) {
-		t.Errorf("recovered report diverged from uninterrupted run:\n got %s\nwant %s", got, want)
-	}
-}
-
 // TestSnapshotSkipsReplayedPrefix pins the checkpoint contract: after a
 // snapshot, a restart replays only the journal tail past it, and still
 // converges to the uninterrupted report.

@@ -94,7 +94,8 @@ type Config struct {
 	// override it per call.
 	ClusterThreshold float64
 	// ClusterMaxBoxes bounds the distinct boxes the registry stores (0
-	// selects 4096); further distinct boxes are counted as dropped.
+	// selects 4096), split evenly over the shards; further distinct boxes
+	// are counted as dropped.
 	ClusterMaxBoxes int
 
 	// DataDir enables crash durability: it holds the write-ahead journal
@@ -182,7 +183,8 @@ type Server struct {
 	closeOne sync.Once
 	seq      atomic.Int64
 	start    time.Time
-	emitMu   sync.Mutex
+	// emitMu serializes Config.Emit calls.
+	emitMu sync.Mutex
 
 	// Durability state; jw is nil without Config.DataDir (see durability.go).
 	jw *journal.Writer
@@ -219,19 +221,14 @@ type Server struct {
 	mJournalErrs  *obs.Counter
 	gSnapshotLSN  *obs.Gauge
 
-	// boxes is the distinct-predicate-box registry behind GET /clusters;
-	// nil when Config.ClustersDisabled is set. Mutated only under emitMu.
-	boxes           *boxRegistry
+	// boxes are the distinct-predicate-box registries behind GET /clusters,
+	// one per shard; nil when Config.ClustersDisabled is set.
+	boxes           []*boxRegistry
 	mBoxesDropped   *obs.Counter
 	mBoxesClustered *obs.Counter
 	mClusterCells   *obs.Counter
 	mClusterAvoided *obs.Counter
 	gDistinctBoxes  *obs.Gauge
-
-	// gHLLOcc mirrors the merged distinct-identity sketch's register
-	// occupancy — refreshed on every /report and /toplist assembly, the
-	// points where the merged cross-shard view is computed anyway.
-	gHLLOcc *obs.Gauge
 }
 
 // New builds the engine, restores durable state when Config.DataDir is set
@@ -285,13 +282,11 @@ func New(cfg Config) (*Server, error) {
 		mClusterCells:   cfg.Metrics.Counter("cluster_cells_probed_total"),
 		mClusterAvoided: cfg.Metrics.Counter("cluster_comparisons_avoided_total"),
 		gDistinctBoxes:  cfg.Metrics.Gauge("cluster_distinct_boxes"),
-
-		gHLLOcc: cfg.Metrics.Gauge("sketch_hll_registers_occupied"),
 	}
 	if !cfg.ClustersDisabled {
 		// Created before durability replay so re-emitted sessions populate
 		// the registry exactly like live traffic.
-		s.boxes = newBoxRegistry(cfg.ClusterMaxBoxes)
+		s.boxes = newBoxRegistries(cfg.ClusterMaxBoxes, s.eng.NumShards())
 	}
 	if cfg.DataDir != "" {
 		// Restore + replay runs before the drain goroutines exist, so the
@@ -377,15 +372,12 @@ func (s *Server) emit(l logmodel.Log) {
 		return
 	}
 	s.mEmitted.Add(int64(len(l)))
-	if s.cfg.Emit == nil && s.boxes == nil {
-		return
-	}
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
 	if s.boxes != nil {
 		s.observeBoxes(l)
 	}
 	if s.cfg.Emit != nil {
+		s.emitMu.Lock()
+		defer s.emitMu.Unlock()
 		s.cfg.Emit(l)
 	}
 }
@@ -894,9 +886,9 @@ func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (a
 // from the engine's exact template table: sws_templates/sws_queries and each
 // row's sws and disjoint_ratio apply the batch SWS predicate to it, over
 // every accepted SELECT, open sessions included, so once the stream drains
-// they equal the batch pipeline's. distinct_users is the HLL estimate, the
-// one statistic the stream counts approximately; the sketches block
-// carries it with the HLL's state and the SWS counts.
+// they equal the batch pipeline's. distinct_users is the engine's exact
+// count of the users of every accepted entry; the sketches block repeats it
+// beside the SWS counts.
 type ReportPayload struct {
 	Version       string              `json:"version"`
 	UptimeSeconds float64             `json:"uptime_seconds"`
@@ -909,15 +901,12 @@ type ReportPayload struct {
 	Sketch        SketchReport        `json:"sketches"`
 }
 
-// SketchReport holds the distinct-identity estimate, the merged HLL's state
-// and the SWS counts.
+// SketchReport holds the distinct-user count and the SWS counts. The block
+// keeps its name and its field names from when the count was an estimate.
 type SketchReport struct {
-	// DistinctUsersEstimate is the HLL estimate of distinct identities over
-	// every entry the stream accepted (±~0.8 % at the default precision).
+	// DistinctUsersEstimate is the exact number of distinct users over every
+	// entry the stream accepted, report.distinct_users.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
-	// HLLPrecision/HLLRegistersOccupied describe the counter's state.
-	HLLPrecision         int `json:"hll_precision"`
-	HLLRegistersOccupied int `json:"hll_registers_occupied"`
 	// SWSTemplates/SWSQueries are the templates the default SWS thresholds
 	// classify in the template table, against the stream's accepted-SELECT
 	// total, and the SELECTs they cover — the batch report's columns.
@@ -953,11 +942,8 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 		p.Report.MaxTemplateFreq = templates[0].Frequency
 	}
 	sws := pattern.ClassifySWS(templates, st.Selects, pattern.DefaultSWSOptions())
-	hll := s.eng.Sketches()
 	p.Sketch = SketchReport{
-		DistinctUsersEstimate: hll.Count(),
-		HLLPrecision:          hll.Precision(),
-		HLLRegistersOccupied:  hll.Occupied(),
+		DistinctUsersEstimate: int64(s.eng.DistinctUsers()),
 		SWSTemplates:          len(sws),
 	}
 	for _, t := range templates {
@@ -968,7 +954,6 @@ func (s *Server) Report(topTemplates int) ReportPayload {
 	p.Report.DistinctUsers = int(p.Sketch.DistinctUsersEstimate)
 	p.Report.SWSTemplates = p.Sketch.SWSTemplates
 	p.Report.SWSQueries = p.Sketch.SWSQueries
-	s.gHLLOcc.Set(int64(p.Sketch.HLLRegistersOccupied))
 	for kind, n := range st.Antipatterns {
 		p.Report.Antipatterns = append(p.Report.Antipatterns, core.AntipatternSummaryJSON{
 			Kind: string(kind), Instances: n,

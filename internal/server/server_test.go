@@ -157,63 +157,95 @@ func TestIngestReportHealthz(t *testing.T) {
 }
 
 // TestIngestMatchesBatchPipeline is the acceptance equivalence at the service
-// boundary: a workload ingested over HTTP in chunks must yield the same
-// duplicate count and cleaned-statement multiset as the batch pipeline.
+// boundary: a workload ingested over HTTP in chunks to an 8-shard daemon
+// must yield the same duplicate count, cleaned-statement multiset and
+// distinct-user count (on /report and /toplist) as the batch pipeline. The
+// generator's log holds one or two sessions open at a time; the retimed
+// scale-1 log (denseLog) holds over a hundred.
 func TestIngestMatchesBatchPipeline(t *testing.T) {
-	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.2))
-	log.SortStable()
-	batch, err := core.Run(log, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sparse, _ := workload.Generate(workload.DefaultConfig().Scale(0.2))
+	sparse.SortStable()
+	for _, c := range []struct {
+		name             string
+		log              logmodel.Log
+		minOpenHighWater int
+	}{
+		{"scale 0.2", sparse, 0},
+		{"dense", denseLog(), 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := c.log
+			batch, err := core.Run(log, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var mu sync.Mutex
-	var emitted logmodel.Log
-	s, ts := newTestServer(t, Config{
-		Stream: stream.ShardedConfig{Shards: 8},
-		Emit: func(l logmodel.Log) {
+			var mu sync.Mutex
+			var emitted logmodel.Log
+			s, ts := newTestServer(t, Config{
+				Stream: stream.ShardedConfig{Shards: 8},
+				Emit: func(l logmodel.Log) {
+					mu.Lock()
+					emitted = append(emitted, l...)
+					mu.Unlock()
+				},
+			})
+			// Chunked ingest, as a tailer would send it.
+			feedChunks(t, ts.URL, log)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			var rp ReportPayload
+			getJSON(t, ts.URL+"/report", &rp)
+			var tp ToplistPayload
+			getJSON(t, ts.URL+"/toplist?k=1", &tp)
+			if rp.Stream.In != len(log) {
+				t.Fatalf("ingested %d entries, want %d", rp.Stream.In, len(log))
+			}
+			if rp.Stream.Duplicates != batch.Dedup.Removed {
+				t.Errorf("duplicates: service %d, batch %d", rp.Stream.Duplicates, batch.Dedup.Removed)
+			}
+			want := batch.Report.DistinctUsers
+			if rp.Report.DistinctUsers != want || tp.DistinctUsersEstimate != int64(want) {
+				t.Errorf("distinct users: /report %d, /toplist %d, batch %d", rp.Report.DistinctUsers, tp.DistinctUsersEstimate, want)
+			}
+			if hw := rp.Stream.OpenSessionsHighWater; hw < c.minOpenHighWater {
+				t.Errorf("at most %d sessions open at once, want at least %d", hw, c.minOpenHighWater)
+			}
 			mu.Lock()
-			emitted = append(emitted, l...)
-			mu.Unlock()
-		},
-	})
+			defer mu.Unlock()
+			counts := map[string]int{}
+			for _, e := range emitted {
+				counts[e.Statement]++
+			}
+			for _, e := range batch.Clean {
+				counts[e.Statement]--
+			}
+			for stmt, n := range counts {
+				if n != 0 {
+					t.Fatalf("statement multiset mismatch at %q: off by %d", stmt, n)
+				}
+			}
+		})
+	}
+}
 
-	// Chunked ingest, as a tailer would send it.
-	const chunk = 64
-	for i := 0; i < len(log); i += chunk {
-		end := i + chunk
-		if end > len(log) {
-			end = len(log)
-		}
-		postIngest(t, ts.URL, ndjsonBody(log[i:end]))
+// denseLog is the scale-1 generator log with entry i retimed to
+// T0 + i·40 ms, the event-clock step perfbench uses. The generator spreads
+// its log over about five years, so few of its users are active within one
+// session gap; retimed, the whole log spans 326 s and more than a hundred
+// sessions are open at once.
+func denseLog() logmodel.Log {
+	log, _ := workload.Generate(workload.DefaultConfig())
+	log.SortStable()
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := range log {
+		log[i].Time = t0.Add(time.Duration(i) * 40 * time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	st := s.Engine().Stats()
-	if st.In != len(log) {
-		t.Fatalf("ingested %d entries, want %d", st.In, len(log))
-	}
-	if st.Duplicates != batch.Dedup.Removed {
-		t.Errorf("duplicates: service %d, batch %d", st.Duplicates, batch.Dedup.Removed)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	counts := map[string]int{}
-	for _, e := range emitted {
-		counts[e.Statement]++
-	}
-	for _, e := range batch.Clean {
-		counts[e.Statement]--
-	}
-	for stmt, n := range counts {
-		if n != 0 {
-			t.Fatalf("statement multiset mismatch at %q: off by %d", stmt, n)
-		}
-	}
+	return log
 }
 
 // TestIngestBackpressure pins the 429 path deterministically: one shard, a

@@ -135,7 +135,9 @@ func (s *Server) statuszData() statuszData {
 	if s.boxes != nil {
 		d.HasClusters = true
 		d.DistinctBoxes = s.gDistinctBoxes.Value()
-		d.BoxesMax = s.boxes.maxBoxes
+		for _, r := range s.boxes {
+			d.BoxesMax += r.maxBoxes
+		}
 		d.BoxesDropped = s.mBoxesDropped.Value()
 	}
 

@@ -7,7 +7,7 @@ import (
 )
 
 // GET /toplist serves the k most frequent query templates, read from the
-// engine's exact template table, plus the distinct-identity estimate — the
+// engine's exact template table, plus the distinct-user count — the
 // daemon's answer to "what dominates this log right now" without the full
 // /report.
 
@@ -20,7 +20,8 @@ type ToplistPayload struct {
 	// ObservedQueries is the number of accepted SELECTs, the sum of every
 	// template's count (stream.selects in /report).
 	ObservedQueries int64 `json:"observed_queries"`
-	// DistinctUsersEstimate is the merged HLL's identity estimate.
+	// DistinctUsersEstimate is the exact distinct-user count, /report's
+	// report.distinct_users.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
 	// Entries are the top k templates, count-descending with
 	// fingerprint-ascending ties.
@@ -36,13 +37,11 @@ type ToplistEntry struct {
 
 // Toplist assembles the payload from the engine's template table.
 func (s *Server) Toplist(k int) ToplistPayload {
-	hll := s.eng.Sketches()
-	s.gHLLOcc.Set(int64(hll.Occupied()))
 	templates := s.eng.Templates()
 	p := ToplistPayload{
 		K:                     k,
 		Tracked:               len(templates),
-		DistinctUsersEstimate: hll.Count(),
+		DistinctUsersEstimate: int64(s.eng.DistinctUsers()),
 		Entries:               make([]ToplistEntry, len(templates)),
 	}
 	for i, t := range templates {

@@ -14,7 +14,7 @@ import (
 // TestToplistEndpoint ingests a workload and checks the payload against the
 // engine's template table: every template with its exact count, ordered by
 // count descending then fingerprint ascending, ?k= a prefix of that order,
-// and the distinct-identity estimate.
+// and the exact distinct-user count.
 func TestToplistEndpoint(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.05))
 	log.SortStable()
@@ -59,16 +59,11 @@ func TestToplistEndpoint(t *testing.T) {
 		t.Errorf("k=5 entries %+v, want the first 5 of %+v", p.Entries, all.Entries)
 	}
 
-	users := map[string]struct{}{}
-	for _, e := range log {
-		users[e.User] = struct{}{}
-	}
-	n := int64(len(users))
-	if p.DistinctUsersEstimate < n-n/20 || p.DistinctUsersEstimate > n+n/20 {
-		t.Errorf("distinct estimate %d for %d users", p.DistinctUsersEstimate, n)
+	if n := int64(log.Users()); p.DistinctUsersEstimate != n {
+		t.Errorf("distinct_users_estimate %d for %d users", p.DistinctUsersEstimate, n)
 	}
 
-	// The report payload carries the same sketch summary and counts.
+	// The report payload carries the same counts.
 	var rp ReportPayload
 	getJSON(t, ts.URL+"/report", &rp)
 	if rp.Report.CountTemplates != all.Tracked || int64(rp.Stream.Selects) != all.ObservedQueries {
@@ -76,10 +71,10 @@ func TestToplistEndpoint(t *testing.T) {
 			rp.Report.CountTemplates, rp.Stream.Selects, all.Tracked, all.ObservedQueries)
 	}
 	if rp.Sketch.DistinctUsersEstimate != p.DistinctUsersEstimate {
-		t.Errorf("report estimate %d, toplist estimate %d", rp.Sketch.DistinctUsersEstimate, p.DistinctUsersEstimate)
+		t.Errorf("report distinct_users_estimate %d, toplist %d", rp.Sketch.DistinctUsersEstimate, p.DistinctUsersEstimate)
 	}
 	if rp.Report.DistinctUsers != int(p.DistinctUsersEstimate) {
-		t.Errorf("report.distinct_users = %d, want the estimate %d", rp.Report.DistinctUsers, p.DistinctUsersEstimate)
+		t.Errorf("report.distinct_users = %d, toplist %d", rp.Report.DistinctUsers, p.DistinctUsersEstimate)
 	}
 }
 

@@ -3,13 +3,13 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/schema"
-	"sqlclean/internal/sketch"
 )
 
 // FuzzShardedRestore feeds arbitrary bytes to the engine's snapshot decoder,
@@ -21,8 +21,8 @@ func FuzzShardedRestore(f *testing.F) {
 	parser, catalog := parsedlog.NewParser(), schema.SkyServer()
 	engine := func() *Sharded { return serial(Config{Parser: parser, Catalog: catalog}) }
 
-	// A live snapshot with open sessions, closed ones and verdicts, its HLL
-	// cut to precision 4 so the mutator works on a short register file.
+	// A live snapshot with open sessions, closed ones, verdicts and a users
+	// list, and the same with a session the engine could not have written.
 	live := engine()
 	for _, e := range parentFixtureLog()[:parentFixtureCut] {
 		if _, err := live.Add(e); err != nil {
@@ -30,9 +30,7 @@ func FuzzShardedRestore(f *testing.F) {
 		}
 	}
 	liveSnap := live.Snapshot()
-	liveSnap.Procs[0].Sketches.HLL = sketch.NewHLL(4).Snapshot()
 	dropTable := live.Snapshot()
-	dropTable.Procs[0].Sketches.HLL = sketch.NewHLL(4).Snapshot()
 	dropTable.Procs[0].Open[0].Entries[0].Statement = "DROP TABLE x"
 	for _, snap := range []ShardedSnapshot{liveSnap, dropTable} {
 		blob, err := json.Marshal(snap)
@@ -41,13 +39,20 @@ func FuzzShardedRestore(f *testing.F) {
 		}
 		f.Add(blob)
 	}
-	// The fixture as written, with its evidence's counts, user sets and
-	// window bounds and its top block, minus the indentation.
-	var fixture bytes.Buffer
-	if err := json.Compact(&fixture, readParentFixtureBytes(f)); err != nil {
-		f.Fatal(err)
+	// The fixtures as written, minus the indentation: one with SWS evidence
+	// (its counts, user sets and window bounds), a top block and an HLL cut
+	// to precision 4, and one with the full HLL and no users list.
+	for _, name := range []string{"parent-shard-snapshot.json", "hll-shard-snapshot.json"} {
+		blob, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var fixture bytes.Buffer
+		if err := json.Compact(&fixture, blob); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fixture.Bytes())
 	}
-	f.Add(fixture.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap ShardedSnapshot
@@ -61,7 +66,7 @@ func FuzzShardedRestore(f *testing.F) {
 		eng.Stats()
 		eng.Templates()
 		eng.ClassifySWS(pattern.DefaultSWSOptions())
-		eng.Sketches().Count()
+		eng.DistinctUsers()
 		first := eng.Snapshot()
 		blob, err := json.Marshal(first)
 		if err != nil {

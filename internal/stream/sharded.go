@@ -32,7 +32,7 @@ import (
 	"sqlclean/internal/parallel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
-	"sqlclean/internal/sketch"
+	"sqlclean/internal/rewrite"
 )
 
 // ShardedConfig configures a sharded streaming engine.
@@ -154,8 +154,16 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		s.gauge = m.Gauge("stream_open_sessions")
 		s.mSkew = m.Counter("stream_rejected_future_skew_total")
 	}
+	reg := antipattern.DefaultRegistry(cfg.Catalog, antipattern.Options{
+		MinRun:           cfg.MinRun,
+		RequireKeyColumn: !cfg.DisableKeyCheck,
+	})
+	for _, r := range cfg.ExtraRules {
+		reg.Register(r)
+	}
+	solvers := append(rewrite.DefaultSolvers(cfg.Catalog), cfg.ExtraSolvers...)
 	for i := range s.shards {
-		s.shards[i] = newShard(cfg.Config, met)
+		s.shards[i] = newShard(cfg.Config, reg, solvers, met)
 	}
 	return s
 }
@@ -380,25 +388,23 @@ func (s *Sharded) TemplateKinds() map[uint64][]string {
 	return out
 }
 
-// Sketches returns the shards' distinct-identity HLLs merged into a copy:
-// registers union exactly. It is a consistent-enough global read: each
-// shard is locked while merged, like Stats.
-func (s *Sharded) Sketches() *sketch.HLL {
-	var merged *sketch.HLL
+// DistinctUsers returns the exact number of distinct users of the entries
+// the engine accepted, SELECT or not: over the same entries, the batch
+// report's DistinctUsers. Users partition by shard, so it is the sum of the
+// shards' set sizes. Each shard is read under its own lock, like Stats.
+func (s *Sharded) DistinctUsers() int {
+	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if merged == nil {
-			merged = sh.hll.Clone()
-		} else {
-			// Every shard is built at DefaultPrecision or restored from one
-			// engine snapshot, whose precisions Restore checks agree, so
-			// Merge cannot fail.
-			_ = merged.Merge(sh.hll)
-		}
+		n += len(sh.users)
 		sh.mu.Unlock()
 	}
-	return merged
+	return n
 }
+
+// Sketches is DistinctUsers under the name callers used while the count was
+// a sketch's estimate.
+func (s *Sharded) Sketches() int { return s.DistinctUsers() }
 
 // ClassifySWS runs the batch SWS predicate over Templates, with the
 // engine-wide accepted-SELECT count as the total. After Close both are the

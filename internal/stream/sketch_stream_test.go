@@ -3,7 +3,6 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -13,16 +12,15 @@ import (
 	"sqlclean/internal/core"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/pattern"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/workload"
 )
 
 // TestStreamingSWSMatchesBatch is the acceptance property: after the stream
-// drains, its template statistics and SWS verdicts must equal the batch
-// pipeline's (core.Run) on seeded logs — for the default thresholds and for
-// harder variants, at one shard and at eight, where one WHERE clause reaches
-// several shards. A popularity threshold above 32 pins that no template's
-// user set is capped.
+// drains, its template statistics, SWS verdicts and distinct-user count must
+// equal the batch pipeline's (core.Run) on seeded logs — for the default
+// thresholds and for harder variants, at one shard and at eight, where one
+// WHERE clause reaches several shards. A popularity threshold above 32 pins
+// that no template's user set is capped.
 func TestStreamingSWSMatchesBatch(t *testing.T) {
 	opts := []pattern.SWSOptions{
 		pattern.DefaultSWSOptions(),
@@ -44,10 +42,6 @@ func TestStreamingSWSMatchesBatch(t *testing.T) {
 			batch, err := core.Run(log, core.Config{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			exact := map[string]struct{}{}
-			for _, e := range log {
-				exact[e.User] = struct{}{}
 			}
 
 			for _, shards := range []int{1, 8} {
@@ -79,11 +73,8 @@ func TestStreamingSWSMatchesBatch(t *testing.T) {
 					t.Errorf("%s: streaming default SWS %v, core.Run reported %v", name, got, batch.SWS)
 				}
 
-				// The distinct-identity sketch must track the exact user count
-				// within the acceptance bound.
-				est := p.Sketches().Estimate()
-				if rel := math.Abs(est-float64(len(exact))) / float64(len(exact)); rel > 0.02 {
-					t.Errorf("%s: HLL estimate %.1f for %d users (relative error %.4f)", name, est, len(exact), rel)
+				if got, want := p.DistinctUsers(), batch.Report.DistinctUsers; got != want {
+					t.Errorf("%s: %d distinct users, core.Run counted %d", name, got, want)
 				}
 			}
 		}
@@ -120,11 +111,12 @@ func diffCounts(got, want map[uint64]counts) string {
 }
 
 // TestShardedSketchSnapshotRoundTrip is the durability property for the
-// template table and the HLL: cut a sharded stream mid-flight, snapshot,
-// restore into a fresh engine, finish — the merged HLL, the templates (with
-// their distinct WHERE clauses) and the SWS verdicts must equal the
-// uninterrupted run's, at 1 and 4 workers, and re-snapshotting immediately
-// after restore must reproduce the decoded snapshot.
+// template table and the user sets: cut a sharded stream mid-flight,
+// snapshot, restore into a fresh engine, finish — the distinct-user count,
+// the templates (with their distinct WHERE clauses) and the SWS verdicts
+// must equal the uninterrupted run's, at 1 and 4 workers, and
+// re-snapshotting immediately after restore must reproduce the decoded
+// snapshot.
 func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.1))
 	log.SortStable()
@@ -154,7 +146,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 							t.Fatal(err)
 						}
 						// Restore must be lossless: a snapshot taken right
-						// now reproduces the decoded one, HLL included.
+						// now reproduces the decoded one, user lists included.
 						if again := eng.Snapshot(); !reflect.DeepEqual(again, decoded) {
 							t.Fatal("re-snapshot after restore differs from the restored snapshot")
 						}
@@ -169,12 +161,12 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 
 			want := run(-1)
 			wantSWS := want.ClassifySWS(opt)
-			if want.Sketches().Occupied() == 0 || len(wantSWS) == 0 {
-				t.Fatal("uninterrupted run left the HLL or the SWS set empty; the round trip proves nothing")
+			if want.DistinctUsers() == 0 || len(wantSWS) == 0 {
+				t.Fatal("uninterrupted run counted no user or no SWS template; the round trip proves nothing")
 			}
 			got := run(len(log) / 2)
-			if !reflect.DeepEqual(got.Sketches().Snapshot(), want.Sketches().Snapshot()) {
-				t.Error("merged HLL registers diverged across the snapshot cut")
+			if g, w := got.DistinctUsers(), want.DistinctUsers(); g != w {
+				t.Errorf("%d distinct users across the snapshot cut, %d uninterrupted", g, w)
 			}
 			if !reflect.DeepEqual(got.Templates(), want.Templates()) {
 				t.Error("templates diverged across the snapshot cut")
@@ -186,40 +178,54 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsSnapshotSketchParameters pins the restore policy: the
-// snapshot's own HLL precision wins over the default a fresh engine uses, a
-// pre-sketch snapshot (no sketches field) restores a fresh HLL, and shards
-// whose precisions differ, which Sketches could not merge, are refused.
-func TestRestoreKeepsSnapshotSketchParameters(t *testing.T) {
+// TestRestoreUserSet pins the restore rule for the user set: a shard's
+// users are its snapshot's users list ∪ its template rows' users ∪ its open
+// sessions' users. A list holding a user that routes to another shard is
+// refused, because DistinctUsers sums the shards' sets.
+func TestRestoreUserSet(t *testing.T) {
+	base := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
 	p := serial(Config{})
+	for i, e := range []logmodel.Entry{
+		{User: "sel", Statement: "SELECT name FROM Employees WHERE id = 1"},
+		{User: "exec", Statement: "EXEC spGetNeighbors 12345"},
+	} {
+		e.Time = base.Add(time.Duration(i) * time.Second)
+		if _, err := p.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	snap := p.Snapshot()
-	sk := snap.Procs[0].Sketches
-	if sk == nil || sk.Version != sketch.SnapshotVersion {
-		t.Fatalf("snapshot sketches = %+v, want version %d", sk, sketch.SnapshotVersion)
+	if got := snap.Procs[0].Users; !reflect.DeepEqual(got, []string{"exec", "sel"}) {
+		t.Fatalf("snapshot users %q, want both users sorted", got)
 	}
-	sk.HLL = sketch.NewHLL(10).Snapshot()
 
+	// Without the list, only the template rows and the open sessions name
+	// users: the user who sent only EXEC is gone.
+	noList := p.Snapshot()
+	noList.Procs[0].Users = nil
 	q := serial(Config{})
-	if err := q.Restore(snap); err != nil {
+	if err := q.Restore(noList); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Sketches().Precision(); got != 10 {
-		t.Errorf("restored precision %d, want the snapshot's 10 over the default %d", got, sketch.DefaultPrecision)
+	if got := q.DistinctUsers(); got != 1 {
+		t.Errorf("restored %d users from the rows and sessions, want 1", got)
 	}
-
-	snap.Procs[0].Sketches = nil // a snapshot from before the sketch layer existed
-	if err := q.Restore(snap); err != nil {
+	// The rows' and sessions' users are added to the list's.
+	noList.Procs[0].Users = []string{"other"}
+	noList.Procs[0].Templates[0].Users = []string{"row"}
+	if err := q.Restore(noList); err != nil {
 		t.Fatal(err)
 	}
-	if q.Sketches().Precision() != sketch.DefaultPrecision {
-		t.Error("pre-sketch snapshot must restore a fresh HLL at the default precision")
+	if got := q.Snapshot().Procs[0].Users; !reflect.DeepEqual(got, []string{"other", "row", "sel"}) {
+		t.Errorf("restored users %q, want the list's, the row's and the session's", got)
 	}
 
 	two := NewSharded(ShardedConfig{Shards: 2})
-	mixed := two.Snapshot()
-	mixed.Procs[1].Sketches.HLL = sketch.NewHLL(10).Snapshot()
-	if err := NewSharded(ShardedConfig{Shards: 2}).Restore(mixed); err == nil {
-		t.Error("Restore accepted shards with different HLL precisions")
+	wrong := two.Snapshot()
+	u := "alice"
+	wrong.Procs[1-two.ShardFor(u)].Users = []string{u}
+	if err := two.Restore(wrong); err == nil || !strings.Contains(err.Error(), "routes to shard") {
+		t.Errorf("Restore of a user on the wrong shard: err %v", err)
 	}
 }
 
@@ -260,17 +266,13 @@ func parentFixtureLog() logmodel.Log {
 
 const parentFixtureCut = 8
 
-func readParentFixtureBytes(t testing.TB) []byte {
+func readParentFixture(t testing.TB) ShardedSnapshot {
 	blob, err := os.ReadFile("testdata/parent-shard-snapshot.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob
-}
-
-func readParentFixture(t testing.TB) ShardedSnapshot {
 	var snap ShardedSnapshot
-	if err := json.Unmarshal(readParentFixtureBytes(t), &snap); err != nil {
+	if err := json.Unmarshal(blob, &snap); err != nil {
 		t.Fatal(err)
 	}
 	return snap
@@ -306,6 +308,11 @@ func TestRestoresParentSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(got.Templates(), want.Templates()) {
 		t.Errorf("templates after restore %+v, uninterrupted %+v", got.Templates(), want.Templates())
 	}
+	// Every user of the fixture's log sent a SELECT before the cut, so the
+	// rows and sessions restore them all.
+	if g, w := got.DistinctUsers(), want.DistinctUsers(); g != w {
+		t.Errorf("%d distinct users after restore, uninterrupted %d", g, w)
+	}
 	for _, opt := range []pattern.SWSOptions{
 		pattern.DefaultSWSOptions(),
 		{FrequencyPct: 1, MaxUserPopularity: 2, MinDisjointRatio: 0.9},
@@ -327,6 +334,92 @@ func TestRestoresParentSnapshot(t *testing.T) {
 	}
 	if err := serial(Config{}).Restore(orphan); err == nil || !strings.Contains(err.Error(), "no row") {
 		t.Errorf("Restore of evidence for a template with no row: err %v", err)
+	}
+}
+
+// hllFixtureLog is the log behind testdata/hll-shard-snapshot.json, a
+// one-shard snapshot taken after its first hllFixtureCut entries by the last
+// engine that counted users with a HyperLogLog: the snapshot has open
+// sessions and that engine's HLL, and no users list. Before the cut dave
+// sends only an EXEC and erin only a CREATE TABLE, so no template row or
+// open session names them; erin sends a SELECT after the cut, dave never
+// does.
+func hllFixtureLog() logmodel.Log {
+	t0 := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
+	at := func(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+	obj := func(id int) string { return fmt.Sprintf("SELECT ra, dec FROM PhotoObj WHERE objid = %d", id) }
+	l := logmodel.Log{
+		{Time: at(0), User: "bot", Statement: obj(1)},
+		{Time: at(2), User: "bot", Statement: obj(2)},
+		{Time: at(4), User: "bot", Statement: obj(3)},
+		{Time: at(6), User: "dave", Statement: "EXEC spGetNeighbors 12345"},
+		{Time: at(10), User: "alice", Statement: "SELECT objid FROM PhotoObj WHERE ra BETWEEN 10 AND 11"},
+		{Time: at(30), User: "erin", Statement: "CREATE TABLE #results (objid bigint)"},
+		{Time: at(600), User: "bot", Statement: obj(4)},
+		{Time: at(602), User: "bot", Statement: obj(5)},
+		{Time: at(604), User: "carol", Statement: obj(99)},
+		{Time: at(606), User: "bot", Statement: obj(6)},
+		{Time: at(700), User: "erin", Statement: obj(7)},
+		{Time: at(1200), User: "alice", Statement: "SELECT objid FROM PhotoObj WHERE ra BETWEEN 20 AND 21"},
+	}
+	for i := range l {
+		l[i].Seq = int64(i)
+	}
+	return l
+}
+
+const hllFixtureCut = 9
+
+// TestRestoresHLLSnapshot restores a snapshot written while users were
+// counted by an HLL. Finishing the feed must give the uninterrupted run's
+// counters and templates, and its distinct-user count short by exactly the
+// users the cut hides: those that sent only non-SELECTs before it and
+// nothing after (dave). Erin is counted again by her SELECT after the cut.
+func TestRestoresHLLSnapshot(t *testing.T) {
+	log := hllFixtureLog()
+	want := serial(Config{})
+	for _, e := range log {
+		if _, err := want.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want.Close()
+
+	blob, err := os.ReadFile("testdata/hll-shard-snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap ShardedSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Procs[0].Open) == 0 || snap.Procs[0].Users != nil || !strings.Contains(string(blob), `"hll"`) {
+		t.Fatal("fixture lacks open sessions or an HLL, or has a users list")
+	}
+	got := serial(Config{})
+	if err := got.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if u := got.Snapshot().Procs[0].Users; !reflect.DeepEqual(u, []string{"alice", "bot", "carol"}) {
+		t.Errorf("restored users %q, want the SELECT users before the cut", u)
+	}
+	for _, e := range log[hllFixtureCut:] {
+		if _, err := got.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.Close()
+	gs, ws := got.Stats(), want.Stats()
+	gs.OpenSessionsHighWater, ws.OpenSessionsHighWater = 0, 0
+	if !reflect.DeepEqual(gs, ws) {
+		t.Errorf("stats after restore %+v, uninterrupted %+v", gs, ws)
+	}
+	if !reflect.DeepEqual(got.Templates(), want.Templates()) {
+		t.Errorf("templates after restore %+v, uninterrupted %+v", got.Templates(), want.Templates())
+	}
+	const hidden = 1 // dave
+	if g, w := got.DistinctUsers(), want.DistinctUsers(); g != w-hidden {
+		t.Errorf("%d distinct users after restore, want the uninterrupted %d less the %d hidden", g, w, hidden)
 	}
 }
 

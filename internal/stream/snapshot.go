@@ -3,13 +3,13 @@
 // checkpoint, and the checkpoint is exactly the state serialized here — the
 // merged counters, the open sessions (raw entries; parse results are
 // recomputed on restore, the parser is deterministic), the live slice of the
-// dedup window, the template aggregates and the watermarks. "Query Log
-// Compression for Workload Analytics" (Xie et al. 2018) observes that
-// log-workload state is dominated by a small set of templates, which is why
-// this whole structure stays small enough to checkpoint cheaply even after
-// months of traffic: sessions close within minutes, the dedup window is
-// pruned to the reachable horizon, and templates grow with the number of
-// distinct query shapes, not with traffic.
+// dedup window, the template aggregates, the user sets and the watermarks.
+// "Query Log Compression for Workload Analytics" (Xie et al. 2018) observes
+// that log-workload state is dominated by a small set of templates, which is
+// why this whole structure stays small enough to checkpoint cheaply even
+// after months of traffic: sessions close within minutes, the dedup window
+// is pruned to the reachable horizon, and templates and users grow with the
+// number of distinct query shapes and identities, not with traffic.
 package stream
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"sqlclean/internal/antipattern"
 	"sqlclean/internal/logmodel"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/sqlast"
 )
 
@@ -92,10 +91,47 @@ type ShardSnapshot struct {
 	Open           []SessionSnapshot  `json:"open,omitempty"`
 	Dedup          []DedupSnapshot    `json:"dedup,omitempty"`
 	Templates      []TemplateSnapshot `json:"templates,omitempty"`
-	// Sketches carries the distinct-identity HLL (its own versioned
-	// encoding). Snapshots without it, written before the sketch layer
-	// existed or with it switched off, restore a fresh HLL.
-	Sketches *sketch.Snapshot `json:"sketches,omitempty"`
+	// Users is the shard's user set, sorted. Snapshots written while the
+	// engine counted users with a HyperLogLog lack it; Restore rebuilds the
+	// set from the template rows and the open sessions (see Restore).
+	Users []string `json:"users,omitempty"`
+	// Sketches is read only: the block older snapshots kept beside the
+	// table. Its HLL is ignored; its SWS evidence's WHERE-clause hashes are
+	// folded into the template rows on restore. Nothing writes it any more.
+	Sketches *legacySketches `json:"sketches,omitempty"`
+}
+
+// legacySketches is the part of an older snapshot's sketch block that the
+// template table cannot rebuild: each template's distinct WHERE-clause
+// hashes, in a base list and, in snapshots written while the evidence was
+// split into event-time windows, per window. Its HLL, its counts and its
+// user sets are not read.
+type legacySketches struct {
+	SWS *struct {
+		Base    []templateWheres `json:"base,omitempty"`
+		Windows []struct {
+			Evidence []templateWheres `json:"evidence,omitempty"`
+		} `json:"windows,omitempty"`
+	} `json:"sws,omitempty"`
+}
+
+// templateWheres is one template's WHERE-clause hashes in SWS evidence.
+type templateWheres struct {
+	Fingerprint uint64   `json:"fingerprint"`
+	WCs         []uint64 `json:"wcs,omitempty"`
+}
+
+// evidence returns the SWS evidence's base list followed by every window's
+// (nil for a snapshot without SWS evidence).
+func (l *legacySketches) evidence() []templateWheres {
+	if l == nil || l.SWS == nil {
+		return nil
+	}
+	out := slices.Clone(l.SWS.Base)
+	for _, w := range l.SWS.Windows {
+		out = append(out, w.Evidence...)
+	}
+	return out
 }
 
 // Snapshot serializes the shard's state. The dedup window is cut to
@@ -151,7 +187,10 @@ func (sh *shard) Snapshot() ShardSnapshot {
 		})
 	}
 	sort.Slice(s.Templates, func(i, j int) bool { return s.Templates[i].Fingerprint < s.Templates[j].Fingerprint })
-	s.Sketches = &sketch.Snapshot{Version: sketch.SnapshotVersion, HLL: sh.hll.Snapshot()}
+	for u := range sh.users {
+		s.Users = append(s.Users, u)
+	}
+	sort.Strings(s.Users)
 	return s
 }
 
@@ -165,6 +204,12 @@ func (sh *shard) Snapshot() ShardSnapshot {
 // records every accepted SELECT in the table before it adds the entry to a
 // session, so evidence or an open-session entry without a template row is
 // refused, as is an open-session entry that is not a SELECT.
+//
+// The user set is the users list ∪ the template rows' users ∪ the open
+// sessions' users, whatever wrote the snapshot. A snapshot without the list
+// (written while users were counted by an HLL) so restores every user that
+// sent a SELECT; a user that had sent only other statements is counted
+// again only once it sends another entry.
 func (sh *shard) Restore(s ShardSnapshot) error {
 	sh.stats = s.Stats
 	// The snapshot owner may reuse the map, so copy it; an empty one stays
@@ -177,6 +222,10 @@ func (sh *shard) Restore(s ShardSnapshot) error {
 	if s.WatermarkValid {
 		sh.watermark = time.Unix(0, s.WatermarkNS).UTC()
 	}
+	sh.users = make(map[string]struct{}, len(s.Users))
+	for _, u := range s.Users {
+		sh.users[u] = struct{}{}
+	}
 	sh.templateAgg = make(map[uint64]*templateAgg, len(s.Templates))
 	for _, t := range s.Templates {
 		a := &templateAgg{
@@ -185,6 +234,7 @@ func (sh *shard) Restore(s ShardSnapshot) error {
 		}
 		for _, u := range t.Users {
 			a.users[u] = struct{}{}
+			sh.users[u] = struct{}{}
 		}
 		for _, h := range t.WCs {
 			a.wcs[h] = struct{}{}
@@ -197,17 +247,9 @@ func (sh *shard) Restore(s ShardSnapshot) error {
 		}
 		sh.templateAgg[t.Fingerprint] = a
 	}
-	sh.hll = sketch.NewHLL(sketch.DefaultPrecision)
-	if s.Sketches != nil {
-		hll, err := sketch.Restore(s.Sketches)
-		if err != nil {
+	for _, ev := range s.Sketches.evidence() {
+		if err := sh.foldWheres(ev.Fingerprint, ev.WCs...); err != nil {
 			return err
-		}
-		sh.hll = hll
-		for _, ev := range s.Sketches.SWS.Evidence() {
-			if err := sh.foldWheres(ev.Fingerprint, ev.WCs...); err != nil {
-				return err
-			}
 		}
 	}
 	sh.open = make(map[string]*openSession, len(s.Open))
@@ -217,6 +259,7 @@ func (sh *shard) Restore(s ShardSnapshot) error {
 			return fmt.Errorf("stream: snapshot session for %q has no entries", ss.User)
 		}
 		os := &openSession{user: ss.User, label: ss.Label, last: time.Unix(0, ss.LastNS).UTC()}
+		sh.users[ss.User] = struct{}{}
 		for _, es := range ss.Entries {
 			pe := sh.cfg.Parser.ParseEntry(es.entry())
 			if pe.Class != sqlast.ClassSelect || pe.Info == nil {
@@ -295,20 +338,16 @@ func (s *Sharded) Restore(snap ShardedSnapshot) error {
 		return fmt.Errorf("stream: snapshot carries %d shard states for %d shards", len(snap.Procs), snap.Shards)
 	}
 	var open int64
-	var precision int
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		err := sh.Restore(snap.Procs[i])
-		n, p := len(sh.open), sh.hll.Precision()
+		if err == nil {
+			err = s.checkUsers(i, sh.users)
+		}
+		n := len(sh.open)
 		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("stream: restore shard %d: %w", i, err)
-		}
-		if i == 0 {
-			precision = p
-		} else if p != precision {
-			// Sketches merges the shards' HLLs, which needs one precision.
-			return fmt.Errorf("stream: restore shard %d: HLL precision %d, shard 0 has %d", i, p, precision)
 		}
 		open += int64(n)
 	}
@@ -320,5 +359,17 @@ func (s *Sharded) Restore(snap ShardedSnapshot) error {
 	s.openCount.Store(open)
 	s.openHigh.Store(snap.OpenHigh)
 	s.gauge.Set(open)
+	return nil
+}
+
+// checkUsers refuses a restored user set holding a user that routes to
+// another shard: DistinctUsers sums the shards' sets, which counts each user
+// once only while users partition by shard.
+func (s *Sharded) checkUsers(i int, users map[string]struct{}) error {
+	for u := range users {
+		if j := s.ShardFor(u); j != i {
+			return fmt.Errorf("snapshot has user %q, which routes to shard %d", u, j)
+		}
+	}
 	return nil
 }

@@ -18,7 +18,8 @@
 //   - the template table: one aggregate per template, with its exact
 //     frequency, the set of its users and the set of its distinct WHERE
 //     clauses — the three statistics SWS classification reads;
-//   - the distinct-identity HLL, bounded by its precision;
+//   - the user set: every user of an accepted entry, SELECT or not, which
+//     grows with distinct users, as the template table's user sets do;
 //   - the parse cache, which keeps a small summary of every distinct
 //     statement text for the parser's lifetime. On a log of mostly distinct
 //     statements it is the largest part.
@@ -44,7 +45,6 @@ import (
 	"sqlclean/internal/rewrite"
 	"sqlclean/internal/schema"
 	"sqlclean/internal/session"
-	"sqlclean/internal/sketch"
 	"sqlclean/internal/sqlast"
 )
 
@@ -166,8 +166,10 @@ type shard struct {
 	// accumulated across the whole stream.
 	templateAgg map[uint64]*templateAgg
 
-	// hll counts the distinct users of every in-order entry.
-	hll *sketch.HLL
+	// users holds the user of every in-order entry. Users partition by
+	// shard, so the engine's distinct-user count is the sum of the sets'
+	// sizes.
+	users map[string]struct{}
 
 	stats Stats
 	met   streamMetrics
@@ -208,17 +210,9 @@ type templateAgg struct {
 	kinds map[antipattern.Kind]struct{}
 }
 
-// newShard returns an empty shard. cfg has its defaults and its Parser set.
-func newShard(cfg Config, met streamMetrics) *shard {
-	reg := antipattern.DefaultRegistry(cfg.Catalog, antipattern.Options{
-		MinRun:           cfg.MinRun,
-		RequireKeyColumn: !cfg.DisableKeyCheck,
-	})
-	for _, r := range cfg.ExtraRules {
-		reg.Register(r)
-	}
-	solvers := rewrite.DefaultSolvers(cfg.Catalog)
-	solvers = append(solvers, cfg.ExtraSolvers...)
+// newShard returns an empty shard. cfg has its defaults and its Parser set;
+// reg and solvers hold no state, so the shards of an engine share them.
+func newShard(cfg Config, reg *antipattern.Registry, solvers []rewrite.Solver, met streamMetrics) *shard {
 	return &shard{
 		cfg:         cfg,
 		reg:         reg,
@@ -226,7 +220,7 @@ func newShard(cfg Config, met streamMetrics) *shard {
 		open:        map[string]*openSession{},
 		lastSeen:    map[dupKey]time.Time{},
 		templateAgg: map[uint64]*templateAgg{},
-		hll:         sketch.NewHLL(sketch.DefaultPrecision),
+		users:       map[string]struct{}{},
 		met:         met,
 	}
 }
@@ -244,10 +238,10 @@ func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
 	if e.Time.After(sh.watermark) {
 		sh.watermark = e.Time
 	}
-	// Distinct identities count every in-order entry's user, SELECT or not:
-	// the HLL answers "how many identities touched the service", not "how
-	// many queried templates".
-	sh.hll.AddString(e.User)
+	// Distinct users count every in-order entry's user, SELECT or not, as
+	// the batch report's DistinctUsers counts the whole log's: "how many
+	// identities touched the service", not "how many queried templates".
+	sh.users[e.User] = struct{}{}
 
 	var out logmodel.Log
 

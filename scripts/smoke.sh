@@ -13,7 +13,8 @@
 # journal into columnar blocks, scans them back and serves GET /history from
 # them. The last phase runs the CLI's streaming path: `sqlclean -stream` must
 # write the same lines as the batch `sqlclean -clean`, and its -json must
-# count the lines it wrote. Run via `make smoke` (which builds bin/ first).
+# count the lines it wrote and the batch -json's distinct users. Run via
+# `make smoke` (which builds bin/ first).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -200,7 +201,7 @@ grep -q '"cluster_count": *[1-9]' "$TMP/clusters.json" || {
 }
 
 # Sketches: after the replay load, the heavy-hitter endpoint must report
-# tracked templates with counts, and a live distinct-identity estimate.
+# tracked templates with counts, and a non-zero distinct-user count.
 curl -sf "http://$ADDR/toplist?k=5" >"$TMP/toplist.json"
 grep -q '"tracked_templates": *[1-9]' "$TMP/toplist.json" || {
   echo "smoke: /toplist tracked no templates:" >&2
@@ -211,7 +212,7 @@ grep -q '"skeleton": *"' "$TMP/toplist.json" || {
   cat "$TMP/toplist.json" >&2; exit 1
 }
 grep -q '"distinct_users_estimate": *[1-9]' "$TMP/toplist.json" || {
-  echo "smoke: /toplist distinct-identity estimate is zero:" >&2
+  echo "smoke: /toplist distinct-user count is zero:" >&2
   cat "$TMP/toplist.json" >&2; exit 1
 }
 
@@ -288,12 +289,13 @@ echo "smoke: retention ok ($TOTAL entries compacted, scanned back and served via
 
 # ---------------------------------------------------------------------------
 # CLI streaming: `sqlclean -stream` runs the streaming engine at one shard.
-# Its cleaned log must hold the same lines as the batch pipeline's, and the
-# -json stream block must count exactly the lines it wrote.
+# Its cleaned log must hold the same lines as the batch pipeline's, the
+# -json stream block must count exactly the lines it wrote, and its
+# distinct-user count must equal the batch -json's.
 # ---------------------------------------------------------------------------
 
 "$CLI" -stream -clean "$TMP/s.tsv" -json "$TMP/s.json" "$TMP/log.tsv" 2>"$TMP/stream.log"
-"$CLI" -clean "$TMP/b.tsv" "$TMP/log.tsv" >"$TMP/batch.txt" 2>>"$TMP/stream.log"
+"$CLI" -clean "$TMP/b.tsv" -json "$TMP/b.json" "$TMP/log.tsv" >"$TMP/batch.txt" 2>>"$TMP/stream.log"
 LC_ALL=C sort "$TMP/s.tsv" >"$TMP/s.sorted"
 LC_ALL=C sort "$TMP/b.tsv" >"$TMP/b.sorted"
 cmp -s "$TMP/s.sorted" "$TMP/b.sorted" || {
@@ -305,5 +307,10 @@ OUT=$(grep -m 1 -oE '"out": *[0-9]+' "$TMP/s.json" | grep -oE '[0-9]+$')
 [ "$OUT" -eq "$STREAMED" ] || {
   echo "smoke: -stream -json reports out=$OUT for $STREAMED written lines" >&2; exit 1
 }
+S_USERS=$(grep -m 1 -oE '"distinct_users_estimate": *[0-9]+' "$TMP/s.json" | grep -oE '[0-9]+$')
+B_USERS=$(grep -m 1 -oE '"distinct_users": *[0-9]+' "$TMP/b.json" | grep -oE '[0-9]+$')
+[ -n "$S_USERS" ] && [ "$S_USERS" -eq "$B_USERS" ] || {
+  echo "smoke: -stream -json counts ${S_USERS:-no} distinct users, batch -json $B_USERS" >&2; exit 1
+}
 
-echo "smoke: stream ok ($STREAMED lines, the same as batch -clean)"
+echo "smoke: stream ok ($STREAMED lines and $S_USERS users, the same as batch)"

@@ -300,9 +300,11 @@ type StreamStats = stream.Stats
 func ScanLogTSV(r io.Reader, fn func(Entry) error) error { return logmodel.ScanTSV(r, fn) }
 
 // StreamSketchJSON is the sketch block of the streaming -json export: the
-// HLL distinct-identity estimate, and the SWS counts of the template table.
+// distinct-user count, and the SWS counts of the template table. The block
+// keeps its name and its field names from when the count was an estimate.
 type StreamSketchJSON struct {
-	// DistinctUsersEstimate is the HLL distinct-identity estimate.
+	// DistinctUsersEstimate is the exact distinct-user count, the batch
+	// report's distinct_users.
 	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
 	// SWSTemplates/SWSQueries are the templates the default SWS thresholds
 	// classify in the drained template table and the SELECTs they cover —
@@ -323,7 +325,7 @@ func WriteStreamJSON(w io.Writer, s *ShardedStream) error {
 	}{Stream: s.Stats()}
 	templates := s.Templates()
 	sws := pattern.ClassifySWS(templates, doc.Stream.Selects, pattern.DefaultSWSOptions())
-	doc.Sketches = StreamSketchJSON{DistinctUsersEstimate: s.Sketches().Count(), SWSTemplates: len(sws)}
+	doc.Sketches = StreamSketchJSON{DistinctUsersEstimate: int64(s.DistinctUsers()), SWSTemplates: len(sws)}
 	for _, t := range templates {
 		if sws[t.Fingerprint] {
 			doc.Sketches.SWSQueries += t.Frequency
