@@ -8,9 +8,8 @@
 //	          [-shards 0] [-queue 1024] [-max-body 32] [-clean out.tsv]
 //	          [-data-dir DIR] [-fsync interval] [-fsync-interval 1s]
 //	          [-snapshot-interval 5m] [-max-skew 0] [-no-clusters]
-//	          [-cluster-threshold 0.9] [-cluster-max-boxes 4096]
-//	          [-log-level info] [-log-format text] [-slow-request 1s]
-//	          [-version]
+//	          [-cluster-threshold 0.9] [-log-level info]
+//	          [-log-format text] [-slow-request 1s] [-version]
 //
 // Endpoints:
 //
@@ -22,7 +21,8 @@
 //	               distinct-user count, SWS template and query counts)
 //	GET  /toplist  the k most frequent templates by exact count (?k=N), and
 //	               the exact distinct-user count
-//	GET  /clusters overlap clustering of the observed predicate boxes
+//	GET  /clusters overlap clustering of the clean log's predicate boxes,
+//	               equal to the batch clustering of the clean log
 //	GET  /healthz  liveness, version, queue, session and watermark state
 //	GET  /statusz  human status page (?format=text for plain text)
 //	GET  /debug/requests  recent and slowest request traces (?view=slow)
@@ -86,7 +86,6 @@ func main() {
 		maxSkew    = flag.Duration("max-skew", 0, "reject entries this far past the event-time watermark (0 = disabled)")
 		noClusters = flag.Bool("no-clusters", false, "disable the GET /clusters overlap-clustering surface")
 		clusterT   = flag.Float64("cluster-threshold", 0.9, "default overlap-distance threshold for GET /clusters")
-		clusterMax = flag.Int("cluster-max-boxes", 4096, "distinct predicate boxes kept for clustering, split evenly over the shards (further ones are counted as dropped)")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		slowReq    = flag.Duration("slow-request", time.Second, "log a warn line with stage timings for ingest requests at or above this latency (<0 disables)")
@@ -155,7 +154,6 @@ func main() {
 		Emit:             emit,
 		ClustersDisabled: *noClusters,
 		ClusterThreshold: *clusterT,
-		ClusterMaxBoxes:  *clusterMax,
 		DataDir:          *dataDir,
 		Fsync:            policy,
 		FsyncInterval:    *fsyncEvery,

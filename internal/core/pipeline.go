@@ -55,23 +55,14 @@ type Config struct {
 	// clean log equals the pre-clean select log).
 	DisableSolve bool
 	// SolveToFixpoint re-parses and re-solves the clean log until no
-	// solvable antipattern remains (bounded by MaxSolvePasses). §5.5 found
-	// a single pass leaves only a 0.09 % residue, so the default is one
-	// pass.
+	// solvable antipattern remains, in at most 5 passes. §5.5 found a
+	// single pass leaves only a 0.09 % residue, so the default is one pass.
 	SolveToFixpoint bool
-	// MaxSolvePasses bounds fixpoint iteration; zero selects 5.
-	MaxSolvePasses int
-	// SWS configures sliding-window-search classification for the report.
-	// The zero value selects pattern.DefaultSWSOptions.
-	SWS pattern.SWSOptions
 	// SWSMode selects what happens to classified SWS traffic in the clean
 	// log (§6.5): keep it (default), exclude it as machine noise, or
 	// replace each SWS template's queries by one union query covering the
 	// same data space.
 	SWSMode SWSMode
-	// MaxSequenceLen bounds multi-template sequence mining (default 3;
-	// values below 2 disable sequence mining).
-	MaxSequenceLen int
 	// ClusterThreshold enables overlap clustering of the pre-clean log's
 	// predicate boxes (§6.9): each query joins the first cluster whose
 	// representative's region is at overlap distance below the threshold.
@@ -112,17 +103,15 @@ func (c Config) withDefaults() Config {
 	if c.MinRun < 2 {
 		c.MinRun = 2
 	}
-	if c.SWS == (pattern.SWSOptions{}) {
-		c.SWS = pattern.DefaultSWSOptions()
-	}
-	if c.MaxSequenceLen == 0 {
-		c.MaxSequenceLen = 3
-	}
-	if c.MaxSolvePasses == 0 {
-		c.MaxSolvePasses = 5
-	}
 	return c
 }
+
+const (
+	// maxSolvePasses bounds Config.SolveToFixpoint's iteration.
+	maxSolvePasses = 5
+	// maxSequenceLen bounds multi-template sequence mining.
+	maxSequenceLen = 3
+)
 
 // SWSMode selects the treatment of sliding-window-search traffic (§6.5).
 type SWSMode int
@@ -228,7 +217,7 @@ type Result struct {
 	Sessions []session.Session
 	// Templates are the per-template statistics, most frequent first.
 	Templates []pattern.TemplateStats
-	// Sequences are multi-template patterns (empty if disabled).
+	// Sequences are multi-template patterns of two or three templates.
 	Sequences []pattern.SeqPattern
 	// Instances are all detected antipattern instances in log order.
 	Instances []antipattern.Instance
@@ -347,9 +336,7 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	if len(res.Templates) > 0 {
 		res.Report.MaxTemplateFreq = res.Templates[0].Frequency
 	}
-	if cfg.MaxSequenceLen >= 2 {
-		res.Sequences = pattern.SequencesParallel(res.Parsed, res.Sessions, cfg.MaxSequenceLen, cfg.Workers)
-	}
+	res.Sequences = pattern.SequencesParallel(res.Parsed, res.Sessions, maxSequenceLen, cfg.Workers)
 	sp.SetInt("in", int64(len(res.Parsed)))
 	sp.SetInt("templates", int64(len(res.Templates)))
 	sp.SetInt("sequences", int64(len(res.Sequences)))
@@ -357,7 +344,7 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	met.Counter("pipeline_templates_total").Add(int64(len(res.Templates)))
 
 	sp = beginStage(root, met, "sws")
-	res.SWS = pattern.ClassifySWSParallelSpan(res.Templates, len(res.PreClean), cfg.SWS, cfg.Workers, sp)
+	res.SWS = pattern.ClassifySWSParallelSpan(res.Templates, len(res.PreClean), pattern.DefaultSWSOptions(), cfg.Workers, sp)
 	for _, t := range res.Templates {
 		if res.SWS[t.Fingerprint] {
 			res.Report.SWSTemplates++
@@ -452,7 +439,7 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 		// makes each pass parse only the statements the previous pass
 		// changed — everything else is a cache hit.
 		if cfg.SolveToFixpoint {
-			for pass := 1; pass < cfg.MaxSolvePasses; pass++ {
+			for pass := 1; pass < maxSolvePasses; pass++ {
 				psp := sp.StartChild(fmt.Sprintf("pass%02d", pass+1))
 				parsed, _ := parser.ParseParallelSpan(res.Clean, cfg.Workers, psp)
 				sessions := session.BuildParallel(res.Clean, session.Options{MaxGap: gap, SplitOnLabel: true}, cfg.Workers)

@@ -271,7 +271,7 @@ func TestAntipatternTemplatesMarking(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Catalog == nil || c.DuplicateThreshold != time.Second ||
-		c.SessionGap != 5*time.Minute || c.MinRun != 2 || c.MaxSequenceLen != 3 {
+		c.SessionGap != 5*time.Minute || c.MinRun != 2 {
 		t.Errorf("defaults: %+v", c)
 	}
 }

@@ -57,10 +57,7 @@ func clusterFlat(boxes []FlatBox, threshold float64, ctr *Counters) []Cluster {
 	var distinct BoxSet
 	ids := make([]int32, len(boxes))
 	for i := range boxes {
-		d := -1
-		if boxes[i].exact {
-			d = distinct.Find(&boxes[i])
-		}
+		d := distinct.Find(&boxes[i])
 		if d < 0 {
 			d = distinct.Add(boxes[i])
 		}

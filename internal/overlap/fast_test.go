@@ -84,6 +84,14 @@ func TestClusterBoxesFastGridEmptyIntervalCopies(t *testing.T) {
 			t.Fatalf("th %g: fast grid %+v, leader scan %+v", th, got, want)
 		}
 	}
+	// A BoxSet never hands back such a box, so every caller keeps its
+	// copies apart.
+	var s BoxSet
+	f := flatFromBox(empty)
+	s.Add(f)
+	if i := s.Find(&f); i != -1 {
+		t.Fatalf("BoxSet found a copy of an empty-interval box at %d", i)
+	}
 }
 
 // TestBoxIdentity pins the hash-and-compare identity: the same box is equal

@@ -334,8 +334,14 @@ type BoxSet struct {
 	next  []int          // index of the next older box with the same hash, or -1
 }
 
-// Find returns the index of the stored box equal to b, or -1.
+// Find returns the index of the stored box equal to b, or -1. It returns -1
+// for a box that is not at distance 0 from itself (one with an empty
+// interval): such a box overlaps nothing, not even a copy of itself, so each
+// copy is a box of its own.
 func (s *BoxSet) Find(b *FlatBox) int {
+	if !b.exact {
+		return -1
+	}
 	i, ok := s.head[b.hash]
 	if !ok {
 		return -1
@@ -349,8 +355,7 @@ func (s *BoxSet) Find(b *FlatBox) int {
 }
 
 // Add stores b and returns its index. Callers add only boxes Find does not
-// know, or boxes that must stay apart from their copies (ones that are not
-// at distance 0 from themselves).
+// return.
 func (s *BoxSet) Add(b FlatBox) int {
 	if s.head == nil {
 		s.head = map[uint64]int{}

@@ -43,9 +43,10 @@ func getBody(t *testing.T, url string) []byte {
 // staging boundary, so one request spans several flushes) must produce a
 // byte-identical report, /toplist document and /clusters documents (at
 // thresholds 0.9 and 0.5) and the same watermark, at one shard and at 8.
-// Each shard applies its queue in input order, closes sessions on its own
-// clock and fills its own box registry, so every run is fully deterministic
-// — sessionization and clustering included — however the drains interleave.
+// Each shard applies its queue in input order and closes sessions on its
+// own clock, and the box table orders boxes by first occurrence, so every
+// run is fully deterministic — sessionization and clustering included —
+// however the drains interleave.
 func TestBatchSizeEquivalence(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.1))
 	log.SortStable()

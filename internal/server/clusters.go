@@ -1,117 +1,94 @@
-// The /clusters surface: the daemon keeps a bounded registry of the
-// distinct predicate boxes it has cleaned (updated as sessions close, so it
-// costs one flat box and one hash lookup per emitted entry — the statements
-// themselves are parse-cache hits) and clusters them on demand with the
-// exact grid path. The registry stores flat boxes under their hashes, so a
-// read clusters them as they are, with no conversion or re-keying.
-// This is the §6.9 user-interest view, live: which regions of the data
-// space the traffic touches, and how many queries share each region.
+// The /clusters surface: the daemon keeps one table of the distinct
+// predicate boxes of the clean log it has emitted, and clusters them on
+// demand with the exact grid path. This is the §6.9 user-interest view,
+// live: which regions of the data space the clean traffic touches, and how
+// many queries share each region.
 //
-// The registry is split by shard, as the engine is: an emitted entry goes to
-// its user's shard's registry, so each registry sees its shard's emissions
-// in the order the shard made them, whatever the other drains do. A read
-// merges the registries in shard order, so /clusters depends only on the
-// input, at any shard count.
+// For each distinct box the table keeps its query count and its first
+// occurrence: the earliest emitted entry with that box by (Time, Seq), the
+// order every pipeline stage assumes, whose statement is the box's example.
+// A read clusters the boxes in first-occurrence order, the order in which
+// batch clustering meets them in the time-sorted clean log, so /clusters
+// equals overlap.ClusterInfos over core.Run's clean log whatever the shard
+// count, the drains' interleaving or the request sizes. The table has no
+// cap: it grows with the distinct boxes, not with the log. It is not part
+// of a snapshot, so after a restart it covers the entries emitted since,
+// the sessions that journal replay re-emits included.
 package server
 
 import (
+	"cmp"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
+	"time"
 
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/overlap"
 )
 
-const (
-	defaultClusterThreshold = 0.9
-	defaultClusterMaxBoxes  = 4096
-)
+const defaultClusterThreshold = 0.9
 
-// boxRegistry accumulates one shard's distinct predicate boxes with
-// occurrence counts. Memory is bounded: once maxBoxes distinct boxes exist,
-// new distinct boxes are counted as dropped instead of stored (queries
-// matching an already-known box still count normally).
-type boxRegistry struct {
-	mu       sync.Mutex
-	maxBoxes int
-	boxes    overlap.BoxSet
-	counts   []int64
-	examples []string
-	total    int64 // queries observed, including ones hitting dropped boxes
-	dropped  int64 // queries whose box was not stored because the registry was full
+// boxTable holds the distinct boxes of the emitted clean log, each with its
+// record at the same index.
+type boxTable struct {
+	mu    sync.Mutex
+	boxes overlap.BoxSet
+	stats []boxStat
 }
 
-// newBoxRegistries splits a bound of maxBoxes distinct boxes (0 selects
-// 4096) over one registry per shard: each gets ⌊maxBoxes/shards⌋ and the
-// first maxBoxes mod shards one more, so no registry holds more than
-// ⌈maxBoxes/shards⌉ and together they hold at most maxBoxes.
-func newBoxRegistries(maxBoxes, shards int) []*boxRegistry {
-	if maxBoxes <= 0 {
-		maxBoxes = defaultClusterMaxBoxes
-	}
-	regs := make([]*boxRegistry, shards)
-	for i := range regs {
-		regs[i] = &boxRegistry{maxBoxes: maxBoxes / shards}
-		if i < maxBoxes%shards {
-			regs[i].maxBoxes++
-		}
-	}
-	return regs
+// boxStat is one distinct box's record: how many emitted entries have the
+// box, and the earliest of them by (Time, Seq), whose statement is the
+// box's example.
+type boxStat struct {
+	queries int64
+	time    time.Time
+	seq     int64
+	example string
 }
 
-// observeBoxes folds one cleaned batch into the registries, each entry into
-// its user's shard's. Statements were just parsed by the engine, so the
-// shared parser resolves each from cache.
+// compare orders records by first occurrence.
+func (b *boxStat) compare(o *boxStat) int {
+	if c := b.time.Compare(o.time); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.seq, o.seq)
+}
+
+// observeBoxes folds one emitted batch into the table. The statements were
+// just parsed by the engine, so the shared parser resolves each from cache;
+// parsing and box building happen before the table's lock, which is taken
+// once per batch.
 func (s *Server) observeBoxes(l logmodel.Log) {
 	p := s.cfg.Stream.Parser
+	boxes := make([]overlap.FlatBox, 0, len(l))
+	stats := make([]boxStat, 0, len(l))
 	for _, e := range l {
 		pe := p.ParseEntry(e)
 		if pe.Info == nil {
 			continue
 		}
-		b := overlap.FlatFromInfo(pe.Info)
-		r := s.boxes[s.eng.ShardFor(e.User)]
-		r.mu.Lock()
-		r.total++
-		di := r.boxes.Find(&b)
-		if di < 0 && r.boxes.Len() >= r.maxBoxes {
-			r.dropped++
-			s.mBoxesDropped.Inc()
-		} else {
-			if di < 0 {
-				di = r.boxes.Add(b)
-				r.counts = append(r.counts, 0)
-				r.examples = append(r.examples, pe.Statement)
-				s.gDistinctBoxes.Add(1)
-			}
-			r.counts[di]++
-		}
-		r.mu.Unlock()
+		boxes = append(boxes, overlap.FlatFromInfo(pe.Info))
+		stats = append(stats, boxStat{queries: 1, time: e.Time, seq: e.Seq, example: pe.Statement})
 	}
-}
-
-// snapshotBoxes merges the registries in shard order into one box list for
-// lock-free clustering: a box stored by several shards appears once, with
-// their counts summed and the first shard's example.
-func (s *Server) snapshotBoxes() (boxes []overlap.FlatBox, counts []int64, examples []string, total, dropped int64) {
-	var set overlap.BoxSet
-	for _, r := range s.boxes {
-		r.mu.Lock()
-		for i, b := range r.boxes.Boxes() {
-			di := set.Find(&b)
-			if di < 0 {
-				di = set.Add(b)
-				counts = append(counts, 0)
-				examples = append(examples, r.examples[i])
-			}
-			counts[di] += r.counts[i]
+	t := s.boxes
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range boxes {
+		d := t.boxes.Find(&boxes[i])
+		if d < 0 {
+			t.boxes.Add(boxes[i])
+			t.stats = append(t.stats, stats[i])
+			s.gDistinctBoxes.Add(1)
+			continue
 		}
-		total += r.total
-		dropped += r.dropped
-		r.mu.Unlock()
+		st := &t.stats[d]
+		st.queries++
+		if stats[i].compare(st) < 0 {
+			st.time, st.seq, st.example = stats[i].time, stats[i].seq, stats[i].example
+		}
 	}
-	return set.Boxes(), counts, examples, total, dropped
 }
 
 // ClusterInfo is one cluster in the /clusters response.
@@ -129,22 +106,20 @@ type ClustersPayload struct {
 	Threshold     float64 `json:"threshold"`
 	DistinctBoxes int     `json:"distinct_boxes"`
 	TotalQueries  int64   `json:"total_queries"`
-	// DroppedBoxes counts distinct boxes beyond the registry bound; when
-	// non-zero the clustering covers a prefix of the distinct traffic.
-	DroppedBoxes int64   `json:"dropped_boxes,omitempty"`
-	ClusterCount int     `json:"cluster_count"`
-	AvgSize      float64 `json:"avg_size"`
+	ClusterCount  int     `json:"cluster_count"`
+	AvgSize       float64 `json:"avg_size"`
 	// Grid work counters for this clustering call.
 	Comparisons        int64 `json:"comparisons"`
 	ComparisonsAvoided int64 `json:"comparisons_avoided"`
 	CellsProbed        int64 `json:"cells_probed"`
-	// Clusters are the top clusters by observed query count.
+	// Clusters are the top clusters by observed query count, ties in the
+	// order the clusters were founded.
 	Clusters []ClusterInfo `json:"clusters,omitempty"`
 }
 
 // Clusters clusters the observed distinct boxes at the given threshold and
-// returns the top clusters by query weight. Safe to call while ingestion
-// runs.
+// returns the top clusters by query weight; with Config.ClustersDisabled
+// the payload is empty. Safe to call while ingestion runs.
 func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	if threshold <= 0 {
 		threshold = s.clusterThreshold()
@@ -152,7 +127,27 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	if top <= 0 {
 		top = 20
 	}
-	boxes, counts, examples, total, dropped := s.snapshotBoxes()
+	if s.boxes == nil {
+		return ClustersPayload{Threshold: threshold}
+	}
+	// Boxes are never modified once stored, so only the records, which
+	// later batches update, are copied under the lock.
+	t := s.boxes
+	t.mu.Lock()
+	stored := t.boxes.Boxes()
+	stats := slices.Clone(t.stats)
+	t.mu.Unlock()
+	order := make([]int, len(stats))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return stats[a].compare(&stats[b]) })
+	boxes := make([]overlap.FlatBox, len(order))
+	var total int64
+	for i, k := range order {
+		boxes[i] = stored[k]
+		total += stats[k].queries
+	}
 
 	var ctr overlap.Counters
 	clusters := overlap.ClusterFlat(boxes, threshold, &ctr)
@@ -166,7 +161,6 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 		Threshold:          threshold,
 		DistinctBoxes:      len(boxes),
 		TotalQueries:       total,
-		DroppedBoxes:       dropped,
 		ClusterCount:       st.Count,
 		AvgSize:            st.AvgSize,
 		Comparisons:        ctr.Comparisons,
@@ -177,21 +171,12 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	for i, c := range clusters {
 		var q int64
 		for _, m := range c.Members {
-			q += counts[m]
+			q += stats[order[m]].queries
 		}
-		infos[i] = ClusterInfo{Size: c.Size(), Queries: q, Example: examples[c.Representative]}
+		infos[i] = ClusterInfo{Size: c.Size(), Queries: q, Example: stats[order[c.Representative]].example}
 	}
-	// Partial selection sort: top is small and the list is rebuilt per
-	// request, so O(top·n) beats pulling in a heap.
-	for i := 0; i < len(infos) && i < top; i++ {
-		best := i
-		for j := i + 1; j < len(infos); j++ {
-			if infos[j].Queries > infos[best].Queries {
-				best = j
-			}
-		}
-		infos[i], infos[best] = infos[best], infos[i]
-	}
+	// Heaviest first; clusters of equal weight stay in founding order.
+	slices.SortStableFunc(infos, func(a, b ClusterInfo) int { return cmp.Compare(b.Queries, a.Queries) })
 	if len(infos) > top {
 		infos = infos[:top]
 	}

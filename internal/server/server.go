@@ -84,8 +84,8 @@ type Config struct {
 	Emit func(logmodel.Log)
 
 	// ClustersDisabled turns off the live overlap-clustering surface
-	// (GET /clusters). By default the daemon keeps a bounded registry of
-	// the distinct predicate boxes it has cleaned and clusters them on
+	// (GET /clusters). By default the daemon keeps a table of the distinct
+	// predicate boxes of the clean log it emits and clusters them on
 	// demand.
 	ClustersDisabled bool
 	// ClusterThreshold is the default overlap-distance threshold for
@@ -93,10 +93,6 @@ type Config struct {
 	// New refuses any other value outside the range); requests can
 	// override it per call.
 	ClusterThreshold float64
-	// ClusterMaxBoxes bounds the distinct boxes the registry stores (0
-	// selects 4096), split evenly over the shards; further distinct boxes
-	// are counted as dropped.
-	ClusterMaxBoxes int
 
 	// DataDir enables crash durability: it holds the write-ahead journal
 	// (DataDir/wal-*.log) and engine snapshots (DataDir/snapshot-*.json).
@@ -221,10 +217,9 @@ type Server struct {
 	mJournalErrs  *obs.Counter
 	gSnapshotLSN  *obs.Gauge
 
-	// boxes are the distinct-predicate-box registries behind GET /clusters,
-	// one per shard; nil when Config.ClustersDisabled is set.
-	boxes           []*boxRegistry
-	mBoxesDropped   *obs.Counter
+	// boxes is the distinct-predicate-box table behind GET /clusters; nil
+	// when Config.ClustersDisabled is set.
+	boxes           *boxTable
 	mBoxesClustered *obs.Counter
 	mClusterCells   *obs.Counter
 	mClusterAvoided *obs.Counter
@@ -277,7 +272,6 @@ func New(cfg Config) (*Server, error) {
 		mJournalErrs:  cfg.Metrics.Counter("journal_append_errors_total"),
 		gSnapshotLSN:  cfg.Metrics.Gauge("snapshot_last_lsn"),
 
-		mBoxesDropped:   cfg.Metrics.Counter("cluster_boxes_dropped_total"),
 		mBoxesClustered: cfg.Metrics.Counter("cluster_boxes_clustered_total"),
 		mClusterCells:   cfg.Metrics.Counter("cluster_cells_probed_total"),
 		mClusterAvoided: cfg.Metrics.Counter("cluster_comparisons_avoided_total"),
@@ -285,8 +279,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !cfg.ClustersDisabled {
 		// Created before durability replay so re-emitted sessions populate
-		// the registry exactly like live traffic.
-		s.boxes = newBoxRegistries(cfg.ClusterMaxBoxes, s.eng.NumShards())
+		// the table exactly like live traffic.
+		s.boxes = &boxTable{}
 	}
 	if cfg.DataDir != "" {
 		// Restore + replay runs before the drain goroutines exist, so the

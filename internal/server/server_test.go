@@ -158,10 +158,10 @@ func TestIngestReportHealthz(t *testing.T) {
 
 // TestIngestMatchesBatchPipeline is the acceptance equivalence at the service
 // boundary: a workload ingested over HTTP in chunks to an 8-shard daemon
-// must yield the same duplicate count, cleaned-statement multiset and
-// distinct-user count (on /report and /toplist) as the batch pipeline. The
-// generator's log holds one or two sessions open at a time; the retimed
-// scale-1 log (denseLog) holds over a hundred.
+// must yield the same duplicate count, cleaned-statement multiset,
+// distinct-user count (on /report and /toplist) and /clusters (at 0.9 and
+// 0.5) as the batch pipeline. The generator's log holds one or two sessions
+// open at a time; the retimed scale-1 log (denseLog) holds over a hundred.
 func TestIngestMatchesBatchPipeline(t *testing.T) {
 	sparse, _ := workload.Generate(workload.DefaultConfig().Scale(0.2))
 	sparse.SortStable()
@@ -228,6 +228,11 @@ func TestIngestMatchesBatchPipeline(t *testing.T) {
 				if n != 0 {
 					t.Fatalf("statement multiset mismatch at %q: off by %d", stmt, n)
 				}
+			}
+			for _, th := range []float64{0.9, 0.5} {
+				var cp ClustersPayload
+				getJSON(t, fmt.Sprintf("%s/clusters?threshold=%g&top=1000000", ts.URL, th), &cp)
+				requireBatchClusters(t, fmt.Sprintf("threshold %g", th), cp, batchClusters(t, batch.Clean, th))
 			}
 		})
 	}

@@ -60,11 +60,6 @@ type statuszData struct {
 	HasSnapshot     bool
 	ReplayedOnBoot  int
 
-	HasClusters   bool
-	DistinctBoxes int64
-	BoxesMax      int
-	BoxesDropped  int64
-
 	Goroutines int64
 	HeapInuse  int64
 	GCRuns     int64
@@ -132,15 +127,6 @@ func (s *Server) statuszData() statuszData {
 		}
 	}
 
-	if s.boxes != nil {
-		d.HasClusters = true
-		d.DistinctBoxes = s.gDistinctBoxes.Value()
-		for _, r := range s.boxes {
-			d.BoxesMax += r.maxBoxes
-		}
-		d.BoxesDropped = s.mBoxesDropped.Value()
-	}
-
 	d.Goroutines = snap.Gauges["go_goroutines"].Value
 	d.HeapInuse = snap.Gauges["go_heap_inuse_bytes"].Value
 	d.GCRuns = snap.Counters["go_gc_runs_total"]
@@ -192,11 +178,6 @@ th{background:#f5f5f5} .k{text-align:left} .warn{color:#b00}
 <tr><td class=k>entries per group-commit fsync</td><td>{{f1 .EntriesPerFsync}}</td></tr>
 <tr><td class=k>snapshot age</td><td>{{if .HasSnapshot}}{{.SnapshotAge}}{{else}}never{{end}}</td></tr>
 <tr><td class=k>replayed on boot</td><td>{{.ReplayedOnBoot}}</td></tr>
-</table>{{end}}
-{{if .HasClusters}}<h2>Cluster registry</h2>
-<table>
-<tr><td class=k>distinct boxes</td><td>{{.DistinctBoxes}} / {{.BoxesMax}}</td></tr>
-<tr><td class=k>boxes dropped</td><td>{{.BoxesDropped}}</td></tr>
 </table>{{end}}
 <h2>Go process</h2>
 <table>
@@ -266,11 +247,6 @@ func writeStatuszText(w http.ResponseWriter, d statuszData) {
 			row("  snapshot age", "never")
 		}
 		row("  replayed on boot", "%d", d.ReplayedOnBoot)
-	}
-	if d.HasClusters {
-		b.WriteString("\ncluster registry\n")
-		row("  distinct boxes", "%d / %d", d.DistinctBoxes, d.BoxesMax)
-		row("  boxes dropped", "%d", d.BoxesDropped)
 	}
 	b.WriteString("\ngo process\n")
 	row("  goroutines", "%d", d.Goroutines)
