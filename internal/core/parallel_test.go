@@ -117,17 +117,21 @@ func TestRunStagesReproducible(t *testing.T) {
 }
 
 // TestRunSingleParse pins the double-parse fix: the pre-clean log's parse
-// results must be the stage-1 results carried through dedup by index (shared
-// *skeleton.Info pointers), not a fresh re-parse.
+// results must be the stage-1 results carried through dedup by index, not a
+// fresh re-parse, so the run looks each entry up once.
 func TestRunSingleParse(t *testing.T) {
 	l := mkLog(
 		"SELECT E.name FROM Employees E WHERE E.id = 12",
 		"SELECT E.name FROM Employees E WHERE E.id = 12",
 		"SELECT E.name FROM Employees E WHERE E.id = 15",
 	)
-	res, err := Run(l, Config{})
+	met := obs.NewRegistry()
+	res, err := Run(l, Config{Metrics: met})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := met.Counter("parse_entries_total").Value(); got != int64(len(l)) {
+		t.Fatalf("%d parse lookups for %d entries", got, len(l))
 	}
 	if len(res.Parsed) != len(res.PreClean) {
 		t.Fatalf("parsed/pre-clean length mismatch: %d vs %d", len(res.Parsed), len(res.PreClean))
@@ -138,14 +142,14 @@ func TestRunSingleParse(t *testing.T) {
 				i, res.Parsed[i].Statement, res.PreClean[i].Statement)
 		}
 	}
-	// Identical statement texts share one Info even across the dedup cut.
+	// Identical statement texts carry equal summaries across the dedup cut.
 	byStmt := map[string]int{}
 	for i, pe := range res.Parsed {
 		if pe.Info == nil {
 			continue
 		}
-		if j, ok := byStmt[pe.Statement]; ok && res.Parsed[j].Info != pe.Info {
-			t.Fatalf("statement %q parsed more than once", pe.Statement)
+		if j, ok := byStmt[pe.Statement]; ok && !reflect.DeepEqual(res.Parsed[j].Info, pe.Info) {
+			t.Fatalf("statement %q has two summaries", pe.Statement)
 		}
 		byStmt[pe.Statement] = i
 	}

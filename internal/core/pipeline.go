@@ -81,7 +81,7 @@ type Config struct {
 	// custom ExtraRules must be safe for concurrent use.
 	Workers int
 	// Metrics is an optional observability registry. When non-nil the run
-	// updates hot-path counters in it (parse cache hits/misses/waits, stage
+	// updates hot-path counters in it (parse cache hits/misses, stage
 	// cardinalities, per-stage duration histograms) and keeps the
 	// pipeline_stage text current for live scraping. Nil — the default —
 	// keeps every hot path on the zero-overhead nil fast path. The stage-
@@ -281,8 +281,8 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	res.Report.DistinctUsers = len(users)
 
 	// Stage 1+2: parse (classify) and keep SELECTs, then delete duplicates.
-	// One parser is shared by every stage of the run, so a statement text is
-	// parsed exactly once no matter how many passes see it.
+	// One parser is shared by every stage of the run, so a later pass parses
+	// only the statements its cache no longer holds.
 	parser := parsedlog.NewParser()
 	parser.Instrument(met)
 	sp := beginStage(root, met, "parse")
@@ -437,7 +437,7 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 		// §5.5: merged statements can in rare cases form new solvable
 		// antipatterns; optionally iterate to a fixpoint. The shared parser
 		// makes each pass parse only the statements the previous pass
-		// changed — everything else is a cache hit.
+		// changed — everything else is a cache hit while it stays cached.
 		if cfg.SolveToFixpoint {
 			for pass := 1; pass < maxSolvePasses; pass++ {
 				psp := sp.StartChild(fmt.Sprintf("pass%02d", pass+1))

@@ -3,11 +3,12 @@ package parsedlog
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"sqlclean/internal/logmodel"
-	"sqlclean/internal/sqlast"
+	"sqlclean/internal/obs"
 )
 
 // statement soup with deliberate overlap between goroutines: a mix of
@@ -31,9 +32,9 @@ func soupStatement(i int) string {
 
 // TestParserConcurrentHammer drives one Parser from 16 goroutines with
 // overlapping statement sets (run with -race). Every goroutine must see the
-// same classification as a serial reference parse, and identical texts must
-// share one *skeleton.Info pointer across goroutines — the singleflight
-// invariant.
+// same classification and summary as a serial reference parse. Goroutines
+// that miss on one text at once may each parse it, so sharing an Info is
+// not required.
 func TestParserConcurrentHammer(t *testing.T) {
 	const goroutines = 16
 	const perG = 300
@@ -78,19 +79,15 @@ func TestParserConcurrentHammer(t *testing.T) {
 			if (e.Err == nil) != (want.Err == nil) {
 				t.Fatalf("goroutine %d: error mismatch for %q", g, s)
 			}
-			if e.Info != nil && !reflect.DeepEqual(e.Info.Fingerprint, want.Info.Fingerprint) {
-				t.Fatalf("goroutine %d: fingerprint mismatch for %q", g, s)
-			}
-			// The singleflight invariant: all goroutines share one Info.
-			if e.Info != results[0][s].Info {
-				t.Fatalf("goroutine %d: Info for %q not shared (singleflight violated)", g, s)
+			if !reflect.DeepEqual(e.Info, want.Info) {
+				t.Fatalf("goroutine %d: summary mismatch for %q", g, s)
 			}
 		}
 	}
 }
 
-// TestParseParallelMatchesSerial checks ParseParallel returns exactly the
-// serial result (order, stats, Info sharing) for several worker counts.
+// TestParseParallelMatchesSerial checks ParseParallel returns the serial
+// result (order, stats, summaries) for several worker counts.
 func TestParseParallelMatchesSerial(t *testing.T) {
 	var l logmodel.Log
 	for i := 0; i < 500; i++ {
@@ -109,25 +106,93 @@ func TestParseParallelMatchesSerial(t *testing.T) {
 			if got[i].Class != want[i].Class || got[i].Statement != want[i].Statement {
 				t.Fatalf("workers=%d: entry %d differs: %+v vs %+v", workers, i, got[i], want[i])
 			}
-			if (got[i].Info == nil) != (want[i].Info == nil) {
-				t.Fatalf("workers=%d: entry %d Info presence differs", workers, i)
-			}
-			if got[i].Info != nil && got[i].Info.Fingerprint != want[i].Info.Fingerprint {
-				t.Fatalf("workers=%d: entry %d fingerprint differs", workers, i)
+			// Identical texts carry equal summaries, shared or not.
+			if !reflect.DeepEqual(got[i].Info, want[i].Info) {
+				t.Fatalf("workers=%d: entry %d summary differs", workers, i)
 			}
 		}
-		// Identical texts share one Info within the parallel result.
-		byStmt := map[string]*Entry{}
-		for i := range got {
-			e := &got[i]
-			if e.Class != sqlast.ClassSelect {
-				continue
-			}
-			if prev, ok := byStmt[e.Statement]; ok && prev.Info != e.Info {
-				t.Fatalf("workers=%d: %q parsed twice (Info not shared)", workers, e.Statement)
-			}
-			byStmt[e.Statement] = e
+	}
+}
+
+// TestCacheReplacementUnderLoad has goroutines parse far more distinct
+// texts than a small cache has slots (run with -race), so publishes keep
+// pushing results out of sets that others are reading. Every returned entry
+// must equal a fresh parse of its own text, and the metrics must account
+// for every publish: a miss either fills an empty slot or pushes a result
+// out, and parse_cache_bytes is the text the slots hold.
+func TestCacheReplacementUnderLoad(t *testing.T) {
+	const goroutines = 8
+	const distinct = 600
+	stmts := make([]string, distinct)
+	want := make([]Entry, distinct)
+	for i := range stmts {
+		switch i % 4 {
+		case 0:
+			stmts[i] = fmt.Sprintf("SELECT a FROM t WHERE id = %d", i)
+		case 1:
+			stmts[i] = fmt.Sprintf("SELECT a, b FROM photoprimary WHERE objid = %d AND ra > %d", i, i%7)
+		case 2:
+			stmts[i] = fmt.Sprintf("INSERT INTO t VALUES (%d)", i)
+		default:
+			stmts[i] = fmt.Sprintf("SELECT a FROM WHERE %d", i) // broken
 		}
+		want[i] = newParser(0).ParseEntry(logmodel.Entry{Statement: stmts[i]})
+	}
+	p := newParser(2) // 4 sets of 4 ways: 16 slots
+	reg := obs.NewRegistry()
+	p.Instrument(reg)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*distinct; k++ {
+				i := (k*(g+1) + g*97) % distinct
+				e := p.ParseEntry(logmodel.Entry{Seq: int64(k), Statement: stmts[i]})
+				w := want[i]
+				if e.Statement != stmts[i] || e.Seq != int64(k) || e.Class != w.Class ||
+					(e.Err == nil) != (w.Err == nil) || !reflect.DeepEqual(e.Info, w.Info) {
+					t.Errorf("goroutine %d: %q parsed to %+v, fresh parse %+v", g, stmts[i], e, w)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var held, text int64
+	for i := range p.sets {
+		for w := range p.sets[i] {
+			if r := p.sets[i][w].Load(); r != nil {
+				held++
+				text += int64(len(r.info.Statement))
+			}
+		}
+	}
+	misses, replaced := reg.Counter("parse_cache_misses_total").Value(), reg.Counter("parse_cache_replaced_total").Value()
+	if misses != held+replaced {
+		t.Errorf("%d misses, but %d slots filled and %d results pushed out", misses, held, replaced)
+	}
+	if got := reg.Gauge("parse_cache_bytes").Value(); got != text {
+		t.Errorf("parse_cache_bytes %d, slots hold %d bytes of text", got, text)
+	}
+	if replaced == 0 {
+		t.Error("no result was pushed out: the test exercises nothing")
+	}
+}
+
+// TestLongStatementsNotCached checks that a statement longer than
+// maxCachedLen is parsed, with the summary a cached one would have, but
+// never kept: each parse is a miss and the cache holds no text.
+func TestLongStatementsNotCached(t *testing.T) {
+	long := "SELECT a FROM t WHERE id = 1 AND name = '" + strings.Repeat("x", maxCachedLen) + "'"
+	p, reg := instrumented()
+	e1 := p.ParseEntry(logmodel.Entry{Statement: long})
+	e2 := p.ParseEntry(logmodel.Entry{Statement: long})
+	if e1.Info == nil || !reflect.DeepEqual(e1.Info, e2.Info) || e1.Info == e2.Info {
+		t.Fatalf("long statement: summaries %+v and %+v, want equal and unshared", e1.Info, e2.Info)
+	}
+	if misses, bytes := reg.Counter("parse_cache_misses_total").Value(), reg.Gauge("parse_cache_bytes").Value(); misses != 2 || bytes != 0 {
+		t.Fatalf("%d misses and %d cached bytes, want 2 and 0", misses, bytes)
 	}
 }
 

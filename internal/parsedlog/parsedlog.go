@@ -1,8 +1,8 @@
 // Package parsedlog is the "Parsed Query Log" stage of the paper's Fig. 1:
 // every log entry annotated with its statement class and, for SELECT
-// statements, the skeleton/template summary from package skeleton. Identical
-// statement texts share one parse result, which matters a lot on real logs
-// where a handful of templates cover millions of entries.
+// statements, the skeleton/template summary from package skeleton. A cache
+// of recent statement texts saves re-parsing the hot ones, which matters a
+// lot on real logs where a handful of templates cover millions of entries.
 //
 // A parse result is small: the statement's class, its skeleton.Info (the
 // fingerprint, concrete-clause hashes and predicates) and a pointer to the
@@ -20,16 +20,20 @@
 // the statement is parsed from the same tokens and, if it is a SELECT,
 // records its shape. The table holds at most maxShapes entries.
 //
-// The Parser is safe for concurrent use. Its cache is split into shards of
-// one mutex-guarded map each; a per-statement singleflight guarantees each
-// unique text is parsed exactly once even when many goroutines race on it —
-// so the "identical texts share one *skeleton.Info" invariant holds under
-// ParseParallel exactly as it does serially.
+// The statement cache has a fixed size, so a parser's memory does not grow
+// with the log. It is an array of 2^cacheSetBits sets of cacheWays slots, each an
+// atomic pointer to an immutable parse result; a statement's set is picked
+// by its maphash. A lookup loads the set's slots and compares texts, with no
+// lock. A miss parses, then publishes its result into the set's first slot
+// and shifts the older results one slot down, the last one out. Statements
+// longer than maxCachedLen are parsed but never cached, so the slot count
+// bounds the text the cache holds.
 //
-// The cache also interns statement texts: every Entry returned for the same
-// statement carries the first-seen string instance, so dedup keys, template
-// aggregates and the clean log all share one string per distinct statement
-// instead of retaining millions of equal copies.
+// The Parser is safe for concurrent use. Two goroutines that miss on one
+// text at once both parse it; their results are equal. So entries with
+// identical texts always carry equal summaries, and while the text stays
+// cached they share one *skeleton.Info and one statement string (the
+// first-seen instance): sharing is best effort, never a guarantee.
 package parsedlog
 
 import (
@@ -50,8 +54,8 @@ import (
 type Entry struct {
 	logmodel.Entry
 	Class sqlast.StatementClass
-	// Info is the skeleton summary; nil unless Class is ClassSelect. It is
-	// shared between entries with identical statement text — treat it as
+	// Info is the skeleton summary; nil unless Class is ClassSelect. It may
+	// be shared with other entries of the same statement text — treat it as
 	// immutable. Tree(Info) re-parses the statement when a rewrite needs
 	// the syntax tree.
 	Info *skeleton.Info
@@ -99,131 +103,152 @@ func (s *Stats) Add(o Stats) {
 	s.Errors += o.Errors
 }
 
-// result is one cache slot with singleflight semantics: the goroutine that
-// inserted the slot (or any later one — sync.Once picks a single winner)
-// parses; everyone else blocks on the Once and then reads the shared value.
-// done flips after the parse completed, so an instrumented lookup can tell
-// a plain cache hit from a singleflight wait.
+// result is one parse result. It is immutable once published in a cache
+// slot, so readers share it without a lock.
 type result struct {
-	once  sync.Once
-	done  atomic.Bool
+	// hash is the statement's maphash, compared before the text.
+	hash  uint64
 	class sqlast.StatementClass
 	err   error
-	// info.Statement is the interned statement text — the first string
-	// instance that reached the cache — for every class; the rest of info
-	// is filled in for SELECTs only. Every Entry for this slot carries
-	// info.Statement, so all downstream stages share one string per
-	// distinct statement.
+	// info.Statement is the statement text for every class; the rest of
+	// info is filled in for SELECTs only.
 	info skeleton.Info
 }
 
-// shardCount shards the statement-text cache. 32 is a power of two (cheap
-// masking) comfortably above the core counts we target, so two workers
-// rarely contend on one shard's lock, while the per-shard map overhead
-// stays negligible.
-const shardCount = 32
+// Cache geometry. 2^14 sets of 4 ways hold 65,536 statements in 512 KB of
+// pointers, about nine times the 7,421 distinct texts of one lap of the
+// scale-1 generator log: a log that cycles keeps hitting, and a log of
+// mostly distinct texts replaces old ones instead of growing the cache.
+// maxCachedLen is far above the longest generated statement (174 B) and
+// keeps a hostile statement from pinning more than a kilobyte per slot.
+const (
+	cacheSetBits = 14
+	cacheWays    = 4
+	maxCachedLen = 1 << 10
+)
 
-// shard is one cache partition: one map, guarded by mu for hits and misses
-// alike. The lock is held for a map lookup only, never for a parse.
-type shard struct {
-	mu sync.Mutex
-	m  map[string]*result
+// set is one cache set: its results, newest first. A slot goes from nil to
+// a result once and then only ever holds results, so the nil slots of a set
+// are its last ones.
+type set [cacheWays]atomic.Pointer[result]
+
+// find returns the set's result for stmt, or nil.
+func (s *set) find(h uint64, stmt string) *result {
+	for i := range s {
+		r := s[i].Load()
+		if r == nil {
+			return nil
+		}
+		if r.hash == h && r.info.Statement == stmt {
+			return r
+		}
+	}
+	return nil
 }
 
-// hashSeed makes shard selection consistent within a process. It only picks
-// the shard a statement lives in, so the per-run randomness of maphash never
-// leaks into results. maphash is used (rather than FNV) because it runs at
-// hardware-hash speed on long statement texts; the hash is computed outside
-// any lock.
+// publish puts r in the set's first slot and shifts the older results one
+// slot down. It returns the result shifted out of the last slot, or nil if
+// the set had room. Each swap hands the displaced result on to the next
+// slot, so under concurrent publishes no result is lost but the one
+// returned, and a slot never goes back to nil.
+func (s *set) publish(r *result) *result {
+	for i := range s {
+		if r = s[i].Swap(r); r == nil {
+			return nil
+		}
+	}
+	return r
+}
+
+// hashSeed makes set selection consistent within a process. It only picks
+// the set a statement lives in, so the per-run randomness of maphash never
+// leaks into results; it can change which statements displace which, and
+// so the hit count, from run to run. maphash runs at hardware-hash speed on
+// long statement texts.
 var hashSeed = maphash.MakeSeed()
 
-// parserMetrics are the hot-path cache counters Instrument attaches.
+// parserMetrics are the hot-path cache counters Instrument attaches. They
+// are nil, and so no-ops, until it does.
 type parserMetrics struct {
-	entries *obs.Counter // ParseEntry calls
-	misses  *obs.Counter // this call created the slot and parses
-	hits    *obs.Counter // slot existed with a finished parse
-	waits   *obs.Counter // slot existed but the parse was in flight (singleflight wait)
-	binds   *obs.Counter // misses bound from a known shape instead of parsed
-	shapes  *obs.Gauge   // entries in the shape table
+	entries  *obs.Counter // ParseEntry calls
+	misses   *obs.Counter // statement not cached: this call parsed it
+	hits     *obs.Counter // statement cached
+	replaced *obs.Counter // misses that pushed a cached statement out
+	binds    *obs.Counter // misses bound from a known shape instead of parsed
+	bytes    *obs.Gauge   // statement text held by the cache
+	shapes   *obs.Gauge   // entries in the shape table
 }
 
-// Parser parses log entries with a statement-text cache. It is safe for
-// concurrent use by multiple goroutines.
+// Parser parses log entries with a fixed-size statement-text cache. It is
+// safe for concurrent use by multiple goroutines.
 type Parser struct {
-	shards [shardCount]shard
+	// sets is allocated by the first ParseEntry, under once: a pointer
+	// array must be zeroed up front, which takes a few hundred microseconds
+	// that a daemon's start-up should not wait for.
+	setBits int
+	once    sync.Once
+	sets    []set
 	// skeletons holds one record per distinct masked skeleton, shared by
 	// every parse result of that skeleton.
 	skeletons skeleton.Skeletons
 	// shapes holds one skeleton.Shape per SELECT token shape.
 	shapes shapeTable
-	// met is nil unless Instrument attached a registry. It is read without
-	// synchronization, so Instrument must be called before parsing starts.
-	met *parserMetrics
+	// met is read without synchronization, so Instrument must be called
+	// before parsing starts.
+	met parserMetrics
 }
 
 // Instrument attaches cache-effectiveness counters (parse_entries_total,
 // parse_cache_hits_total, parse_cache_misses_total,
-// parse_singleflight_waits_total, parse_shape_binds_total) and the
-// parse_shapes gauge to the parser. Misses that ran the parser number
-// parse_cache_misses_total − parse_shape_binds_total. Call before the first
-// ParseEntry; a nil registry leaves the parser on the zero-overhead path.
+// parse_cache_replaced_total, parse_shape_binds_total) and the
+// parse_cache_bytes and parse_shapes gauges to the parser. Misses that ran
+// the parser number parse_cache_misses_total − parse_shape_binds_total.
+// Call before the first ParseEntry; a nil registry leaves the parser on the
+// zero-overhead path.
 func (p *Parser) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	p.met = &parserMetrics{
-		entries: reg.Counter("parse_entries_total"),
-		misses:  reg.Counter("parse_cache_misses_total"),
-		hits:    reg.Counter("parse_cache_hits_total"),
-		waits:   reg.Counter("parse_singleflight_waits_total"),
-		binds:   reg.Counter("parse_shape_binds_total"),
-		shapes:  reg.Gauge("parse_shapes"),
+	p.met = parserMetrics{
+		entries:  reg.Counter("parse_entries_total"),
+		misses:   reg.Counter("parse_cache_misses_total"),
+		hits:     reg.Counter("parse_cache_hits_total"),
+		replaced: reg.Counter("parse_cache_replaced_total"),
+		binds:    reg.Counter("parse_shape_binds_total"),
+		bytes:    reg.Gauge("parse_cache_bytes"),
+		shapes:   reg.Gauge("parse_shapes"),
 	}
 }
 
 // NewParser returns a Parser with an empty cache.
-func NewParser() *Parser {
-	p := &Parser{}
-	for i := range p.shards {
-		p.shards[i].m = map[string]*result{}
-	}
-	return p
-}
+func NewParser() *Parser { return newParser(cacheSetBits) }
 
-// lookup returns the cache slot for a statement, creating it if needed, and
-// reports whether this caller created it.
-func (p *Parser) lookup(stmt string) (*result, bool) {
-	sh := &p.shards[maphash.String(hashSeed, stmt)&(shardCount-1)]
-	sh.mu.Lock()
-	r, ok := sh.m[stmt]
-	if !ok {
-		r = &result{info: skeleton.Info{Statement: stmt}}
-		sh.m[stmt] = r
-	}
-	sh.mu.Unlock()
-	return r, !ok
-}
+// newParser returns a Parser whose cache has 2^setBits sets.
+func newParser(setBits int) *Parser { return &Parser{setBits: setBits} }
 
-// ParseEntry parses one log entry, consulting the shared cache. The
-// returned Entry carries the interned statement text (the first-seen string
-// instance for this statement), never e.Statement itself.
+// ParseEntry parses one log entry, consulting the shared cache. While the
+// statement is cached, the returned Entry carries the cached string
+// instance instead of e.Statement.
 func (p *Parser) ParseEntry(e logmodel.Entry) Entry {
-	r, created := p.lookup(e.Statement)
-	if m := p.met; m != nil {
-		m.entries.Inc()
-		switch {
-		case created:
-			m.misses.Inc()
-		case r.done.Load():
-			m.hits.Inc()
-		default:
-			m.waits.Inc()
+	p.once.Do(func() { p.sets = make([]set, 1<<p.setBits) })
+	h := maphash.String(hashSeed, e.Statement)
+	s := &p.sets[h&uint64(len(p.sets)-1)]
+	p.met.entries.Inc()
+	r := s.find(h, e.Statement)
+	if r != nil {
+		p.met.hits.Inc()
+	} else {
+		r = &result{hash: h, info: skeleton.Info{Statement: e.Statement}}
+		p.parseInto(r)
+		p.met.misses.Inc()
+		if len(e.Statement) <= maxCachedLen {
+			p.met.bytes.Add(int64(len(e.Statement)))
+			if out := s.publish(r); out != nil {
+				p.met.replaced.Inc()
+				p.met.bytes.Add(-int64(len(out.info.Statement)))
+			}
 		}
 	}
-	r.once.Do(func() {
-		p.parseInto(r)
-		r.done.Store(true)
-	})
 	e.Statement = r.info.Statement
 	pe := Entry{Entry: e, Class: r.class, Err: r.err}
 	if r.class == sqlast.ClassSelect {
@@ -232,7 +257,7 @@ func (p *Parser) ParseEntry(e logmodel.Entry) Entry {
 	return pe
 }
 
-// parseInto fills in a slot: it tokenizes the statement, binds the summary
+// parseInto fills in a result: it tokenizes the statement, binds the summary
 // of a SELECT whose shape the table knows, and parses everything else from
 // the tokens, recording the shapes of new SELECTs while the table has room.
 func (p *Parser) parseInto(r *result) {
@@ -252,9 +277,7 @@ func (p *Parser) parseInto(r *result) {
 		if sh != nil {
 			r.class = sqlast.ClassSelect
 			sh.Bind(&r.info, toks)
-			if m := p.met; m != nil {
-				m.binds.Inc()
-			}
+			p.met.binds.Inc()
 			return
 		}
 		if !full {
@@ -274,10 +297,7 @@ func (p *Parser) parseInto(r *result) {
 			return
 		}
 		if sh := p.skeletons.SummarizeShape(&r.info, s, lits); sh != nil {
-			n := p.shapes.add(sc.key, toks, lits, sh)
-			if m := p.met; m != nil {
-				m.shapes.Set(int64(n))
-			}
+			p.met.shapes.Set(int64(p.shapes.add(sc.key, toks, lits, sh)))
 		}
 	case *sqlast.InsertStatement, *sqlast.UpdateStatement, *sqlast.DeleteStatement:
 		r.class = sqlast.ClassDML
@@ -297,7 +317,7 @@ func Tree(in *skeleton.Info) (*sqlast.SelectStatement, error) {
 }
 
 // Parse annotates a whole log on the calling goroutine, reusing the
-// parser's cache across calls (statements already seen are not re-parsed).
+// parser's cache across calls (statements still cached are not re-parsed).
 func (p *Parser) Parse(l logmodel.Log) (Log, Stats) {
 	out := make(Log, 0, len(l))
 	var st Stats
@@ -310,9 +330,9 @@ func (p *Parser) Parse(l logmodel.Log) (Log, Stats) {
 }
 
 // ParseParallel annotates a whole log using up to `workers` goroutines
-// (0 selects GOMAXPROCS, 1 is the serial path). The result is identical to
-// Parse: entries keep log order and identical texts share one
-// *skeleton.Info. Only wall-clock time differs.
+// (0 selects GOMAXPROCS, 1 is the serial path). The result equals Parse's:
+// entries keep log order and carry equal summaries. Only wall-clock time
+// differs.
 func (p *Parser) ParseParallel(l logmodel.Log, workers int) (Log, Stats) {
 	return p.ParseParallelSpan(l, workers, nil)
 }

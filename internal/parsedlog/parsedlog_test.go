@@ -3,6 +3,7 @@ package parsedlog
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/sqlast"
@@ -43,11 +44,15 @@ func TestParseClassifies(t *testing.T) {
 	}
 }
 
+// TestParseCacheSharesInfo checks the sharing contract: identical texts
+// always carry equal summaries, and while the text stays cached (here it
+// cannot leave) one Info and one statement string.
 func TestParseCacheSharesInfo(t *testing.T) {
 	l := mkLog("SELECT a FROM t WHERE id = 1", "SELECT a FROM t WHERE id = 1")
+	l[1].Statement = string([]byte(l[1].Statement))
 	pl, _ := Parse(l)
-	if pl[0].Info != pl[1].Info {
-		t.Error("identical statements must share one Info")
+	if pl[0].Info != pl[1].Info || unsafe.StringData(pl[0].Statement) != unsafe.StringData(pl[1].Statement) {
+		t.Error("identical cached statements must share one Info and one string")
 	}
 	l2 := mkLog("SELECT a FROM t WHERE id = 1", "SELECT a FROM t WHERE id = 2")
 	pl2, _ := Parse(l2)
@@ -81,6 +86,8 @@ func TestRawRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParserReuse checks that the cache lives across calls: a text parsed
+// by one call is a hit for the next.
 func TestParserReuse(t *testing.T) {
 	p := NewParser()
 	e1 := p.ParseEntry(logmodel.Entry{Statement: "SELECT a FROM t"})

@@ -2,30 +2,28 @@ package parsedlog
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"sqlclean/internal/logmodel"
 )
 
 // TestParserReadPathHammer races the hit path (run with -race): a
-// pre-warmed parser serves hits while other goroutines keep inserting fresh
-// statements into the same shard maps. Every hit must return the interned
-// first-seen statement string (same backing array, not just equal content).
+// pre-warmed parser serves lookups while other goroutines keep publishing
+// fresh statements into the same sets. Every lookup must return the warm
+// statement's text and summary; whether it shares the cached instances
+// depends on whether the statement is still cached.
 func TestParserReadPathHammer(t *testing.T) {
 	const goroutines = 16
 	const warm = 200
 
 	p := NewParser()
-	interned := make(map[string]string, warm)
+	warmed := make(map[string]Entry, warm)
 	for i := 0; i < warm; i++ {
 		s := soupStatement(i)
-		e := p.ParseEntry(logmodel.Entry{Statement: s})
-		interned[s] = e.Statement
+		warmed[s] = p.ParseEntry(logmodel.Entry{Statement: s})
 	}
-
-	strData := func(s string) *byte { return unsafe.StringData(s) }
 
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -34,23 +32,18 @@ func TestParserReadPathHammer(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 2000; k++ {
 				if g%4 == 0 && k%5 == 0 {
-					// Writer goroutines keep the shard maps growing while
-					// readers are mid-lookup.
+					// Writer goroutines keep publishing while readers are
+					// mid-lookup.
 					s := soupStatement(warm + g*2000 + k)
 					p.ParseEntry(logmodel.Entry{Statement: s})
 					continue
 				}
-				// Force a fresh string allocation with the warm content, so a
-				// pointer match below can only come from interning.
+				// A fresh string allocation with the warm content.
 				s := string([]byte(soupStatement(k % warm)))
 				e := p.ParseEntry(logmodel.Entry{Statement: s})
-				want := interned[soupStatement(k%warm)]
-				if e.Statement != want {
-					t.Errorf("goroutine %d: statement content diverged", g)
-					return
-				}
-				if strData(e.Statement) != strData(want) {
-					t.Errorf("goroutine %d: statement %q not interned (different backing array)", g, want)
+				want := warmed[soupStatement(k%warm)]
+				if e.Statement != want.Statement || e.Class != want.Class || !reflect.DeepEqual(e.Info, want.Info) {
+					t.Errorf("goroutine %d: %q parsed to %+v, warm parse %+v", g, s, e, want)
 					return
 				}
 			}
@@ -59,21 +52,26 @@ func TestParserReadPathHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadSnapshotPromotion checks that cache slots are stable: after 1000
-// inserts spread over every shard, re-parsing each statement returns the
-// same interned instance and Info as the first pass.
+// TestReadSnapshotPromotion checks that cached results are stable: after
+// 1000 inserts spread over the sets, re-parsing each statement from a fresh
+// string returns a summary equal to the first pass's, and a hit returns the
+// cached instances.
 func TestReadSnapshotPromotion(t *testing.T) {
-	p := NewParser()
+	p, reg := instrumented()
 	stmts := make([]string, 1000)
+	first := make([]Entry, len(stmts))
 	for i := range stmts {
 		stmts[i] = fmt.Sprintf("SELECT a FROM t WHERE id = %d", i)
-		p.ParseEntry(logmodel.Entry{Statement: stmts[i]})
+		first[i] = p.ParseEntry(logmodel.Entry{Statement: stmts[i]})
 	}
-	for _, s := range stmts {
-		e1 := p.ParseEntry(logmodel.Entry{Statement: s})
-		e2 := p.ParseEntry(logmodel.Entry{Statement: string([]byte(s))})
-		if e1.Info != e2.Info || unsafe.StringData(e1.Statement) != unsafe.StringData(e2.Statement) {
-			t.Fatalf("slot for %q not stable across inserts", s)
+	for i, s := range stmts {
+		hits := reg.Counter("parse_cache_hits_total").Value()
+		e := p.ParseEntry(logmodel.Entry{Statement: string([]byte(s))})
+		if e.Statement != s || !reflect.DeepEqual(e.Info, first[i].Info) {
+			t.Fatalf("%q: summary %+v, first pass %+v", s, e.Info, first[i].Info)
+		}
+		if reg.Counter("parse_cache_hits_total").Value() > hits && e.Info != first[i].Info {
+			t.Fatalf("%q: a hit returned a summary other than the cached one", s)
 		}
 	}
 }

@@ -76,51 +76,100 @@ func DefaultSolvers(cat *schema.Catalog) []Solver {
 // (first come, first solved); an instance overlapping an already-solved one
 // is skipped and left untouched.
 func Apply(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver) Result {
-	byKind := map[antipattern.Kind]Solver{}
-	for _, s := range solvers {
-		byKind[s.Kind()] = s
-	}
-
-	type replacement struct {
-		stmt     string
-		rows     int64
-		kind     antipattern.Kind
-		replaced int
-	}
-	replaceAt := map[int]replacement{} // first index -> replacement
-	drop := make([]bool, len(pl))      // true: entry consumed by a solved instance
-	dropped := 0
-	statsByKind := map[antipattern.Kind]*Stats{}
-	var kindOrder []antipattern.Kind
-
-	stat := func(k antipattern.Kind) *Stats {
-		s, ok := statsByKind[k]
-		if !ok {
-			s = &Stats{Kind: k}
-			statsByKind[k] = s
-			kindOrder = append(kindOrder, k)
+	sv := solve(pl, instances, solvers)
+	res := Result{Clean: make(logmodel.Log, 0, len(pl)-sv.ndropped), Stats: sv.stats}
+	for i, e := range pl {
+		if r, ok := sv.replaceAt[i]; ok {
+			res.Replacements = append(res.Replacements, Replacement{
+				Kind:       r.kind,
+				CleanIndex: len(res.Clean),
+				Statement:  r.stmt,
+				Replaced:   r.replaced,
+			})
+			res.Clean = append(res.Clean, r.entry(e.Entry))
+			continue
 		}
-		return s
+		if !sv.dropped(i) {
+			res.Clean = append(res.Clean, e.Entry)
+		}
 	}
+	return res
+}
 
+// ApplyParsed is Apply for a caller that keeps parse results, such as the
+// streaming engine: the clean log carries each kept entry's parse result,
+// and each replacement statement is parsed with p once, here. It returns
+// the clean log and Apply's Stats.
+func ApplyParsed(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver, p *parsedlog.Parser) (parsedlog.Log, []Stats) {
+	sv := solve(pl, instances, solvers)
+	clean := make(parsedlog.Log, 0, len(pl)-sv.ndropped)
+	for i, e := range pl {
+		if r, ok := sv.replaceAt[i]; ok {
+			clean = append(clean, p.ParseEntry(r.entry(e.Entry)))
+			continue
+		}
+		if !sv.dropped(i) {
+			clean = append(clean, e)
+		}
+	}
+	return clean, sv.stats
+}
+
+// replacement is one solved instance's statement, at its first member.
+type replacement struct {
+	stmt     string
+	rows     int64
+	kind     antipattern.Kind
+	replaced int
+}
+
+// entry is the clean-log entry that replaces first, the instance's first
+// member.
+func (r replacement) entry(first logmodel.Entry) logmodel.Entry {
+	first.Statement = r.stmt
+	first.Rows = r.rows
+	return first
+}
+
+// solution is what solving decided for a log. Its maps and slices stay nil
+// until an instance is solved, so a session without one allocates nothing.
+type solution struct {
+	replaceAt map[int]replacement // first member's index -> replacement
+	drop      []bool              // true: entry consumed by a solved instance
+	ndropped  int
+	stats     []Stats // per kind, in the order kinds were first met
+}
+
+// dropped reports whether entry i was consumed by a solved instance.
+func (sv *solution) dropped(i int) bool { return sv.drop != nil && sv.drop[i] }
+
+// solve runs the solvers over the solvable instances in log order (§5.5),
+// skipping instances that touch an already-consumed entry.
+func solve(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver) solution {
+	var sv solution
 	for _, inst := range instances {
 		if !inst.Solvable {
 			continue
 		}
-		solver, ok := byKind[inst.Kind]
-		if !ok {
+		// A later solver of a kind overrides an earlier one.
+		var solver Solver
+		for i := len(solvers) - 1; i >= 0; i-- {
+			if solvers[i].Kind() == inst.Kind {
+				solver = solvers[i]
+				break
+			}
+		}
+		if solver == nil {
 			continue
 		}
-		// Solving proceeds in log order (§5.5); skip instances that touch
-		// an already-consumed entry.
 		overlap := false
 		for _, idx := range inst.Indices {
-			if drop[idx] || replaceAt[idx].stmt != "" {
+			if _, ok := sv.replaceAt[idx]; ok || sv.dropped(idx) {
 				overlap = true
 				break
 			}
 		}
-		s := stat(inst.Kind)
+		s := sv.stat(inst.Kind)
 		if overlap {
 			continue
 		}
@@ -132,40 +181,30 @@ func Apply(pl parsedlog.Log, instances []antipattern.Instance, solvers []Solver)
 		s.Solved++
 		s.QueriesBefore += len(inst.Indices)
 		s.QueriesAfter++
-		rows := sumRows(pl, inst.Indices)
-		replaceAt[inst.Indices[0]] = replacement{stmt: stmt, rows: rows, kind: inst.Kind, replaced: len(inst.Indices)}
+		if sv.replaceAt == nil {
+			sv.replaceAt = map[int]replacement{}
+			sv.drop = make([]bool, len(pl))
+		}
+		sv.replaceAt[inst.Indices[0]] = replacement{stmt: stmt, rows: sumRows(pl, inst.Indices), kind: inst.Kind, replaced: len(inst.Indices)}
 		for _, idx := range inst.Indices[1:] {
-			if !drop[idx] {
-				drop[idx] = true
-				dropped++
+			if !sv.drop[idx] {
+				sv.drop[idx] = true
+				sv.ndropped++
 			}
 		}
 	}
+	return sv
+}
 
-	res := Result{Clean: make(logmodel.Log, 0, len(pl)-dropped)}
-	for i, e := range pl {
-		if r, ok := replaceAt[i]; ok {
-			ne := e.Entry
-			ne.Statement = r.stmt
-			ne.Rows = r.rows
-			res.Replacements = append(res.Replacements, Replacement{
-				Kind:       r.kind,
-				CleanIndex: len(res.Clean),
-				Statement:  r.stmt,
-				Replaced:   r.replaced,
-			})
-			res.Clean = append(res.Clean, ne)
-			continue
+// stat returns the Stats of kind k, adding them on first use.
+func (sv *solution) stat(k antipattern.Kind) *Stats {
+	for i := range sv.stats {
+		if sv.stats[i].Kind == k {
+			return &sv.stats[i]
 		}
-		if drop[i] {
-			continue
-		}
-		res.Clean = append(res.Clean, e.Entry)
 	}
-	for _, k := range kindOrder {
-		res.Stats = append(res.Stats, *statsByKind[k])
-	}
-	return res
+	sv.stats = append(sv.stats, Stats{Kind: k})
+	return &sv.stats[len(sv.stats)-1]
 }
 
 func sumRows(pl parsedlog.Log, idxs []int) int64 {

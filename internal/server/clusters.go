@@ -24,8 +24,8 @@ import (
 	"sync"
 	"time"
 
-	"sqlclean/internal/logmodel"
 	"sqlclean/internal/overlap"
+	"sqlclean/internal/parsedlog"
 )
 
 const defaultClusterThreshold = 0.9
@@ -56,21 +56,18 @@ func (b *boxStat) compare(o *boxStat) int {
 	return cmp.Compare(b.seq, o.seq)
 }
 
-// observeBoxes folds one emitted batch into the table. The statements were
-// just parsed by the engine, so the shared parser resolves each from cache;
-// parsing and box building happen before the table's lock, which is taken
-// once per batch.
-func (s *Server) observeBoxes(l logmodel.Log) {
-	p := s.cfg.Stream.Parser
+// observeBoxes folds one emitted batch into the table. The engine hands
+// over each entry's summary, so nothing is parsed here; box building
+// happens before the table's lock, which is taken once per batch.
+func (s *Server) observeBoxes(l parsedlog.Log) {
 	boxes := make([]overlap.FlatBox, 0, len(l))
 	stats := make([]boxStat, 0, len(l))
-	for _, e := range l {
-		pe := p.ParseEntry(e)
+	for _, pe := range l {
 		if pe.Info == nil {
 			continue
 		}
 		boxes = append(boxes, overlap.FlatFromInfo(pe.Info))
-		stats = append(stats, boxStat{queries: 1, time: e.Time, seq: e.Seq, example: pe.Statement})
+		stats = append(stats, boxStat{queries: 1, time: pe.Time, seq: pe.Seq, example: pe.Statement})
 	}
 	t := s.boxes
 	t.mu.Lock()

@@ -330,6 +330,7 @@ func TestBoxTableOrderIndependent(t *testing.T) {
 	shardMajorReversed := slices.Concat(byShard...)
 
 	const all = 1 << 30
+	parser := parsedlog.NewParser()
 	for name, order := range map[string][]logmodel.Log{
 		"reversed":                        reversed,
 		"shard by shard":                  shardMajor,
@@ -340,7 +341,8 @@ func TestBoxTableOrderIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, l := range order {
-			r.observeBoxes(l)
+			pl, _ := parser.Parse(l)
+			r.observeBoxes(pl)
 		}
 		for _, th := range []float64{0.9, 0.5} {
 			if got, want := r.Clusters(th, all), s.Clusters(th, all); !reflect.DeepEqual(got, want) {

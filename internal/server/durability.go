@@ -93,7 +93,7 @@ func (s *Server) openDurability() error {
 		if e.Seq >= s.seq.Load() {
 			s.seq.Store(e.Seq + 1)
 		}
-		out, aerr := s.eng.AddShard(s.eng.ShardFor(e.User), e)
+		out, aerr := s.eng.AddShardParsed(s.eng.ShardFor(e.User), e)
 		if aerr != nil {
 			// The original run rejected this entry too (ordering contract
 			// or skew guard); count and continue like drain does.

@@ -337,7 +337,8 @@ func (s *Server) drain(i int) {
 		// gauges as its capacity budget, so they drop at receive time.
 		s.qDepth.Add(-int64(len(b.entries)))
 		s.qDepthShard[i].Add(-int64(len(b.entries)))
-		s.eng.AddShardBatch(i, b.entries, func(_ int, out logmodel.Log, err error) {
+		for _, e := range b.entries {
+			out, err := s.eng.AddShardParsed(i, e)
 			if err != nil {
 				switch {
 				case errors.Is(err, stream.ErrFutureSkew):
@@ -357,11 +358,13 @@ func (s *Server) drain(i int) {
 			// proves the Emit callback is idle.
 			b.tr.DonePending("emit")
 			s.pending.Add(-1)
-		})
+		}
 	}
 }
 
-func (s *Server) emit(l logmodel.Log) {
+// emit hands a batch of cleaned entries, with the parse results the engine
+// holds for them, to the /clusters table and to Config.Emit.
+func (s *Server) emit(l parsedlog.Log) {
 	if len(l) == 0 {
 		return
 	}
@@ -372,7 +375,7 @@ func (s *Server) emit(l logmodel.Log) {
 	if s.cfg.Emit != nil {
 		s.emitMu.Lock()
 		defer s.emitMu.Unlock()
-		s.cfg.Emit(l)
+		s.cfg.Emit(l.Raw())
 	}
 }
 
@@ -404,7 +407,7 @@ func (s *Server) Close(ctx context.Context) error {
 				close(q)
 			}
 			s.drainWG.Wait()
-			s.emit(s.eng.Close())
+			s.emit(s.eng.CloseParsed())
 			s.snapWG.Wait()
 			s.closeDurability()
 		}()

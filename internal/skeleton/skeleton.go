@@ -76,7 +76,7 @@ func (s *Skeleton) SkeletonText() string { return s.text }
 // summary.
 type Info struct {
 	// Statement is the statement text; parse results from package
-	// parsedlog carry the interned instance, Analyze leaves it empty.
+	// parsedlog carry the cached instance, Analyze leaves it empty.
 	Statement string
 
 	// Fingerprint identifies the template (SFC, SWC, SSC) — Definition 4/5.

@@ -3,8 +3,8 @@
 // independent too. Entries are partitioned by user hash into independent
 // shards — dedup keys (user, statement) and sessions (per user) both live
 // wholly inside one shard — so shards share only the statement-parse cache
-// (sharded + singleflight itself) and the global event watermark that the
-// MaxFutureSkew guard reads.
+// (lock-free itself) and the global event watermark that the MaxFutureSkew
+// guard reads.
 //
 // Ordering contract: each shard must see its own entries in time order. An
 // entry up to one session gap behind its shard's watermark is accepted; one
@@ -22,6 +22,7 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -218,6 +219,14 @@ func (s *Sharded) Add(e logmodel.Entry) (logmodel.Log, error) {
 // ingest queue). i must equal ShardFor(e.User) for dedup and sessionization
 // to see the user's whole stream.
 func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
+	out, err := s.AddShardParsed(i, e)
+	return raw(out), err
+}
+
+// AddShardParsed is AddShard returning each cleaned entry with the parse
+// result the shard holds for it, so a caller that reads the summaries (the
+// daemon's /clusters table) parses nothing.
+func (s *Sharded) AddShardParsed(i int, e logmodel.Entry) (parsedlog.Log, error) {
 	ns := e.Time.UnixNano()
 	if s.cfg.MaxFutureSkew > 0 {
 		// Guard the global watermark before raising it: one bogus far-future
@@ -244,8 +253,7 @@ func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
 // error. It is a faithful loop over AddShard, so the shard's ordering
 // check, the watermark raise and the skew guard behave exactly as under
 // per-entry dispatch: the shard's output depends on which entries it is
-// given and in what order, not on how they are batched. Batch callers (the
-// daemon's shard drains) get one call site per queue batch.
+// given and in what order, not on how they are batched.
 func (s *Sharded) AddShardBatch(i int, entries []logmodel.Entry, done func(k int, out logmodel.Log, err error)) {
 	for k := range entries {
 		out, err := s.AddShard(i, entries[k])
@@ -284,8 +292,11 @@ func (s *Sharded) noteOpenDelta(d int) {
 // Close flushes all open sessions across all shards — detection and solving
 // fan out on the worker pool — and returns their cleaned entries sorted by
 // time. The engine stays readable (Stats, Templates) after Close.
-func (s *Sharded) Close() logmodel.Log {
-	outs := make([]logmodel.Log, len(s.shards))
+func (s *Sharded) Close() logmodel.Log { return raw(s.CloseParsed()) }
+
+// CloseParsed is Close returning each cleaned entry with its parse result.
+func (s *Sharded) CloseParsed() parsedlog.Log {
+	outs := make([]parsedlog.Log, len(s.shards))
 	parallel.ShardRun(s.cfg.Workers, len(s.shards), func(i int) {
 		sh := s.shards[i]
 		sh.mu.Lock()
@@ -298,12 +309,20 @@ func (s *Sharded) Close() logmodel.Log {
 	for _, o := range outs {
 		n += len(o)
 	}
-	out := make(logmodel.Log, 0, n)
+	out := make(parsedlog.Log, 0, n)
 	for _, o := range outs {
 		out = append(out, o...)
 	}
 	sortByTime(out)
 	return out
+}
+
+// raw is l without its parse results, nil when l is empty.
+func raw(l parsedlog.Log) logmodel.Log {
+	if len(l) == 0 {
+		return nil
+	}
+	return l.Raw()
 }
 
 // Stats merges the per-shard counters. OpenSessionsHighWater is the
@@ -435,7 +454,7 @@ func (s *Sharded) run(l logmodel.Log) (logmodel.Log, error) {
 		b := s.ShardFor(e.User)
 		buckets[b] = append(buckets[b], int32(i))
 	}
-	outs := make([]logmodel.Log, n)
+	outs := make([]parsedlog.Log, n)
 	errs := make([]error, n)
 	parallel.ShardRun(s.cfg.Workers, n, func(i int) {
 		sh := s.shards[i]
@@ -457,16 +476,17 @@ func (s *Sharded) run(l logmodel.Log) (logmodel.Log, error) {
 			return nil, err
 		}
 	}
-	final := s.Close()
-	total := len(final)
+	outs = append(outs, s.CloseParsed())
+	total := 0
 	for _, o := range outs {
 		total += len(o)
 	}
 	out := make(logmodel.Log, 0, total)
 	for _, o := range outs {
-		out = append(out, o...)
+		for _, pe := range o {
+			out = append(out, pe.Entry)
+		}
 	}
-	out = append(out, final...)
-	sortByTime(out)
+	slices.SortStableFunc(out, func(a, b logmodel.Entry) int { return byTime(&a, &b) })
 	return out, nil
 }

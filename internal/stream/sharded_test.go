@@ -314,8 +314,9 @@ func TestQuietShardKeepsItsSession(t *testing.T) {
 }
 
 // TestShardedSharedParser pins the shared parse cache: two shards seeing the
-// same statement text produce one cache miss and one hit, aggregated in the
-// registry the parser was instrumented with.
+// same statement text share one cache, so while the text stays cached (a
+// lone text cannot be pushed out) they produce one miss and one hit,
+// aggregated in the registry the parser was instrumented with.
 func TestShardedSharedParser(t *testing.T) {
 	reg := obs.NewRegistry()
 	parser := parsedlog.NewParser()
@@ -345,6 +346,41 @@ func TestShardedSharedParser(t *testing.T) {
 	}
 	if got := reg.Counter("parse_cache_hits_total").Value(); got != 1 {
 		t.Errorf("cache hits: %d, want 1", got)
+	}
+}
+
+// TestParseCacheResidency checks that the fixed-size parse cache holds a
+// cycling log's working set: an engine fed the scale-1 generator log lap
+// after lap, event time moving forward, must hit on at least 99% of its
+// lookups after the first lap. The engine's own lookups count: one per
+// entry, and one per replacement statement at session close.
+func TestParseCacheResidency(t *testing.T) {
+	const laps = 5
+	log, _ := workload.Generate(workload.DefaultConfig())
+	log.SortStable()
+	shift := log[len(log)-1].Time.Sub(log[0].Time) + 24*time.Hour
+	reg := obs.NewRegistry()
+	eng := NewSharded(ShardedConfig{Shards: 8, Config: Config{Metrics: reg}})
+	hits, misses := reg.Counter("parse_cache_hits_total"), reg.Counter("parse_cache_misses_total")
+	var warmHits, warmMisses int64
+	for lap := 0; lap < laps; lap++ {
+		for _, e := range log {
+			e.Time = e.Time.Add(time.Duration(lap) * shift)
+			e.Seq += int64(lap * len(log))
+			if _, err := eng.AddShardParsed(eng.ShardFor(e.User), e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lap == 0 {
+			warmHits, warmMisses = hits.Value(), misses.Value()
+		}
+	}
+	h, m := hits.Value()-warmHits, misses.Value()-warmMisses
+	ratio := float64(h) / float64(h+m)
+	t.Logf("first lap: %d misses of %d lookups; laps 2-%d: %d misses of %d lookups (%.4f hit)",
+		warmMisses, warmHits+warmMisses, laps, m, h+m, ratio)
+	if ratio < 0.99 {
+		t.Fatalf("after the first lap the cache hit %.4f of %d lookups, want at least 0.99", ratio, h+m)
 	}
 }
 
@@ -432,31 +468,33 @@ func TestEvictionBoundHolds(t *testing.T) {
 	}
 }
 
-// TestAddShardAllocsPerEntry pins the engine's allocations per entry: one
-// lap of the scale-1 generator log through AddShard at 8 shards, with the
-// parser warmed by a first lap on another engine that shares it, so no
-// parse is counted. The bound sits just above what the engine allocated
-// when the pin was last lowered: 24,674 allocations per lap of 8,149
-// entries, 3.028 per entry.
+// TestAddShardAllocsPerEntry pins the engine's allocations per entry on the
+// path the daemon's drains run: one lap of the scale-1 generator log through
+// AddShardParsed at 8 shards, with the parser warmed by a first lap on
+// another engine that shares it, so only what the cache cannot hold is
+// parsed. The cache's sets are picked by a per-process hash seed, so the
+// few texts that share an over-full set miss in every lap, and the count
+// moves from run to run: 2.949 to 2.963 per entry over 200 processes when
+// the pin was last lowered. The bound sits just above that.
 func TestAddShardAllocsPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const maxPerEntry = 3.03
+	const maxPerEntry = 2.97
 	log, _ := workload.Generate(workload.DefaultConfig())
 	log.SortStable()
 	parser := parsedlog.NewParser()
 	lap := func() {
 		eng := NewSharded(ShardedConfig{Shards: 8, Config: Config{Parser: parser}})
 		for _, e := range log {
-			if _, err := eng.AddShard(eng.ShardFor(e.User), e); err != nil {
+			if _, err := eng.AddShardParsed(eng.ShardFor(e.User), e); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	lap()
 	if perEntry := testing.AllocsPerRun(3, lap) / float64(len(log)); perEntry > maxPerEntry {
-		t.Fatalf("AddShard allocates %.4f times per entry, bound %.3f", perEntry, maxPerEntry)
+		t.Fatalf("AddShardParsed allocates %.4f times per entry, bound %.3f", perEntry, maxPerEntry)
 	}
 }
 

@@ -19,10 +19,13 @@
 //     frequency, the set of its users and the set of its distinct WHERE
 //     clauses — the three statistics SWS classification reads;
 //   - the user set: every user of an accepted entry, SELECT or not, which
-//     grows with distinct users, as the template table's user sets do;
-//   - the parse cache, which keeps a small summary of every distinct
-//     statement text for the parser's lifetime. On a log of mostly distinct
-//     statements it is the largest part.
+//     grows with distinct users, as the template table's user sets do.
+//
+// The parse cache has a fixed size (package parsedlog): on a log of mostly
+// distinct statements it replaces old summaries instead of growing. An
+// entry carries its summary from Add to the emitted clean log, so a caller
+// that reads the summaries (the daemon's /clusters table) parses nothing,
+// and a statement the cache has dropped is never parsed twice.
 //
 // Input must be time-ordered. Output is emitted session by session, in
 // session-close order. Template statistics accumulate across the whole
@@ -66,9 +69,9 @@ type Config struct {
 	ExtraSolvers []rewrite.Solver
 	// Parser optionally supplies a shared statement-parse cache. Nil gives
 	// the engine a fresh one, shared by its shards. Sharing a parser between
-	// a daemon's streaming path and a batch pipeline run means identical
-	// statement texts are parsed once process-wide and hit/miss metrics
-	// aggregate in one place.
+	// a daemon's streaming path and a batch pipeline run means a statement
+	// text still cached is not parsed again anywhere in the process, and
+	// hit/miss metrics aggregate in one place.
 	Parser *parsedlog.Parser
 	// Metrics is an optional observability registry. When non-nil the
 	// engine keeps live gauges and counters in it: stream_open_sessions
@@ -226,10 +229,10 @@ func newShard(cfg Config, reg *antipattern.Registry, solvers []rewrite.Solver, m
 }
 
 // Add offers one entry (time-ordered input) and returns any cleaned entries
-// whose sessions closed as a consequence. It returns an error when the
-// input goes backwards in time by more than the session gap (the stream's
-// ordering contract).
-func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
+// whose sessions closed as a consequence, each with its parse result. It
+// returns an error when the input goes backwards in time by more than the
+// session gap (the stream's ordering contract).
+func (sh *shard) Add(e logmodel.Entry) (parsedlog.Log, error) {
 	sh.stats.In++
 	sh.met.in.Inc()
 	if e.Time.Before(sh.watermark.Add(-sh.cfg.SessionGap)) {
@@ -243,7 +246,7 @@ func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
 	// identities touched the service", not "how many queried templates".
 	sh.users[e.User] = struct{}{}
 
-	var out logmodel.Log
+	var out parsedlog.Log
 
 	pe := sh.cfg.Parser.ParseEntry(e)
 	if pe.Class == sqlast.ClassSelect {
@@ -295,7 +298,7 @@ func (sh *shard) Add(e logmodel.Entry) (logmodel.Log, error) {
 
 // appendOut appends more to out, without a copy while out is empty: a
 // closed session's clean log is its own fresh slice.
-func appendOut(out, more logmodel.Log) logmodel.Log {
+func appendOut(out, more parsedlog.Log) parsedlog.Log {
 	if len(out) == 0 {
 		return more
 	}
@@ -366,11 +369,11 @@ func (sh *shard) pruneDedup() {
 // t no session can be silent long enough, so it returns at once; otherwise
 // it scans every open session and resets minLast to the survivors' least
 // last activity.
-func (sh *shard) evictBefore(t time.Time) logmodel.Log {
+func (sh *shard) evictBefore(t time.Time) parsedlog.Log {
 	if !sh.minLast.IsZero() && t.Sub(sh.minLast) <= sh.cfg.SessionGap {
 		return nil
 	}
-	var out logmodel.Log
+	var out parsedlog.Log
 	var least time.Time
 	found := false
 	for user, os := range sh.open {
@@ -386,8 +389,8 @@ func (sh *shard) evictBefore(t time.Time) logmodel.Log {
 }
 
 // Close flushes all open sessions and returns their cleaned entries.
-func (sh *shard) Close() logmodel.Log {
-	var out logmodel.Log
+func (sh *shard) Close() parsedlog.Log {
+	var out parsedlog.Log
 	users := make([]string, 0, len(sh.open))
 	for u := range sh.open {
 		users = append(users, u)
@@ -403,20 +406,25 @@ func (sh *shard) Close() logmodel.Log {
 
 // sortByTime orders emitted entries by (Time, Seq), stably and without
 // allocating.
-func sortByTime(l logmodel.Log) {
+func sortByTime(l parsedlog.Log) {
 	if len(l) < 2 {
 		return
 	}
-	slices.SortStableFunc(l, func(a, b logmodel.Entry) int {
-		if c := a.Time.Compare(b.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
+	slices.SortStableFunc(l, func(a, b parsedlog.Entry) int { return byTime(&a.Entry, &b.Entry) })
 }
 
-// closeSession runs detection and solving over one finished session.
-func (sh *shard) closeSession(os *openSession) logmodel.Log {
+// byTime compares entries by (Time, Seq).
+func byTime(a, b *logmodel.Entry) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// closeSession runs detection and solving over one finished session. The
+// clean entries keep their parse results, and a solver's replacement
+// statement is parsed here, so no later stage parses an emitted entry.
+func (sh *shard) closeSession(os *openSession) parsedlog.Log {
 	sh.stats.SessionsEmitted++
 	sh.met.emitted.Inc()
 	sh.met.sessionLen.Observe(int64(len(os.entries)))
@@ -445,16 +453,16 @@ func (sh *shard) closeSession(os *openSession) logmodel.Log {
 		}
 	}
 	sh.met.instances.Add(int64(len(instances)))
-	res := rewrite.Apply(os.entries, instances, sh.solvers)
-	for _, s := range res.Stats {
+	clean, stats := rewrite.ApplyParsed(os.entries, instances, sh.solvers, sh.cfg.Parser)
+	for _, s := range stats {
 		sh.stats.SolvedQueries += s.QueriesBefore
 		sh.met.solvedAway.Add(int64(s.QueriesBefore))
 	}
-	sh.stats.Out += len(res.Clean)
-	sh.met.out.Add(int64(len(res.Clean)))
+	sh.stats.Out += len(clean)
+	sh.met.out.Add(int64(len(clean)))
 	// The clean log holds copies of the entries, so the buffer is free.
 	sh.recycle(os)
-	return res.Clean
+	return clean
 }
 
 func (sh *shard) recordTemplate(pe parsedlog.Entry) {

@@ -388,7 +388,7 @@ func TestDedupWindowStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	sorted := append(logmodel.Log(nil), want...)
-	sortByTime(sorted)
+	sorted.SortStable()
 	same("RunSharded", ran, sorted)
 	if !reflect.DeepEqual(st, unpruned.Stats()) || !reflect.DeepEqual(pruned.Stats(), unpruned.Stats()) {
 		t.Fatalf("stats: RunSharded %+v, pruned %+v, unpruned %+v", st, pruned.Stats(), unpruned.Stats())
