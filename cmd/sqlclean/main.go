@@ -360,7 +360,7 @@ func runStreaming(r io.Reader, dup, gap time.Duration, noKeyCheck, extraRules bo
 	st := p.Stats()
 	logger.Info("stream done",
 		"in", st.In, "selects", st.Selects, "duplicates", st.Duplicates,
-		"out", st.Out, "solved_away", st.Selects-st.Duplicates-st.Out)
+		"out", st.Out, "solved_away", st.Selects-st.Out)
 	if jsonOut != "" {
 		if err := writeFile(jsonOut, func(f *os.File) error {
 			return sqlclean.WriteStreamJSON(f, p)

@@ -3,9 +3,13 @@ package core
 import (
 	"encoding/json"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"sqlclean/internal/obs"
+	"sqlclean/internal/pattern"
+	"sqlclean/internal/stream"
 )
 
 // The JSON export is the machine-readable counterpart of Fig. 1's result
@@ -156,16 +160,7 @@ func Export(res *Result, maxInstances int) ExportDoc {
 
 	anti := res.AntipatternTemplates()
 	for _, t := range res.Templates {
-		doc.Templates = append(doc.Templates, TemplateJSON{
-			Fingerprint:    t.Fingerprint,
-			Skeleton:       t.Skeleton,
-			Frequency:      t.Frequency,
-			UserPopularity: t.UserPopularity,
-			DisjointRatio:  t.DisjointRatio(),
-			SWS:            res.SWS[t.Fingerprint],
-			Antipattern:    anti[t.Fingerprint],
-			Example:        t.Example,
-		})
+		doc.Templates = append(doc.Templates, templateRow(t, res.SWS[t.Fingerprint], anti[t.Fingerprint]))
 	}
 	for _, sp := range res.Sequences {
 		doc.Sequences = append(doc.Sequences, SequenceJSON{
@@ -196,6 +191,90 @@ func Export(res *Result, maxInstances int) ExportDoc {
 			Kind: string(rp.Kind), Replaced: rp.Replaced, Statement: rp.Statement,
 		})
 	}
+	return doc
+}
+
+// templateRow is one template's row of either export.
+func templateRow(t pattern.TemplateStats, sws, antipattern bool) TemplateJSON {
+	return TemplateJSON{
+		Fingerprint:    t.Fingerprint,
+		Skeleton:       t.Skeleton,
+		Frequency:      t.Frequency,
+		UserPopularity: t.UserPopularity,
+		DisjointRatio:  t.DisjointRatio(),
+		SWS:            sws,
+		Antipattern:    antipattern,
+		Example:        t.Example,
+	}
+}
+
+// StreamDoc is the streaming counterpart of ExportDoc: what a streaming
+// engine knows of the same result, under the same JSON names. GET /report
+// wraps it with the daemon's own fields; sqlclean -stream -json writes it
+// as it is.
+type StreamDoc struct {
+	Report    ReportJSON     `json:"report"`
+	Stream    stream.Stats   `json:"stream"`
+	Templates []TemplateJSON `json:"templates,omitempty"`
+	Sketch    SketchJSON     `json:"sketches"`
+}
+
+// SketchJSON repeats the distinct-user count beside the SWS counts. The
+// block keeps its name and its field names from when the count was an
+// estimate.
+type SketchJSON struct {
+	// DistinctUsersEstimate is the exact distinct-user count,
+	// report.distinct_users.
+	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
+	// SWSTemplates/SWSQueries are report.sws_templates/sws_queries.
+	SWSTemplates int `json:"sws_templates"`
+	SWSQueries   int `json:"sws_queries"`
+}
+
+// ExportStream builds the streaming document from the engine's exact
+// tables, every template's row included. It reads Stats, Templates,
+// TemplateKinds and DistinctUsers once each, and applies the batch SWS
+// predicate once, over every accepted SELECT, open sessions included. Once
+// the engine is closed, every field it tracks equals Export's over the batch
+// result of the same log; a row is an antipattern when the engine attributed
+// a kind to its template. What the engine does not track stays zero or
+// empty: a row's example, a kind's distinct and queries, the DML, DDL, EXEC
+// and error counts, and the solve aggregates. Kinds are ordered by name.
+func ExportStream(eng *stream.Sharded) StreamDoc {
+	st := eng.Stats()
+	templates := eng.Templates()
+	kinds := eng.TemplateKinds()
+	sws := pattern.ClassifySWS(templates, st.Selects, pattern.DefaultSWSOptions())
+	doc := StreamDoc{
+		Report: ReportJSON{
+			SizeOriginal:    st.In,
+			CountSelect:     st.Selects + st.Duplicates,
+			SizeAfterDedup:  st.Selects,
+			DuplicatesFound: st.Duplicates,
+			FinalSize:       st.Out,
+			CountTemplates:  len(templates),
+			SolvePasses:     1,
+			DistinctUsers:   eng.DistinctUsers(),
+		},
+		Stream: st,
+	}
+	r := &doc.Report
+	if len(templates) > 0 {
+		r.MaxTemplateFreq = templates[0].Frequency
+	}
+	for _, t := range templates {
+		row := templateRow(t, sws[t.Fingerprint], len(kinds[t.Fingerprint]) > 0)
+		if row.SWS {
+			r.SWSTemplates++
+			r.SWSQueries += t.Frequency
+		}
+		doc.Templates = append(doc.Templates, row)
+	}
+	doc.Sketch = SketchJSON{DistinctUsersEstimate: int64(r.DistinctUsers), SWSTemplates: r.SWSTemplates, SWSQueries: r.SWSQueries}
+	for kind, n := range st.Antipatterns {
+		r.Antipatterns = append(r.Antipatterns, AntipatternSummaryJSON{Kind: string(kind), Instances: n})
+	}
+	slices.SortFunc(r.Antipatterns, func(a, b AntipatternSummaryJSON) int { return strings.Compare(a.Kind, b.Kind) })
 	return doc
 }
 

@@ -36,10 +36,10 @@ import (
 	"time"
 
 	"sqlclean/internal/colstore"
+	"sqlclean/internal/core"
 	"sqlclean/internal/fsutil"
 	"sqlclean/internal/journal"
 	"sqlclean/internal/logmodel"
-	"sqlclean/internal/pattern"
 	"sqlclean/internal/stream"
 )
 
@@ -321,14 +321,19 @@ func segmentFirstLSN(path string) uint64 {
 	return lsn
 }
 
-// colstoreClassifier captures one consistent engine view for a compaction
-// round: the live antipattern verdicts per template plus the SWS
-// classification, keyed by engine fingerprint. Each distinct lexical
-// template costs one parse of a representative statement — literals are
-// masked the same way in both identities, so one representative suffices.
+// colstoreClassifier captures one engine view for a compaction round: the
+// live antipattern verdicts per template plus the streaming export's SWS
+// verdicts, keyed by engine fingerprint. Each distinct lexical template
+// costs one parse of a representative statement — literals are masked the
+// same way in both identities, so one representative suffices.
 func (s *Server) colstoreClassifier() colstore.Classifier {
 	kinds := s.eng.TemplateKinds()
-	sws := s.eng.ClassifySWS(pattern.DefaultSWSOptions())
+	sws := map[uint64]bool{}
+	for _, t := range core.ExportStream(s.eng).Templates {
+		if t.SWS {
+			sws[t.Fingerprint] = true
+		}
+	}
 	parser := s.cfg.Stream.Parser
 	return func(stmt string) colstore.Classification {
 		pe := parser.ParseEntry(logmodel.Entry{Statement: stmt})

@@ -46,7 +46,6 @@ import (
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/parsedlog"
-	"sqlclean/internal/pattern"
 	"sqlclean/internal/stream"
 )
 
@@ -71,12 +70,6 @@ type Config struct {
 	// request logs a warn-level line with its trace ID and stage timings
 	// (0 selects 1s; negative disables slow-request logging).
 	SlowRequest time.Duration
-	// RequestLogSize is the capacity of the recent-requests ring behind
-	// GET /debug/requests (0 selects 256).
-	RequestLogSize int
-	// Version is surfaced on /healthz and /report; empty selects the
-	// build stamp.
-	Version string
 	// Emit, when non-nil, receives every batch of cleaned entries as
 	// sessions close (and the final flush). Calls are serialized. With a
 	// DataDir, sessions closed between the last snapshot and a crash are
@@ -139,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowRequest == 0 {
 		c.SlowRequest = time.Second
 	}
-	if c.Version == "" {
-		c.Version = buildinfo.String()
-	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = 5 * time.Minute
 	}
@@ -179,6 +169,8 @@ type Server struct {
 	closeOne sync.Once
 	seq      atomic.Int64
 	start    time.Time
+	// version is the build stamp /healthz and /report carry.
+	version string
 	// emitMu serializes Config.Emit calls.
 	emitMu sync.Mutex
 
@@ -249,9 +241,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
+		version:  buildinfo.String(),
 		reg:      cfg.Metrics,
 		log:      cfg.Logger,
-		reqlog:   obs.NewRequestLog(cfg.RequestLogSize, 0),
+		reqlog:   obs.NewRequestLog(0, 0),
 		eng:      stream.NewSharded(cfg.Stream),
 		start:    time.Now(),
 		snapStop: make(chan struct{}),
@@ -878,110 +871,40 @@ func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (a
 	return st.accepted, 0, nil
 }
 
-// ReportPayload is the GET /report document: the incremental counterpart of
-// the batch pipeline's export. The template rows and the SWS verdicts come
-// from the engine's exact template table: sws_templates/sws_queries and each
-// row's sws and disjoint_ratio apply the batch SWS predicate to it, over
-// every accepted SELECT, open sessions included, so once the stream drains
-// they equal the batch pipeline's. distinct_users is the engine's exact
-// count of the users of every accepted entry; the sketches block repeats it
-// beside the SWS counts.
+// ReportPayload is the GET /report document: the engine's streaming export
+// (core.ExportStream), wrapped with the daemon's own fields. Once the stream
+// drains, every field the engine tracks equals the batch export's.
 type ReportPayload struct {
-	Version       string              `json:"version"`
-	UptimeSeconds float64             `json:"uptime_seconds"`
-	Report        core.ReportJSON     `json:"report"`
-	Stream        stream.Stats        `json:"stream"`
-	OpenSessions  int                 `json:"open_sessions"`
-	QueueDepth    int                 `json:"queue_depth"`
-	QueueCapacity int                 `json:"queue_capacity"`
-	Templates     []core.TemplateJSON `json:"templates,omitempty"`
-	Sketch        SketchReport        `json:"sketches"`
+	Version       string  `json:"version"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	OpenSessions  int     `json:"open_sessions"`
+	QueueDepth    int     `json:"queue_depth"`
+	QueueCapacity int     `json:"queue_capacity"`
+	core.StreamDoc
 }
 
-// SketchReport holds the distinct-user count and the SWS counts. The block
-// keeps its name and its field names from when the count was an estimate.
-type SketchReport struct {
-	// DistinctUsersEstimate is the exact number of distinct users over every
-	// entry the stream accepted, report.distinct_users.
-	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
-	// SWSTemplates/SWSQueries are the templates the default SWS thresholds
-	// classify in the template table, against the stream's accepted-SELECT
-	// total, and the SELECTs they cover — the batch report's columns.
-	SWSTemplates int `json:"sws_templates"`
-	SWSQueries   int `json:"sws_queries"`
-}
-
-// Report assembles the current incremental report. Safe to call while
-// ingestion runs; numbers are a consistent-enough snapshot for monitoring,
-// not a barrier.
+// Report assembles the current incremental report with its topTemplates
+// most frequent template rows (0 selects 20). report.duration_ns is the
+// server's uptime. Safe to call while ingestion runs; numbers are a
+// consistent-enough snapshot for monitoring, not a barrier.
 func (s *Server) Report(topTemplates int) ReportPayload {
-	st := s.eng.Stats()
-	templates := s.eng.Templates()
+	uptime := time.Since(s.start)
 	p := ReportPayload{
-		Version:       s.cfg.Version,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Stream:        st,
+		Version:       s.version,
+		UptimeSeconds: uptime.Seconds(),
 		OpenSessions:  s.eng.OpenSessions(),
 		QueueDepth:    int(s.qDepth.Value()),
 		QueueCapacity: len(s.queues) * s.cfg.QueueSize,
+		StreamDoc:     core.ExportStream(s.eng),
 	}
-	p.Report = core.ReportJSON{
-		SizeOriginal:    st.In,
-		CountSelect:     st.Selects + st.Duplicates,
-		SizeAfterDedup:  st.Selects,
-		DuplicatesFound: st.Duplicates,
-		FinalSize:       st.Out,
-		CountTemplates:  len(templates),
-		SolvePasses:     1,
-		DurationNS:      int64(time.Since(s.start)),
-	}
-	if len(templates) > 0 {
-		p.Report.MaxTemplateFreq = templates[0].Frequency
-	}
-	sws := pattern.ClassifySWS(templates, st.Selects, pattern.DefaultSWSOptions())
-	p.Sketch = SketchReport{
-		DistinctUsersEstimate: int64(s.eng.DistinctUsers()),
-		SWSTemplates:          len(sws),
-	}
-	for _, t := range templates {
-		if sws[t.Fingerprint] {
-			p.Sketch.SWSQueries += t.Frequency
-		}
-	}
-	p.Report.DistinctUsers = int(p.Sketch.DistinctUsersEstimate)
-	p.Report.SWSTemplates = p.Sketch.SWSTemplates
-	p.Report.SWSQueries = p.Sketch.SWSQueries
-	for kind, n := range st.Antipatterns {
-		p.Report.Antipatterns = append(p.Report.Antipatterns, core.AntipatternSummaryJSON{
-			Kind: string(kind), Instances: n,
-		})
-	}
-	sortAntipatterns(p.Report.Antipatterns)
+	p.Report.DurationNS = int64(uptime)
 	if topTemplates <= 0 {
 		topTemplates = 20
 	}
-	for i, t := range templates {
-		if i >= topTemplates {
-			break
-		}
-		p.Templates = append(p.Templates, core.TemplateJSON{
-			Fingerprint:    t.Fingerprint,
-			Skeleton:       t.Skeleton,
-			Frequency:      t.Frequency,
-			UserPopularity: t.UserPopularity,
-			SWS:            sws[t.Fingerprint],
-			DisjointRatio:  t.DisjointRatio(),
-		})
+	if len(p.Templates) > topTemplates {
+		p.Templates = p.Templates[:topTemplates]
 	}
 	return p
-}
-
-func sortAntipatterns(a []core.AntipatternSummaryJSON) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].Kind < a[j-1].Kind; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // parseTop validates a ?top= query parameter: absent selects def, anything
@@ -1059,7 +982,8 @@ func watermarkLagSeconds(now time.Time, wm time.Time) float64 {
 	return now.Sub(wm).Seconds()
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health assembles the GET /healthz document, which /statusz renders too.
+func (s *Server) health() HealthPayload {
 	st := s.eng.Stats()
 	status := "ok"
 	if s.closed.Load() {
@@ -1072,7 +996,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	h := HealthPayload{
 		Status:          status,
-		Version:         s.cfg.Version,
+		Version:         s.version,
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Shards:          s.eng.NumShards(),
 		OpenSessions:    s.eng.OpenSessions(),
@@ -1097,7 +1021,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			h.Durability.RetainBlocks, h.Durability.RetainBytes = s.store.Stats()
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	return h
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.health())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

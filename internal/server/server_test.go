@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -235,6 +236,79 @@ func TestIngestMatchesBatchPipeline(t *testing.T) {
 				requireBatchClusters(t, fmt.Sprintf("threshold %g", th), cp, batchClusters(t, batch.Clean, th))
 			}
 		})
+	}
+}
+
+// TestReportMatchesBatchExport pins a drained daemon's /report to the batch
+// export of the same log: every template row field the engine tracks, and
+// every report count, at one shard and at eight, on the scale-1 generator
+// logs of seeds 1–3.
+func TestReportMatchesBatchExport(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := workload.DefaultConfig()
+				cfg.Seed = seed
+				log, _ := workload.Generate(cfg)
+				log.SortStable()
+				res, err := core.Run(log, core.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := core.Export(res, 0)
+
+				s, ts := newTestServer(t, Config{Stream: stream.ShardedConfig{Shards: shards}, QueueSize: len(log)})
+				feedChunks(t, ts.URL, log)
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				err = s.Close(ctx)
+				cancel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got ReportPayload
+				getJSON(t, ts.URL+"/report?top=1000000", &got)
+				requireExportMatches(t, fmt.Sprintf("seed %d", seed), got.Report, got.Templates, want)
+			}
+		})
+	}
+}
+
+// requireExportMatches compares a streaming report and its template rows
+// with the batch export on every field the engine tracks.
+func requireExportMatches(t *testing.T, name string, gotReport core.ReportJSON, gotRows []core.TemplateJSON, want core.ExportDoc) {
+	t.Helper()
+	counts := func(r core.ReportJSON) [10]int {
+		return [10]int{r.SizeOriginal, r.CountSelect, r.SizeAfterDedup, r.DuplicatesFound, r.FinalSize,
+			r.CountTemplates, r.MaxTemplateFreq, r.SWSTemplates, r.SWSQueries, r.DistinctUsers}
+	}
+	if g, w := counts(gotReport), counts(want.Report); g != w {
+		t.Errorf("%s: report counts %v, batch %v", name, g, w)
+	}
+	instances := func(r core.ReportJSON) map[string]int {
+		m := map[string]int{}
+		for _, a := range r.Antipatterns {
+			m[a.Kind] = a.Instances
+		}
+		return m
+	}
+	if g, w := instances(gotReport), instances(want.Report); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: instances per kind %v, batch %v", name, g, w)
+	}
+	if len(gotRows) != len(want.Templates) {
+		t.Fatalf("%s: %d template rows, batch %d", name, len(gotRows), len(want.Templates))
+	}
+	anti := 0
+	for i, w := range want.Templates {
+		w.Example = ""
+		if gotRows[i] != w {
+			t.Errorf("%s: template row %d:\n got %+v\nwant %+v", name, i, gotRows[i], w)
+		}
+		if w.Antipattern {
+			anti++
+		}
+	}
+	if anti == 0 {
+		t.Errorf("%s: batch marks no template antipattern; the comparison shows nothing", name)
 	}
 }
 

@@ -15,27 +15,14 @@ import (
 	"sqlclean/internal/obs"
 )
 
-// statuszShard is one row of the per-shard table.
-type statuszShard struct {
-	Shard      int
-	QueueDepth int64
-	// LagSeconds is wall-clock now minus the shard's event-time watermark;
-	// -1 when the shard has seen no entries.
-	LagSeconds float64
-}
-
-// statuszData is everything the page renders.
+// statuszData is everything the page renders: the /healthz document, plus
+// the rows it lacks.
 type statuszData struct {
-	Version       string
-	Status        string
-	Uptime        time.Duration
+	HealthPayload
 	ProcessUptime time.Duration
-
-	Shards        []statuszShard
-	GlobalLag     float64
-	OpenSessions  int
-	QueueDepth    int64
-	QueueCapacity int
+	// ShardQueueDepths is each shard's queue depth, beside
+	// ShardWatermarkLagSeconds.
+	ShardQueueDepths []int64
 
 	IngestRequests int64
 	IngestAccepted int64
@@ -43,12 +30,8 @@ type statuszData struct {
 	IngestP95ms    float64
 	IngestP99ms    float64
 
-	HasJournal  bool
-	JournalLSN  uint64
-	SnapshotLSN int64
-	Segments    int
-	FsyncP50us  float64
-	FsyncP99us  float64
+	FsyncP50us float64
+	FsyncP99us float64
 	// Group-commit effectiveness: commits and fsyncs are counted
 	// independently, so fsyncs ÷ accepted entries (and entries per fsync)
 	// make the cross-request coalescing visible in production.
@@ -58,7 +41,6 @@ type statuszData struct {
 	EntriesPerFsync float64       // mean of journal_group_commit_entries
 	SnapshotAge     time.Duration // -1 encoded as HasSnapshot=false
 	HasSnapshot     bool
-	ReplayedOnBoot  int
 
 	Goroutines int64
 	HeapInuse  int64
@@ -72,25 +54,11 @@ func (s *Server) statuszData() statuszData {
 	snap := s.reg.Snapshot()
 
 	d := statuszData{
-		Version:       s.cfg.Version,
-		Status:        "ok",
-		Uptime:        time.Since(s.start).Round(time.Second),
+		HealthPayload: s.health(),
 		ProcessUptime: obs.Uptime().Round(time.Second),
-		OpenSessions:  s.eng.OpenSessions(),
-		QueueDepth:    s.qDepth.Value(),
-		QueueCapacity: len(s.queues) * s.cfg.QueueSize,
 	}
-	if s.closed.Load() {
-		d.Status = "draining"
-	}
-	now := time.Now()
-	d.GlobalLag = watermarkLagSeconds(now, s.eng.Watermark())
-	for i, wm := range s.eng.ShardWatermarks() {
-		d.Shards = append(d.Shards, statuszShard{
-			Shard:      i,
-			QueueDepth: s.qDepthShard[i].Value(),
-			LagSeconds: watermarkLagSeconds(now, wm),
-		})
+	for _, g := range s.qDepthShard {
+		d.ShardQueueDepths = append(d.ShardQueueDepths, g.Value())
 	}
 
 	d.IngestRequests = snap.Counters["ingest_requests_total"]
@@ -103,11 +71,6 @@ func (s *Server) statuszData() statuszData {
 	}
 
 	if s.jw != nil {
-		d.HasJournal = true
-		d.JournalLSN = s.jw.LastLSN()
-		d.Segments = s.jw.Segments()
-		d.SnapshotLSN = s.gSnapshotLSN.Value()
-		d.ReplayedOnBoot = s.replayed
 		d.Commits = snap.Counters["journal_commits_total"]
 		if fs, ok := snap.Histograms["journal_fsync_ns"]; ok && fs.Count > 0 {
 			const us = float64(time.Microsecond)
@@ -123,7 +86,7 @@ func (s *Server) statuszData() statuszData {
 		}
 		if ns := s.lastSnapshotNS.Load(); ns > 0 {
 			d.HasSnapshot = true
-			d.SnapshotAge = now.Sub(time.Unix(0, ns)).Round(time.Second)
+			d.SnapshotAge = time.Since(time.Unix(0, ns)).Round(time.Second)
 		}
 	}
 
@@ -137,10 +100,11 @@ func (s *Server) statuszData() statuszData {
 }
 
 var statuszTmpl = template.Must(template.New("statusz").Funcs(template.FuncMap{
-	"lag": fmtLag,
-	"f1":  func(v float64) string { return fmt.Sprintf("%.1f", v) },
-	"f3":  func(v float64) string { return fmt.Sprintf("%.3f", v) },
-	"mib": func(v int64) string { return fmt.Sprintf("%.1f MiB", float64(v)/(1<<20)) },
+	"lag":  fmtLag,
+	"secs": fmtSeconds,
+	"f1":   func(v float64) string { return fmt.Sprintf("%.1f", v) },
+	"f3":   func(v float64) string { return fmt.Sprintf("%.3f", v) },
+	"mib":  func(v int64) string { return fmt.Sprintf("%.1f MiB", float64(v)/(1<<20)) },
 }).Parse(`<!DOCTYPE html>
 <html><head><title>sqlcleand statusz</title><style>
 body{font-family:sans-serif;margin:1.5em;color:#222}
@@ -151,7 +115,7 @@ th{background:#f5f5f5} .k{text-align:left} .warn{color:#b00}
 <h1>sqlcleand — {{.Status}}</h1>
 <table>
 <tr><td class=k>version</td><td>{{.Version}}</td></tr>
-<tr><td class=k>server uptime</td><td>{{.Uptime}}</td></tr>
+<tr><td class=k>server uptime</td><td>{{secs .UptimeSeconds}}</td></tr>
 <tr><td class=k>process uptime</td><td>{{.ProcessUptime}}</td></tr>
 </table>
 <h2>Ingest</h2>
@@ -161,23 +125,23 @@ th{background:#f5f5f5} .k{text-align:left} .warn{color:#b00}
 <tr><td class=k>latency p50 / p95 / p99 (ms)</td><td>{{f1 .IngestP50ms}} / {{f1 .IngestP95ms}} / {{f1 .IngestP99ms}}</td></tr>
 <tr><td class=k>queue depth / capacity</td><td>{{.QueueDepth}} / {{.QueueCapacity}}</td></tr>
 <tr><td class=k>open sessions</td><td>{{.OpenSessions}}</td></tr>
-<tr><td class=k>global watermark lag</td><td>{{lag .GlobalLag}}</td></tr>
+<tr><td class=k>global watermark lag</td><td>{{lag .WatermarkLagSeconds}}</td></tr>
 </table>
 <h2>Shards</h2>
 <table><tr><th>shard</th><th>queue depth</th><th>watermark lag</th></tr>
-{{range .Shards}}<tr><td>{{.Shard}}</td><td>{{.QueueDepth}}</td><td>{{lag .LagSeconds}}</td></tr>
+{{range $i, $lag := .ShardWatermarkLagSeconds}}<tr><td>{{$i}}</td><td>{{index $.ShardQueueDepths $i}}</td><td>{{lag $lag}}</td></tr>
 {{end}}</table>
-{{if .HasJournal}}<h2>Durability</h2>
+{{with .Durability}}<h2>Durability</h2>
 <table>
 <tr><td class=k>journal LSN</td><td>{{.JournalLSN}}</td></tr>
 <tr><td class=k>snapshot LSN</td><td>{{.SnapshotLSN}}</td></tr>
-<tr><td class=k>journal segments</td><td>{{.Segments}}</td></tr>
-<tr><td class=k>fsync p50 / p99 (µs)</td><td>{{f1 .FsyncP50us}} / {{f1 .FsyncP99us}}</td></tr>
-<tr><td class=k>commits / fsyncs</td><td>{{.Commits}} / {{.Fsyncs}}</td></tr>
-<tr><td class=k>fsyncs per accepted entry</td><td>{{f3 .FsyncsPerEntry}}</td></tr>
-<tr><td class=k>entries per group-commit fsync</td><td>{{f1 .EntriesPerFsync}}</td></tr>
-<tr><td class=k>snapshot age</td><td>{{if .HasSnapshot}}{{.SnapshotAge}}{{else}}never{{end}}</td></tr>
-<tr><td class=k>replayed on boot</td><td>{{.ReplayedOnBoot}}</td></tr>
+<tr><td class=k>journal segments</td><td>{{.JournalSegments}}</td></tr>
+<tr><td class=k>fsync p50 / p99 (µs)</td><td>{{f1 $.FsyncP50us}} / {{f1 $.FsyncP99us}}</td></tr>
+<tr><td class=k>commits / fsyncs</td><td>{{$.Commits}} / {{$.Fsyncs}}</td></tr>
+<tr><td class=k>fsyncs per accepted entry</td><td>{{f3 $.FsyncsPerEntry}}</td></tr>
+<tr><td class=k>entries per group-commit fsync</td><td>{{f1 $.EntriesPerFsync}}</td></tr>
+<tr><td class=k>snapshot age</td><td>{{if $.HasSnapshot}}{{$.SnapshotAge}}{{else}}never{{end}}</td></tr>
+<tr><td class=k>replayed on boot</td><td>{{.ReplayedOnStart}}</td></tr>
 </table>{{end}}
 <h2>Go process</h2>
 <table>
@@ -189,6 +153,11 @@ th{background:#f5f5f5} .k{text-align:left} .warn{color:#b00}
 <p><a href="/debug/requests">recent requests</a> · <a href="/debug/requests?view=slow">slowest requests</a> · <a href="/metrics">metrics</a> · <a href="/report">report</a> · <a href="/debug/pprof/">pprof</a></p>
 </body></html>
 `))
+
+// fmtSeconds renders an uptime in seconds as a duration to the second.
+func fmtSeconds(v float64) time.Duration {
+	return time.Duration(v * float64(time.Second)).Round(time.Second)
+}
 
 // fmtLag renders a watermark lag, mapping the -1 sentinel to "no traffic".
 func fmtLag(v float64) string {
@@ -219,7 +188,7 @@ func writeStatuszText(w http.ResponseWriter, d statuszData) {
 	}
 	fmt.Fprintf(&b, "sqlcleand status: %s\n\n", d.Status)
 	row("version", "%s", d.Version)
-	row("server uptime", "%s", d.Uptime)
+	row("server uptime", "%s", fmtSeconds(d.UptimeSeconds))
 	row("process uptime", "%s", d.ProcessUptime)
 	b.WriteString("\ningest\n")
 	row("  requests", "%d", d.IngestRequests)
@@ -227,16 +196,16 @@ func writeStatuszText(w http.ResponseWriter, d statuszData) {
 	row("  latency p50/p95/p99 ms", "%.1f / %.1f / %.1f", d.IngestP50ms, d.IngestP95ms, d.IngestP99ms)
 	row("  queue depth/capacity", "%d / %d", d.QueueDepth, d.QueueCapacity)
 	row("  open sessions", "%d", d.OpenSessions)
-	row("  global watermark lag", "%s", fmtLag(d.GlobalLag))
+	row("  global watermark lag", "%s", fmtLag(d.WatermarkLagSeconds))
 	b.WriteString("\nshards (queue depth, watermark lag)\n")
-	for _, sh := range d.Shards {
-		row(fmt.Sprintf("  shard %03d", sh.Shard), "%d  %s", sh.QueueDepth, fmtLag(sh.LagSeconds))
+	for i, lag := range d.ShardWatermarkLagSeconds {
+		row(fmt.Sprintf("  shard %03d", i), "%d  %s", d.ShardQueueDepths[i], fmtLag(lag))
 	}
-	if d.HasJournal {
+	if du := d.Durability; du != nil {
 		b.WriteString("\ndurability\n")
-		row("  journal lsn", "%d", d.JournalLSN)
-		row("  snapshot lsn", "%d", d.SnapshotLSN)
-		row("  journal segments", "%d", d.Segments)
+		row("  journal lsn", "%d", du.JournalLSN)
+		row("  snapshot lsn", "%d", du.SnapshotLSN)
+		row("  journal segments", "%d", du.JournalSegments)
 		row("  fsync p50/p99 us", "%.1f / %.1f", d.FsyncP50us, d.FsyncP99us)
 		row("  commits / fsyncs", "%d / %d", d.Commits, d.Fsyncs)
 		row("  fsyncs per accepted entry", "%.3f", d.FsyncsPerEntry)
@@ -246,7 +215,7 @@ func writeStatuszText(w http.ResponseWriter, d statuszData) {
 		} else {
 			row("  snapshot age", "never")
 		}
-		row("  replayed on boot", "%d", d.ReplayedOnBoot)
+		row("  replayed on boot", "%d", du.ReplayedOnStart)
 	}
 	b.WriteString("\ngo process\n")
 	row("  goroutines", "%d", d.Goroutines)

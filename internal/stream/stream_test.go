@@ -3,12 +3,10 @@ package stream
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
 	"sqlclean/internal/antipattern"
-	"sqlclean/internal/core"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/workload"
@@ -158,60 +156,6 @@ func statementMultiset(l logmodel.Log) map[string]int {
 		m[e.Statement]++
 	}
 	return m
-}
-
-// TestStreamMatchesBatchPipeline is the headline equivalence: over the full
-// synthetic workload, the streaming pass must produce the same multiset of
-// cleaned statements as the batch pipeline (modulo SWS handling, which the
-// stream does not apply).
-func TestStreamMatchesBatchPipeline(t *testing.T) {
-	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.4))
-	log.SortStable()
-
-	batch, err := core.Run(log, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, st, err := RunSharded(log, ShardedConfig{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if st.Duplicates != batch.Dedup.Removed {
-		t.Errorf("duplicates: stream %d, batch %d", st.Duplicates, batch.Dedup.Removed)
-	}
-	mb := statementMultiset(batch.Clean)
-	ms := statementMultiset(streamed)
-	if len(mb) != len(ms) {
-		t.Fatalf("distinct statements: batch %d, stream %d", len(mb), len(ms))
-	}
-	for s, n := range mb {
-		if ms[s] != n {
-			t.Fatalf("statement %q: batch %d, stream %d", s, n, ms[s])
-		}
-	}
-	// Template statistics agree with the batch miner.
-	ts := serial(Config{})
-	for _, e := range log {
-		if _, err := ts.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts.Close()
-	streamT := ts.Templates()
-	if len(streamT) != len(batch.Templates) {
-		t.Fatalf("templates: stream %d, batch %d", len(streamT), len(batch.Templates))
-	}
-	batchBySkel := map[string]int{}
-	for _, tt := range batch.Templates {
-		batchBySkel[tt.Skeleton] = tt.Frequency
-	}
-	sort.Slice(streamT, func(i, j int) bool { return streamT[i].Skeleton < streamT[j].Skeleton })
-	for _, tt := range streamT {
-		if batchBySkel[tt.Skeleton] != tt.Frequency {
-			t.Fatalf("template %q: stream %d, batch %d", tt.Skeleton, tt.Frequency, batchBySkel[tt.Skeleton])
-		}
-	}
 }
 
 // TestStreamBoundedMemory checks the memory bound: open sessions never

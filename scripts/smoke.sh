@@ -4,7 +4,9 @@
 # then drain gracefully. A second phase checks crash durability: SIGKILL the
 # daemon mid-feed, restart it on the same -data-dir (journal replay), finish
 # the feed, and require the /report counts — sessions and cleaned entries
-# included — to equal an uninterrupted run's. A third phase drives the
+# included — to equal an uninterrupted run's; restarted on the uninterrupted
+# run's drained snapshot, the daemon's /report must mark as many templates
+# antipattern as the batch -json. A third phase drives the
 # closed-loop replay harness (loggen -replay) against the daemon for a few
 # seconds, requires its bench-text/JSON output to round-trip through
 # `benchjson -compare`, and asserts GET /clusters returns a non-empty
@@ -13,7 +15,8 @@
 # journal into columnar blocks, scans them back and serves GET /history from
 # them. The last phase runs the CLI's streaming path: `sqlclean -stream` must
 # write the same lines as the batch `sqlclean -clean`, and its -json must
-# count the lines it wrote and the batch -json's distinct users. Run via
+# count the lines it wrote and the batch -json's distinct users, antipattern
+# templates and SWS templates. Run via
 # `make smoke` (which builds bin/ first).
 set -euo pipefail
 
@@ -159,6 +162,23 @@ diff "$TMP/report-ref.txt" "$TMP/report-crash.txt" >&2 || {
 
 echo "smoke: crash recovery ok (SIGKILL after $HALF entries, replayed and converged at $TOTAL)"
 
+# The uninterrupted run drained on SIGTERM and wrote its final snapshot, so a
+# daemon restarted on its directory serves the drained engine's /report. It
+# must mark as many templates antipattern as the batch -json of the same log.
+CLI=${CLI:-./bin/sqlclean}
+"$CLI" -clean "$TMP/b.tsv" -json "$TMP/b.json" "$TMP/log.tsv" >"$TMP/batch.txt" 2>"$TMP/batch.log"
+B_ANTI=$(grep -c '"antipattern": true' "$TMP/b.json" || true)
+start_daemon "$TMP/data-ref" "$TMP/ref.log"
+curl -sf "http://$ADDR/report?top=1000000" >"$TMP/report-drained.json"
+kill -TERM "$PID"
+wait "$PID"
+D_ANTI=$(grep -c '"antipattern": true' "$TMP/report-drained.json" || true)
+[ "$B_ANTI" -gt 0 ] && [ "$D_ANTI" -eq "$B_ANTI" ] || {
+  echo "smoke: drained /report marks $D_ANTI templates antipattern, batch -json $B_ANTI" >&2; exit 1
+}
+
+echo "smoke: drained report ok ($D_ANTI antipattern templates, the same as batch)"
+
 # ---------------------------------------------------------------------------
 # Replay load harness + /clusters: drive the daemon with loggen's closed-loop
 # replay mode for 5 seconds, require the harness to finish (preflight, load,
@@ -240,8 +260,6 @@ echo "smoke: replay ok ($(awk '/BenchmarkReplayIngestP99/{print $3}' "$TMP/repla
 # answer from the blocks.
 # ---------------------------------------------------------------------------
 
-CLI=${CLI:-./bin/sqlclean}
-
 "$CLI" -compact -data-dir "$TMP/data" -retain-dir "$TMP/blocks" \
   >"$TMP/compact.txt" 2>>"$TMP/retention.log"
 grep -q "compacted $TOTAL entries into [1-9]" "$TMP/compact.txt" || {
@@ -291,11 +309,12 @@ echo "smoke: retention ok ($TOTAL entries compacted, scanned back and served via
 # CLI streaming: `sqlclean -stream` runs the streaming engine at one shard.
 # Its cleaned log must hold the same lines as the batch pipeline's, the
 # -json stream block must count exactly the lines it wrote, and its
-# distinct-user count must equal the batch -json's.
+# distinct-user count, antipattern rows and SWS rows must equal the batch
+# -json's (written in the crash phase), with some row's disjoint_ratio
+# nonzero.
 # ---------------------------------------------------------------------------
 
 "$CLI" -stream -clean "$TMP/s.tsv" -json "$TMP/s.json" "$TMP/log.tsv" 2>"$TMP/stream.log"
-"$CLI" -clean "$TMP/b.tsv" -json "$TMP/b.json" "$TMP/log.tsv" >"$TMP/batch.txt" 2>>"$TMP/stream.log"
 LC_ALL=C sort "$TMP/s.tsv" >"$TMP/s.sorted"
 LC_ALL=C sort "$TMP/b.tsv" >"$TMP/b.sorted"
 cmp -s "$TMP/s.sorted" "$TMP/b.sorted" || {
@@ -313,4 +332,15 @@ B_USERS=$(grep -m 1 -oE '"distinct_users": *[0-9]+' "$TMP/b.json" | grep -oE '[0
   echo "smoke: -stream -json counts ${S_USERS:-no} distinct users, batch -json $B_USERS" >&2; exit 1
 }
 
-echo "smoke: stream ok ($STREAMED lines and $S_USERS users, the same as batch)"
+for FIELD in antipattern sws; do
+  S_N=$(grep -c "\"$FIELD\": true" "$TMP/s.json" || true)
+  B_N=$(grep -c "\"$FIELD\": true" "$TMP/b.json" || true)
+  [ "$S_N" -eq "$B_N" ] || {
+    echo "smoke: -stream -json marks $S_N templates $FIELD, batch -json $B_N" >&2; exit 1
+  }
+done
+grep -qE '"disjoint_ratio": *(0\.[0-9]*[1-9]|[1-9])' "$TMP/s.json" || {
+  echo "smoke: every -stream -json disjoint_ratio is zero" >&2; exit 1
+}
+
+echo "smoke: stream ok ($STREAMED lines, $S_USERS users and $S_N SWS templates, the same as batch)"

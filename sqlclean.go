@@ -300,47 +300,18 @@ type StreamStats = stream.Stats
 func ScanLogTSV(r io.Reader, fn func(Entry) error) error { return logmodel.ScanTSV(r, fn) }
 
 // StreamSketchJSON is the sketch block of the streaming -json export: the
-// distinct-user count, and the SWS counts of the template table. The block
-// keeps its name and its field names from when the count was an estimate.
-type StreamSketchJSON struct {
-	// DistinctUsersEstimate is the exact distinct-user count, the batch
-	// report's distinct_users.
-	DistinctUsersEstimate int64 `json:"distinct_users_estimate"`
-	// SWSTemplates/SWSQueries are the templates the default SWS thresholds
-	// classify in the drained template table and the SELECTs they cover —
-	// the batch pipeline's decision.
-	SWSTemplates int `json:"sws_templates"`
-	SWSQueries   int `json:"sws_queries"`
-}
+// distinct-user count beside the SWS counts.
+type StreamSketchJSON = core.SketchJSON
 
-// WriteStreamJSON writes a streaming run's counters, accumulated template
-// statistics and sketch block as indented JSON — the batch -json export's
-// streaming counterpart, using the same JSON names as the daemon's
-// GET /report payload.
+// WriteStreamJSON writes a streaming run's document as indented JSON: the
+// report block, the stream counters, every template's row and the sketch
+// block, under the batch -json export's names. It is the daemon's
+// GET /report document without the daemon's own fields; ReadResultJSON
+// reads its report and templates back.
 func WriteStreamJSON(w io.Writer, s *ShardedStream) error {
-	doc := struct {
-		Stream    StreamStats         `json:"stream"`
-		Templates []core.TemplateJSON `json:"templates"`
-		Sketches  StreamSketchJSON    `json:"sketches"`
-	}{Stream: s.Stats()}
-	templates := s.Templates()
-	sws := pattern.ClassifySWS(templates, doc.Stream.Selects, pattern.DefaultSWSOptions())
-	doc.Sketches = StreamSketchJSON{DistinctUsersEstimate: int64(s.DistinctUsers()), SWSTemplates: len(sws)}
-	for _, t := range templates {
-		if sws[t.Fingerprint] {
-			doc.Sketches.SWSQueries += t.Frequency
-		}
-		doc.Templates = append(doc.Templates, core.TemplateJSON{
-			Fingerprint:    t.Fingerprint,
-			Skeleton:       t.Skeleton,
-			Frequency:      t.Frequency,
-			UserPopularity: t.UserPopularity,
-			SWS:            sws[t.Fingerprint],
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(core.ExportStream(s))
 }
 
 // ShardedStreamConfig configures the sharded (multi-core) streaming engine.
