@@ -302,6 +302,15 @@ func printTiming(w io.Writer, st sqlclean.StageTiming, depth int) {
 // exports the streaming stats and template statistics (same JSON names as
 // the daemon's GET /report "stream" block).
 func runStreaming(r io.Reader, dup, gap time.Duration, noKeyCheck, extraRules bool, cleanOut, jsonOut string, metrics *sqlclean.Metrics, progress bool) {
+	scfg := sqlclean.StreamConfig{
+		DuplicateThreshold: dup,
+		SessionGap:         gap,
+		DisableKeyCheck:    noKeyCheck,
+		Metrics:            metrics,
+	}
+	if err := scfg.Validate(); err != nil {
+		fatal(err)
+	}
 	out := os.Stdout
 	var outFile *os.File
 	if cleanOut != "" {
@@ -310,12 +319,6 @@ func runStreaming(r io.Reader, dup, gap time.Duration, noKeyCheck, extraRules bo
 			fatal(err)
 		}
 		out, outFile = f, f
-	}
-	scfg := sqlclean.StreamConfig{
-		DuplicateThreshold: dup,
-		SessionGap:         gap,
-		DisableKeyCheck:    noKeyCheck,
-		Metrics:            metrics,
 	}
 	if extraRules {
 		scfg.ExtraRules, scfg.ExtraSolvers = extraRuleSet()

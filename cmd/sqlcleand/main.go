@@ -8,8 +8,8 @@
 //	          [-shards 0] [-queue 1024] [-max-body 32] [-clean out.tsv]
 //	          [-data-dir DIR] [-fsync interval] [-fsync-interval 1s]
 //	          [-snapshot-interval 5m] [-max-skew 0] [-no-clusters]
-//	          [-cluster-threshold 0.9] [-log-level info]
-//	          [-log-format text] [-slow-request 1s] [-version]
+//	          [-log-level info] [-log-format text] [-slow-request 1s]
+//	          [-version]
 //
 // Endpoints:
 //
@@ -85,7 +85,6 @@ func main() {
 		extraRules = flag.Bool("extra-rules", false, "also detect the optional §5.4 antipatterns (Implicit Columns, leading-wildcard LIKE)")
 		maxSkew    = flag.Duration("max-skew", 0, "reject entries this far past the event-time watermark (0 = disabled)")
 		noClusters = flag.Bool("no-clusters", false, "disable the GET /clusters overlap-clustering surface")
-		clusterT   = flag.Float64("cluster-threshold", 0.9, "default overlap-distance threshold for GET /clusters")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log output format: text | json")
 		slowReq    = flag.Duration("slow-request", time.Second, "log a warn line with stage timings for ingest requests at or above this latency (<0 disables)")
@@ -153,7 +152,6 @@ func main() {
 		SlowRequest:      *slowReq,
 		Emit:             emit,
 		ClustersDisabled: *noClusters,
-		ClusterThreshold: *clusterT,
 		DataDir:          *dataDir,
 		Fsync:            policy,
 		FsyncInterval:    *fsyncEvery,

@@ -1,8 +1,9 @@
-// Block decoding and the store-level scan API. Reads come in two sizes:
-// index reads (meta + template dictionary only — what /history and eviction
-// need, no column payload is ever decompressed) and full scans that
-// reconstitute logmodel entries bit-identically to the journal frames they
-// were compacted from.
+// Block decoding and the store-level scan API. A block is opened by its
+// index (ReadBlockIndex: meta + template dictionary, enough to prune), and
+// each read then loads the sections it needs through the one section
+// reader: trend reads stop after the template-ID column, and full scans,
+// which reconstitute logmodel entries bit-identically to the journal frames
+// they were compacted from, read through the parameter section.
 package colstore
 
 import (
@@ -54,12 +55,14 @@ type Template struct {
 // LexicalFP is the template's stable lexical fingerprint.
 func (t Template) LexicalFP() uint64 { return Fingerprint(t.Skeleton) }
 
-// Block is one open block file. Column sections stay compressed until asked
-// for; Meta and Templates are decoded eagerly.
+// Block is one block file opened by its index. Meta and Templates are
+// decoded eagerly; column sections are read on demand and stay compressed
+// until decoded.
 type Block struct {
 	Meta      BlockMeta
 	Templates []Template
 	secs      map[byte]rawSection
+	read      int64 // file offset after the last section loaded (0: none)
 }
 
 type rawSection struct {
@@ -72,74 +75,15 @@ type rawSection struct {
 // signature), a block is written atomically, so any damage is real.
 var ErrCorrupt = errors.New("colstore: corrupt block")
 
-// OpenBlock reads and verifies a whole block file. Every section frame's
-// CRC is checked; column payloads are kept compressed until first use.
-func OpenBlock(path string) (*Block, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b, err := decodeBlock(data, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
-	}
-	b.Meta.Path = path
-	b.Meta.Bytes = int64(len(data))
-	return b, nil
-}
-
 // ReadBlockIndex reads only the meta and dictionary sections of a block —
 // the cheap read behind /history pruning and store listings.
 func ReadBlockIndex(path string) (*Block, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	b := &Block{Meta: BlockMeta{Path: path}, secs: map[byte]rawSection{}}
+	if err := b.loadSectionsThrough(secDict); err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	sr, err := newSectionReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
-	}
-	b := &Block{secs: map[byte]rawSection{}}
-	for len(b.secs) < 2 {
-		typ, sec, err := sr.next()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
-		}
-		b.secs[typ] = sec
 	}
 	if err := b.decodeIndex(); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
-	}
-	b.Meta.Path = path
-	b.Meta.Bytes = sr.size
-	return b, nil
-}
-
-func decodeBlock(data []byte, _ int) (*Block, error) {
-	if len(data) < len(blockMagic) || !bytes.Equal(data[:8], blockMagic[:]) {
-		return nil, errors.New("bad magic")
-	}
-	rest := data[8:]
-	b := &Block{secs: map[byte]rawSection{}}
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			return nil, errors.New("truncated section header")
-		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		wantCRC := binary.LittleEndian.Uint32(rest[4:8])
-		if length < 2 || int(length) > len(rest)-8 {
-			return nil, errors.New("truncated section body")
-		}
-		body := rest[8 : 8+length]
-		if crc32.Checksum(body, castagnoli) != wantCRC {
-			return nil, errors.New("section CRC mismatch")
-		}
-		b.secs[body[0]] = rawSection{enc: body[1], body: body[2:]}
-		rest = rest[8+length:]
-	}
-	if err := b.decodeIndex(); err != nil {
-		return nil, err
 	}
 	return b, nil
 }
@@ -153,19 +97,25 @@ type sectionReader struct {
 	left int64 // bytes after the read position
 }
 
-// newSectionReader checks the block magic of f and positions the reader at
-// the first section.
-func newSectionReader(f *os.File) (*sectionReader, error) {
+// newSectionReader positions a reader over f at byte offset off. At 0 it
+// checks the block magic and starts at the first section; any other offset
+// must end a section read before.
+func newSectionReader(f *os.File, off int64) (*sectionReader, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	sr := &sectionReader{br: bufio.NewReaderSize(f, 1<<16), size: fi.Size(), left: fi.Size()}
-	var magic [8]byte
-	if _, err := io.ReadFull(sr.br, magic[:]); err != nil || magic != blockMagic {
-		return nil, errors.New("bad magic")
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, err
 	}
-	sr.left -= int64(len(magic))
+	sr := &sectionReader{br: bufio.NewReaderSize(f, 1<<16), size: fi.Size(), left: fi.Size() - off}
+	if off == 0 {
+		var magic [8]byte
+		if _, err := io.ReadFull(sr.br, magic[:]); err != nil || magic != blockMagic {
+			return nil, errors.New("bad magic")
+		}
+		sr.left -= int64(len(magic))
+	}
 	return sr, nil
 }
 
@@ -271,34 +221,35 @@ func (b *Block) decodeIndex() error {
 	return nil
 }
 
-// LoadColumns is Columns for a block opened index-only (ReadBlockIndex): it
-// reads the time and template-ID sections from the block file on demand.
-// Sections are laid out in fixed order with the trend columns right after
-// the dictionary, so the read stops before any statement, user or parameter
-// bytes.
+// LoadColumns decodes the time and template-ID columns — what a trend query
+// consumes. Sections are laid out in fixed order with the trend columns
+// right after the dictionary, so the read stops before any statement, user
+// or parameter bytes.
 func (b *Block) LoadColumns() (timesNS []int64, tids []uint32, err error) {
-	_, haveTime := b.secs[secTime]
-	_, haveTID := b.secs[secTID]
-	if !haveTime || !haveTID {
-		if err := b.loadSectionsThrough(secTID); err != nil {
-			return nil, nil, err
-		}
+	if err := b.loadSectionsThrough(secTID); err != nil {
+		return nil, nil, err
 	}
-	return b.Columns()
+	return b.columns()
 }
 
-// loadSectionsThrough re-reads the block file, caching every section up to
-// and including typ (the fixed section order makes "through" well-defined).
+// loadSectionsThrough reads the block file's sections up to and including
+// typ (the fixed section order makes "through" well-defined). It resumes
+// where the previous load stopped, so each section is read once, and a
+// block that holds typ already is not read at all.
 func (b *Block) loadSectionsThrough(typ byte) error {
+	if _, ok := b.secs[typ]; ok {
+		return nil
+	}
 	f, err := os.Open(b.Meta.Path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sr, err := newSectionReader(f)
+	sr, err := newSectionReader(f, b.read)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(b.Meta.Path), err)
 	}
+	b.Meta.Bytes = sr.size
 	for {
 		t, sec, err := sr.next()
 		if err != nil {
@@ -307,15 +258,15 @@ func (b *Block) loadSectionsThrough(typ byte) error {
 		if _, ok := b.secs[t]; !ok {
 			b.secs[t] = sec
 		}
+		b.read = sr.size - sr.left
 		if t == typ {
 			return nil
 		}
 	}
 }
 
-// Columns decodes the time and template-ID columns — what a trend query
-// consumes. No statement, user or parameter bytes are materialized.
-func (b *Block) Columns() (timesNS []int64, tids []uint32, err error) {
+// columns decodes the loaded time and template-ID sections.
+func (b *Block) columns() (timesNS []int64, tids []uint32, err error) {
 	tsec, err := b.section(secTime)
 	if err != nil {
 		return nil, nil, err
@@ -359,7 +310,10 @@ func (b *Block) Scan(fn func(lsn uint64, e logmodel.Entry) error) error {
 // still cursor-advanced — parameter streams are positional — but their
 // statements are never joined.
 func (b *Block) scan(match []bool, fn func(lsn uint64, e logmodel.Entry) error) error {
-	timesNS, tids, err := b.Columns()
+	if err := b.loadSectionsThrough(secParams); err != nil {
+		return err
+	}
+	timesNS, tids, err := b.columns()
 	if err != nil {
 		return err
 	}
@@ -590,24 +544,31 @@ type ScanOptions struct {
 	Templates map[uint64]bool
 }
 
-func (o ScanOptions) matchTemplate(t Template) bool {
-	if len(o.Templates) == 0 {
-		return true
+// Match returns which of b's templates a scan with these options reads,
+// indexed by block-local template id, or nil when it reads none: the
+// block's time bounds, or each template's fingerprint or time bounds, rule
+// it out. Both the store scan and GET /history prune with it.
+func (o ScanOptions) Match(b *Block) []bool {
+	if o.outside(b.Meta.MinTime, b.Meta.MaxTime) {
+		return nil
 	}
-	if t.EngineFP != 0 && o.Templates[t.EngineFP] {
-		return true
+	var match []bool
+	for ti, t := range b.Templates {
+		named := len(o.Templates) == 0 || (t.EngineFP != 0 && o.Templates[t.EngineFP]) || o.Templates[t.LexicalFP()]
+		if !named || o.outside(t.MinTime, t.MaxTime) {
+			continue
+		}
+		if match == nil {
+			match = make([]bool, len(b.Templates))
+		}
+		match[ti] = true
 	}
-	return o.Templates[t.LexicalFP()]
+	return match
 }
 
-func (o ScanOptions) pruneBlock(minT, maxT time.Time) bool {
-	if !o.From.IsZero() && maxT.Before(o.From) {
-		return true
-	}
-	if !o.To.IsZero() && minT.After(o.To) {
-		return true
-	}
-	return false
+// outside reports whether [minT, maxT] misses the From/To range.
+func (o ScanOptions) outside(minT, maxT time.Time) bool {
+	return (!o.From.IsZero() && maxT.Before(o.From)) || (!o.To.IsZero() && minT.After(o.To))
 }
 
 // Scan streams matching entries from every block, in LSN order, through fn.
@@ -619,27 +580,13 @@ func (r *Reader) Scan(opts ScanOptions, fn func(lsn uint64, e logmodel.Entry) er
 		return err
 	}
 	for _, p := range paths {
-		idx, err := ReadBlockIndex(p)
+		b, err := ReadBlockIndex(p)
 		if err != nil {
 			return err
 		}
-		if opts.pruneBlock(idx.Meta.MinTime, idx.Meta.MaxTime) {
+		match := opts.Match(b)
+		if match == nil {
 			continue
-		}
-		match := make([]bool, len(idx.Templates))
-		anyTemplate := false
-		for ti, t := range idx.Templates {
-			if opts.matchTemplate(t) && !opts.pruneBlock(t.MinTime, t.MaxTime) {
-				match[ti] = true
-				anyTemplate = true
-			}
-		}
-		if !anyTemplate {
-			continue
-		}
-		b, err := OpenBlock(p)
-		if err != nil {
-			return err
 		}
 		err = b.scan(match, func(lsn uint64, e logmodel.Entry) error {
 			if !opts.From.IsZero() && e.Time.Before(opts.From) {

@@ -15,8 +15,9 @@ import (
 )
 
 // TestForgedSectionLengthIsCorrupt forges a section header claiming a
-// 4 GiB body in a 40-byte block file: both streaming readers must refuse it
-// as ErrCorrupt without allocating the claimed length.
+// 4 GiB body in a 40-byte block file: the index read and the on-demand
+// section load must refuse it as ErrCorrupt without allocating the claimed
+// length.
 func TestForgedSectionLengthIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "forged.blk")
 	data := append([]byte{}, blockMagic[:]...)
@@ -128,15 +129,11 @@ func TestImpossibleCountsAreCorrupt(t *testing.T) {
 					err = fmt.Errorf("panic: %v", r)
 				}
 			}()
-			idx, err := ReadBlockIndex(path)
+			b, err := ReadBlockIndex(path)
 			if err != nil {
 				return err
 			}
-			if _, _, err := idx.LoadColumns(); err != nil {
-				return err
-			}
-			b, err := OpenBlock(path)
-			if err != nil {
+			if _, _, err := b.LoadColumns(); err != nil {
 				return err
 			}
 			return b.Scan(func(uint64, logmodel.Entry) error { return nil })
@@ -165,7 +162,10 @@ func FuzzReadBlock(f *testing.F) {
 	if _, err := writeBuiltBlock(seed, bb); err != nil {
 		f.Fatal(err)
 	}
-	built, err := OpenBlock(seed)
+	built, err := ReadBlockIndex(seed)
+	if err == nil {
+		err = built.loadSectionsThrough(secParams)
+	}
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -181,10 +181,8 @@ func FuzzReadBlock(f *testing.F) {
 	path := filepath.Join(f.TempDir(), BlockName(1, 1))
 	f.Fuzz(func(t *testing.T, meta, dict, times, tids, seqs, rows, users, sessions, params []byte) {
 		writeFramedBlock(t, path, [][]byte{meta, dict, times, tids, seqs, rows, users, sessions, params})
-		if idx, err := ReadBlockIndex(path); err == nil {
-			_, _, _ = idx.LoadColumns()
-		}
-		if b, err := OpenBlock(path); err == nil {
+		if b, err := ReadBlockIndex(path); err == nil {
+			_, _, _ = b.LoadColumns()
 			_ = b.Scan(func(uint64, logmodel.Entry) error { return nil })
 		}
 	})

@@ -19,9 +19,11 @@
 //
 // Durability. AppendBatch buffers; Commit flushes to the OS (surviving a killed
 // process) and fsyncs according to the configured policy (surviving a killed
-// machine): FsyncAlways syncs every commit, FsyncInterval syncs at most once
-// per interval (a background syncer bounds the tail), FsyncNever leaves
-// syncing to the OS. Segment rotation always syncs the sealed segment.
+// machine): FsyncAlways waits for an fsync covering every commit,
+// FsyncInterval leaves the fsync to a background syncer that runs once per
+// interval, FsyncNever leaves syncing to the OS. The active segment is
+// fsynced by one group-commit leader at a time, never under the writer's
+// lock; segment rotation and Close sync the file they close.
 //
 // Recovery. Replay streams frames in LSN order, validating CRCs. A torn
 // final frame — the signature of a crash mid-write — ends the replay
@@ -56,8 +58,9 @@ const (
 	// FsyncAlways fsyncs on every Commit: no acknowledged entry is lost even
 	// to a machine crash, at the cost of one disk sync per ingest request.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval fsyncs at most once per Options.Interval (plus a
-	// background syncer), bounding machine-crash loss to one interval.
+	// FsyncInterval fsyncs from a background syncer once per
+	// Options.Interval, bounding machine-crash loss to one interval; no
+	// Commit waits for a disk sync.
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncNever never fsyncs explicitly: a killed process loses nothing
 	// (Commit still flushes to the page cache), a killed machine may lose
@@ -136,17 +139,16 @@ var groupCommitBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 40
 type Writer struct {
 	opt Options
 
-	mu       sync.Mutex
-	f        *os.File
-	bw       *bufio.Writer
-	size     int64
-	segs     []segment
-	lastLSN  uint64
-	dirty    bool // unsynced bytes since the last fsync
-	lastSync time.Time
-	closed   bool
-	stop     chan struct{} // background syncer (FsyncInterval only)
-	syncWG   sync.WaitGroup
+	mu      sync.Mutex
+	f       *os.File
+	bw      *bufio.Writer
+	size    int64
+	segs    []segment
+	lastLSN uint64
+	dirty   bool // unsynced bytes since the last fsync
+	closed  bool
+	stop    chan struct{} // background syncer (FsyncInterval only)
+	syncWG  sync.WaitGroup
 	// encBuf is the AppendBatch entry-encoding scratch, reused across frames
 	// and batches (guarded by mu): the accept path pays zero payload
 	// allocations in steady state. hdr is the frame-header scratch — a local
@@ -158,9 +160,10 @@ type Writer struct {
 	// Group-commit state (guarded by gcMu, which is only ever taken while
 	// holding mu or while holding neither — mu → gcMu is the lock order).
 	// syncedLSN is the highest LSN a completed fsync covers; syncing marks a
-	// leader's fsync in flight. Commit callers under FsyncAlways wait on
-	// gcCond until a sync — theirs or another caller's — covers their frames,
-	// so concurrent commits share one fsync instead of issuing one each.
+	// leader's fsync in flight. Commit callers under FsyncAlways, and Sync
+	// callers, wait on gcCond until a sync — theirs or another caller's —
+	// covers their frames, so concurrent commits share one fsync instead of
+	// issuing one each.
 	gcMu      sync.Mutex
 	gcCond    *sync.Cond
 	syncedLSN uint64
@@ -190,10 +193,9 @@ func Open(opt Options) (*Writer, error) {
 		return nil, err
 	}
 	w := &Writer{
-		opt:      opt,
-		segs:     segs,
-		lastSync: time.Now(),
-		stop:     make(chan struct{}),
+		opt:  opt,
+		segs: segs,
+		stop: make(chan struct{}),
 
 		mAppends:   opt.Metrics.Counter("journal_appends_total"),
 		mBytes:     opt.Metrics.Counter("journal_bytes_total"),
@@ -288,7 +290,7 @@ func (w *Writer) appendFrameLocked(payload []byte) (uint64, error) {
 }
 
 // Commit makes every appended frame crash-durable for a killed process
-// (flush to the OS) and, per the fsync policy, for a killed machine.
+// (flush to the OS) and, under FsyncAlways, for a killed machine.
 //
 // Under FsyncAlways, concurrent commits group-commit: the caller flushes its
 // frames under the writer's lock, releases it, and then waits until a
@@ -297,32 +299,42 @@ func (w *Writer) appendFrameLocked(payload []byte) (uint64, error) {
 // as soon as that sync covers their LSN. 32 concurrent clients therefore
 // share a handful of fsyncs instead of issuing 32, without weakening the
 // guarantee: Commit still never returns before the caller's frames are
-// durable.
+// durable. Under FsyncInterval the background syncer makes them durable
+// within an interval.
 func (w *Writer) Commit() error {
-	w.mu.Lock()
-	if w.closed || w.f == nil {
-		w.mu.Unlock()
-		return nil
-	}
-	w.mCommits.Inc()
-	if err := w.bw.Flush(); err != nil {
-		w.mu.Unlock()
+	target, err := w.flush(true)
+	if err != nil || w.opt.Policy != FsyncAlways {
 		return err
 	}
-	target := w.lastLSN
-	switch w.opt.Policy {
-	case FsyncAlways:
-		w.mu.Unlock()
-		return w.syncTo(target)
-	case FsyncInterval:
-		if time.Since(w.lastSync) >= w.opt.Interval {
-			err := w.fsyncLocked()
-			w.mu.Unlock()
-			return err
-		}
+	return w.syncTo(target)
+}
+
+// Sync flushes and fsyncs regardless of policy, through the group-commit
+// leader: it returns once a completed fsync covers every appended frame.
+func (w *Writer) Sync() error {
+	target, err := w.flush(false)
+	if err != nil {
+		return err
 	}
-	w.mu.Unlock()
-	return nil
+	return w.syncTo(target)
+}
+
+// flush hands every appended frame to the OS and returns the last LSN it
+// covers (0, which every sync covers, when the writer is closed or has no
+// segment yet). commit counts the call in journal_commits_total.
+func (w *Writer) flush(commit bool) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed || w.f == nil {
+		return 0, nil
+	}
+	if commit {
+		w.mCommits.Inc()
+	}
+	if err := w.bw.Flush(); err != nil {
+		return 0, err
+	}
+	return w.lastLSN, nil
 }
 
 // syncTo blocks until a completed fsync covers target. At most one caller at
@@ -377,7 +389,7 @@ func (w *Writer) syncTo(target uint64) error {
 		}
 		w.mu.Unlock()
 
-		observe := false // covered came from a commit-path fsync
+		observe := false // this leader's fsync covered it
 		advance := false // raise the horizon to covered
 		if err == nil && !closed {
 			if doSync {
@@ -431,58 +443,19 @@ func (w *Writer) syncTo(target uint64) error {
 	}
 }
 
-// Sync flushes and fsyncs regardless of policy.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.f == nil {
-		return nil
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	return w.fsyncLocked()
-}
-
-// fsyncLocked syncs the current segment (callers flush first, so every
-// appended frame is on its way to the file) and advances the group-commit
-// horizon to the last flushed LSN. Caller holds mu.
-func (w *Writer) fsyncLocked() error {
-	if w.dirty {
-		start := time.Now()
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		w.hFsync.Observe(int64(time.Since(start)))
-		w.dirty = false
-		w.lastSync = time.Now()
-		w.advanceSynced(w.lastLSN, true)
-		return nil
-	}
-	// Nothing unsynced: everything flushed is already durable (a previous
-	// fsync, or a rotation's seal covered it), so the horizon still advances.
-	w.advanceSynced(w.lastLSN, false)
-	return nil
-}
-
-// advanceSynced raises the group-commit horizon and wakes commit waiters.
-// observe=true marks a commit-path fsync, whose coalesced frame count feeds
-// the journal_group_commit_entries histogram. Caller must not hold gcMu
-// (mu is irrelevant here: the horizon is guarded by gcMu alone).
-func (w *Writer) advanceSynced(lsn uint64, observe bool) {
+// advanceSynced raises the group-commit horizon to lsn and wakes commit
+// waiters. Caller must not hold gcMu.
+func (w *Writer) advanceSynced(lsn uint64) {
 	w.gcMu.Lock()
 	if lsn > w.syncedLSN {
-		if observe {
-			w.hGroup.Observe(int64(lsn - w.syncedLSN))
-		}
 		w.syncedLSN = lsn
 		w.gcCond.Broadcast()
 	}
 	w.gcMu.Unlock()
 }
 
-// backgroundSync bounds the unsynced tail under FsyncInterval even when no
-// Commit arrives (e.g. traffic stops right after a burst).
+// backgroundSync bounds the unsynced tail under FsyncInterval: each tick
+// syncs through the group-commit leader, so no commit waits for the disk.
 func (w *Writer) backgroundSync() {
 	defer w.syncWG.Done()
 	t := time.NewTicker(w.opt.Interval)
@@ -492,19 +465,11 @@ func (w *Writer) backgroundSync() {
 		case <-w.stop:
 			return
 		case <-t.C:
-			w.mu.Lock()
-			if !w.closed && w.f != nil && w.dirty {
-				err := w.bw.Flush()
-				if err == nil {
-					err = w.fsyncLocked()
-				}
-				if err != nil {
-					// The tail stays dirty; the next Commit or tick retries.
-					w.opt.Logger.Error("background fsync failed",
-						"component", "journal", "error", err)
-				}
+			if err := w.Sync(); err != nil {
+				// The tail stays dirty; the next tick retries.
+				w.opt.Logger.Error("background fsync failed",
+					"component", "journal", "error", err)
 			}
-			w.mu.Unlock()
 		}
 	}
 }
@@ -525,8 +490,8 @@ func (w *Writer) rotateLocked(lsn uint64) error {
 		w.dirty = false
 		// The seal's sync made every flushed frame durable; commit waiters
 		// covered by it need no further fsync. (Not observed in the
-		// group-commit histogram — that tracks commit-path fsyncs only.)
-		w.advanceSynced(w.lastLSN, false)
+		// group-commit histogram — that tracks leader fsyncs only.)
+		w.advanceSynced(w.lastLSN)
 		w.mRotations.Inc()
 	}
 	path := filepath.Join(w.opt.Dir, segName(lsn))

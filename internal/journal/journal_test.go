@@ -307,6 +307,48 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 }
 
+// TestIntervalLeavesFsyncToSyncer: under FsyncInterval no Commit fsyncs —
+// with an hour's interval, none happens across commits — and the background
+// syncer alone makes committed frames durable within a few ticks of a short
+// interval.
+func TestIntervalLeavesFsyncToSyncer(t *testing.T) {
+	fsyncs := func(reg *obs.Registry) int64 { return reg.Snapshot().Histograms["journal_fsync_ns"].Count }
+
+	reg := obs.NewRegistry()
+	w, err := Open(Options{Dir: t.TempDir(), Policy: FsyncInterval, Interval: time.Hour, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		appendN(t, w, 5*i, 5)
+	}
+	if n := fsyncs(reg); n != 0 {
+		t.Errorf("10 commits under a 1h interval fsynced %d times, want 0", n)
+	}
+	w.Close()
+
+	reg = obs.NewRegistry()
+	w, err = Open(Options{Dir: t.TempDir(), Policy: FsyncInterval, Interval: 5 * time.Millisecond, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendN(t, w, 0, 5)
+	synced := func() uint64 {
+		w.gcMu.Lock()
+		defer w.gcMu.Unlock()
+		return w.syncedLSN
+	}
+	for deadline := time.Now().Add(10 * time.Second); synced() < 5; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("background syncer covered LSN %d of 5 after 10s of 5ms ticks", synced())
+		}
+	}
+	if n := fsyncs(reg); n == 0 {
+		t.Error("committed frames became durable without an fsync")
+	}
+}
+
 // TestGroupCommitCoalesces pins the leader/follower protocol in its most
 // deterministic configuration: all frames are appended first, then many
 // commits race. Every caller targets the same LSN, so exactly one becomes the

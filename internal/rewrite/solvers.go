@@ -53,7 +53,8 @@ func (*DWSolver) Solve(pl parsedlog.Log, inst antipattern.Instance) (string, err
 	if !ok {
 		return "", errInstance(inst, "cannot locate the equality predicate in WHERE")
 	}
-	stmt.Where = &sqlast.InExpr{X: sqlast.CloneExpr(col), List: values}
+	c := *col
+	stmt.Where = &sqlast.InExpr{X: &c, List: values}
 	prependColumn(stmt, col)
 	return sqlast.Print(stmt, printOpts), nil
 }
@@ -89,8 +90,9 @@ func prependColumn(stmt *sqlast.SelectStatement, col *sqlast.ColumnRef) {
 			}
 		}
 	}
+	c := *col
 	items := make([]sqlast.SelectItem, 0, len(stmt.Items)+1)
-	items = append(items, sqlast.SelectItem{Expr: sqlast.CloneExpr(col)})
+	items = append(items, sqlast.SelectItem{Expr: &c})
 	items = append(items, stmt.Items...)
 	stmt.Items = items
 }

@@ -28,6 +28,8 @@ import (
 	"sqlclean/internal/parsedlog"
 )
 
+// defaultClusterThreshold is the paper's operating point, what /clusters
+// uses without ?threshold=.
 const defaultClusterThreshold = 0.9
 
 // boxTable holds the distinct boxes of the emitted clean log, each with its
@@ -119,7 +121,7 @@ type ClustersPayload struct {
 // the payload is empty. Safe to call while ingestion runs.
 func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	if threshold <= 0 {
-		threshold = s.clusterThreshold()
+		threshold = defaultClusterThreshold
 	}
 	if top <= 0 {
 		top = 20
@@ -181,17 +183,6 @@ func (s *Server) Clusters(threshold float64, top int) ClustersPayload {
 	return p
 }
 
-// validThreshold reports whether f is a usable overlap-distance threshold:
-// one in (0, 1]. Written so that NaN fails it too.
-func validThreshold(f float64) bool { return f > 0 && f <= 1 }
-
-func (s *Server) clusterThreshold() float64 {
-	if s.cfg.ClusterThreshold > 0 {
-		return s.cfg.ClusterThreshold
-	}
-	return defaultClusterThreshold
-}
-
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	if s.boxes == nil {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "clustering disabled"})
@@ -200,7 +191,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	threshold := 0.0
 	if v := r.URL.Query().Get("threshold"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !validThreshold(f) {
+		if err != nil || !(f > 0 && f <= 1) { // written so that NaN fails too
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "threshold must be in (0, 1]"})
 			return
 		}

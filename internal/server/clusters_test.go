@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"reflect"
 	"slices"
@@ -91,18 +90,6 @@ func TestClustersEndpoint(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("threshold=%s: status %d, want 400", v, resp.StatusCode)
-		}
-	}
-}
-
-// TestNewRefusesClusterThreshold: a default /clusters threshold outside
-// (0, 1] is a configuration error caught at startup, the same range
-// ?threshold= is held to. (0 selects the default; TestClustersEndpoint
-// covers it.)
-func TestNewRefusesClusterThreshold(t *testing.T) {
-	for _, th := range []float64{2, -1, math.NaN()} {
-		if _, err := New(Config{ClusterThreshold: th}); err == nil || !strings.Contains(err.Error(), "cluster threshold") {
-			t.Errorf("New(ClusterThreshold: %g): err = %v, want cluster-threshold error", th, err)
 		}
 	}
 }

@@ -59,6 +59,8 @@ const (
 	snapshotVersion = 1
 	snapPrefix      = "snapshot-"
 	snapSuffix      = ".json"
+	// snapshotQuiesce bounds a checkpoint's wait for the queues to drain.
+	snapshotQuiesce = 30 * time.Second
 )
 
 func snapshotName(lsn uint64) string {
@@ -192,7 +194,7 @@ func (s *Server) snapshotLoop() {
 		case <-s.snapStop:
 			return
 		case <-t.C:
-			if err := s.takeSnapshot(30 * time.Second); err != nil {
+			if err := s.takeSnapshot(snapshotQuiesce); err != nil {
 				s.mSnapshotErrs.Inc()
 				s.log.Error("periodic snapshot failed", "component", "server", "error", err)
 			}
@@ -230,22 +232,6 @@ func (s *Server) takeSnapshot(quiesce time.Duration) error {
 		AppliedLSN: lsn,
 		NextSeq:    nextSeq,
 		Engine:     snap,
-	})
-}
-
-// finalSnapshot runs at the end of a graceful drain, when the engine is
-// already quiescent by construction (queues closed, drains joined).
-func (s *Server) finalSnapshot() error {
-	if s.jw == nil {
-		return nil
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.writeSnapshot(snapshotFile{
-		Version:    snapshotVersion,
-		AppliedLSN: s.jw.LastLSN(),
-		NextSeq:    s.seq.Load(),
-		Engine:     s.eng.Snapshot(),
 	})
 }
 
@@ -298,12 +284,13 @@ func (s *Server) writeSnapshot(sf snapshotFile) error {
 }
 
 // closeDurability writes the final checkpoint and closes the journal; called
-// at the end of a graceful drain.
+// at the end of a graceful drain, when the queues are closed and the drains
+// joined, so the snapshot's freeze and quiesce pass at once.
 func (s *Server) closeDurability() {
 	if s.jw == nil {
 		return
 	}
-	if err := s.finalSnapshot(); err != nil {
+	if err := s.takeSnapshot(snapshotQuiesce); err != nil {
 		s.mSnapshotErrs.Inc()
 		s.log.Error("final snapshot failed", "component", "server", "error", err)
 	}

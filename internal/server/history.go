@@ -116,6 +116,10 @@ func (s *Server) history(template uint64, from, to time.Time, step time.Duration
 		s.log.Warn("history: skipping corrupt block", "component", "server", "error", err)
 	}
 
+	opts := colstore.ScanOptions{From: from, To: to}
+	if template != 0 {
+		opts.Templates = map[uint64]bool{template: true}
+	}
 	type matched struct {
 		b     *colstore.Block
 		match []bool
@@ -123,32 +127,20 @@ func (s *Server) history(template uint64, from, to time.Time, step time.Duration
 	var work []matched
 	verdicts := map[string]struct{}{}
 	for _, b := range blocks {
-		kept := false
-		var match []bool
-		if blockInRange(b, from, to) {
-			match = make([]bool, len(b.Templates))
-			for ti, tmpl := range b.Templates {
-				if template != 0 && tmpl.EngineFP != template && tmpl.LexicalFP() != template {
-					continue
-				}
-				if !from.IsZero() && tmpl.MaxTime.Before(from) {
-					continue
-				}
-				if !to.IsZero() && tmpl.MinTime.After(to) {
-					continue
-				}
-				match[ti] = true
-				kept = true
-				for _, v := range tmpl.Verdicts {
-					verdicts[v] = struct{}{}
-				}
+		match := opts.Match(b)
+		if match == nil {
+			p.BlocksPruned++
+			continue
+		}
+		for ti, ok := range match {
+			if !ok {
+				continue
+			}
+			for _, v := range b.Templates[ti].Verdicts {
+				verdicts[v] = struct{}{}
 			}
 		}
-		if kept {
-			work = append(work, matched{b: b, match: match})
-		} else {
-			p.BlocksPruned++
-		}
+		work = append(work, matched{b: b, match: match})
 	}
 	p.BlocksScanned = len(work)
 	for v := range verdicts {
@@ -217,14 +209,4 @@ func (s *Server) history(template uint64, from, to time.Time, step time.Duration
 		})
 	}
 	return p, nil
-}
-
-func blockInRange(b *colstore.Block, from, to time.Time) bool {
-	if !from.IsZero() && b.Meta.MaxTime.Before(from) {
-		return false
-	}
-	if !to.IsZero() && b.Meta.MinTime.After(to) {
-		return false
-	}
-	return true
 }

@@ -81,11 +81,6 @@ type Config struct {
 	// predicate boxes of the clean log it emits and clusters them on
 	// demand.
 	ClustersDisabled bool
-	// ClusterThreshold is the default overlap-distance threshold for
-	// GET /clusters, in (0, 1] (0 selects 0.9, the paper's operating point;
-	// New refuses any other value outside the range); requests can
-	// override it per call.
-	ClusterThreshold float64
 
 	// DataDir enables crash durability: it holds the write-ahead journal
 	// (DataDir/wal-*.log) and engine snapshots (DataDir/snapshot-*.json).
@@ -227,8 +222,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Retain && cfg.DataDir == "" {
 		return nil, errors.New("server: retention (-retain) requires a data dir (-data-dir)")
 	}
-	if cfg.ClusterThreshold != 0 && !validThreshold(cfg.ClusterThreshold) {
-		return nil, fmt.Errorf("server: cluster threshold (-cluster-threshold) %g is not in (0, 1]", cfg.ClusterThreshold)
+	if err := cfg.Stream.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Stream.Metrics == nil {
 		cfg.Stream.Metrics = cfg.Metrics

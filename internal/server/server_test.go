@@ -541,6 +541,16 @@ func TestIngestBadInput(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeSessionGap: a stream that never closes a session on
+// silence holds the whole log, so -gap below zero stops the daemon at start,
+// before any entry could be rejected as out of order.
+func TestNewRefusesNegativeSessionGap(t *testing.T) {
+	_, err := New(Config{Stream: stream.ShardedConfig{Config: stream.Config{SessionGap: -time.Second}}})
+	if err == nil || !strings.Contains(err.Error(), "-1s") {
+		t.Errorf("New(SessionGap: -1s): err = %v, want a refusal naming -1s", err)
+	}
+}
+
 // TestDebugMuxMounted checks the obs debug surface is reachable through the
 // service mux.
 func TestDebugMuxMounted(t *testing.T) {

@@ -222,67 +222,11 @@ func TestTablesColumnsLiterals(t *testing.T) {
 	if len(tabs) != 2 || tabs[0].Name != "emp" || tabs[1].Name != "dep" {
 		t.Errorf("tables: %v", tabs)
 	}
-	cols := Columns(s)
-	if len(cols) == 0 {
-		t.Error("no columns found")
-	}
 	lits := Literals(s)
 	// 30, 'Rome' and 2; TOP's literal is a field of the statement, not a
 	// walked child.
 	if len(lits) != 3 {
 		t.Errorf("literals: %d", len(lits))
-	}
-}
-
-func TestCloneSelectIsDeep(t *testing.T) {
-	s := buildSample()
-	c := CloneSelect(s)
-	if Print(s, PrintOptions{}) != Print(c, PrintOptions{}) {
-		t.Fatal("clone prints differently")
-	}
-	// Mutate the clone; the original must not change.
-	c.Items[0].Expr.(*ColumnRef).Name = "changed"
-	c.Where.(*BinaryExpr).Left.(*BinaryExpr).Right.(*Literal).Val = "99"
-	c.From[0].(*Join).Left.(*TableRef).Name = "other"
-	if s.Items[0].Expr.(*ColumnRef).Name != "name" {
-		t.Error("clone shares select items with original")
-	}
-	if s.Where.(*BinaryExpr).Left.(*BinaryExpr).Right.(*Literal).Val != "30" {
-		t.Error("clone shares where literals with original")
-	}
-	if s.From[0].(*Join).Left.(*TableRef).Name != "emp" {
-		t.Error("clone shares from entries with original")
-	}
-}
-
-func TestCloneExprCoversAllVariants(t *testing.T) {
-	exprs := []Expr{
-		&Literal{Kind: "num", Val: "1"},
-		&ColumnRef{Name: "a"},
-		&Variable{Name: "@v"},
-		&BinaryExpr{Op: "+", Left: &Literal{Kind: "num", Val: "1"}, Right: &Literal{Kind: "num", Val: "2"}},
-		&UnaryExpr{Op: "-", X: &ColumnRef{Name: "a"}},
-		&ParenExpr{X: &ColumnRef{Name: "a"}},
-		&FuncCall{Name: "f", Args: []Expr{&ColumnRef{Name: "a"}}},
-		&InExpr{X: &ColumnRef{Name: "a"}, List: []Expr{&Literal{Kind: "num", Val: "1"}}},
-		&BetweenExpr{X: &ColumnRef{Name: "a"}, Lo: &Literal{Kind: "num", Val: "0"}, Hi: &Literal{Kind: "num", Val: "9"}},
-		&IsNullExpr{X: &ColumnRef{Name: "a"}},
-		&LikeExpr{X: &ColumnRef{Name: "a"}, Pattern: &Literal{Kind: "str", Val: "%"}},
-		&ExistsExpr{Sub: buildSample()},
-		&SubqueryExpr{Sub: buildSample()},
-		&CaseExpr{Whens: []CaseWhen{{Cond: &ColumnRef{Name: "c"}, Then: &Literal{Kind: "num", Val: "1"}}}},
-	}
-	for _, e := range exprs {
-		c := CloneExpr(e)
-		if PrintExpr(e, PrintOptions{}) != PrintExpr(c, PrintOptions{}) {
-			t.Errorf("clone of %T prints differently", e)
-		}
-	}
-	if CloneExpr(nil) != nil {
-		t.Error("CloneExpr(nil) must be nil")
-	}
-	if CloneSelect(nil) != nil {
-		t.Error("CloneSelect(nil) must be nil")
 	}
 }
 

@@ -102,19 +102,6 @@ func Tables(s *SelectStatement) []*TableRef {
 	return out
 }
 
-// Columns returns every column reference anywhere in the statement in
-// encounter order (star references included).
-func Columns(s *SelectStatement) []*ColumnRef {
-	var out []*ColumnRef
-	Walk(s, func(n Node) bool {
-		if c, ok := n.(*ColumnRef); ok {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
 // Literals returns every literal in the statement in encounter order.
 func Literals(s *SelectStatement) []*Literal {
 	var out []*Literal
@@ -125,108 +112,4 @@ func Literals(s *SelectStatement) []*Literal {
 		return true
 	})
 	return out
-}
-
-// CloneExpr returns a deep copy of an expression tree.
-func CloneExpr(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Literal:
-		c := *x
-		return &c
-	case *ColumnRef:
-		c := *x
-		return &c
-	case *Variable:
-		c := *x
-		return &c
-	case *BinaryExpr:
-		return &BinaryExpr{Op: x.Op, Left: CloneExpr(x.Left), Right: CloneExpr(x.Right)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: x.Op, X: CloneExpr(x.X)}
-	case *ParenExpr:
-		return &ParenExpr{X: CloneExpr(x.X)}
-	case *FuncCall:
-		c := &FuncCall{Schema: x.Schema, Name: x.Name, Distinct: x.Distinct, Star: x.Star}
-		for _, a := range x.Args {
-			c.Args = append(c.Args, CloneExpr(a))
-		}
-		return c
-	case *InExpr:
-		c := &InExpr{X: CloneExpr(x.X), Not: x.Not, Sub: CloneSelect(x.Sub)}
-		for _, it := range x.List {
-			c.List = append(c.List, CloneExpr(it))
-		}
-		return c
-	case *BetweenExpr:
-		return &BetweenExpr{X: CloneExpr(x.X), Not: x.Not, Lo: CloneExpr(x.Lo), Hi: CloneExpr(x.Hi)}
-	case *IsNullExpr:
-		return &IsNullExpr{X: CloneExpr(x.X), Not: x.Not}
-	case *LikeExpr:
-		return &LikeExpr{X: CloneExpr(x.X), Not: x.Not, Pattern: CloneExpr(x.Pattern)}
-	case *ExistsExpr:
-		return &ExistsExpr{Sub: CloneSelect(x.Sub)}
-	case *SubqueryExpr:
-		return &SubqueryExpr{Sub: CloneSelect(x.Sub)}
-	case *CastExpr:
-		return &CastExpr{X: CloneExpr(x.X), Type: x.Type, TypeArgs: append([]string(nil), x.TypeArgs...)}
-	case *CaseExpr:
-		c := &CaseExpr{Operand: CloneExpr(x.Operand), Else: CloneExpr(x.Else)}
-		for _, w := range x.Whens {
-			c.Whens = append(c.Whens, CaseWhen{Cond: CloneExpr(w.Cond), Then: CloneExpr(w.Then)})
-		}
-		return c
-	}
-	return e
-}
-
-// CloneTableSource returns a deep copy of a FROM entry.
-func CloneTableSource(ts TableSource) TableSource {
-	switch t := ts.(type) {
-	case nil:
-		return nil
-	case *TableRef:
-		c := *t
-		return &c
-	case *FuncSource:
-		return &FuncSource{Call: CloneExpr(t.Call).(*FuncCall), Alias: t.Alias}
-	case *DerivedTable:
-		return &DerivedTable{Sub: CloneSelect(t.Sub), Alias: t.Alias}
-	case *Join:
-		return &Join{Kind: t.Kind, Left: CloneTableSource(t.Left), Right: CloneTableSource(t.Right), Cond: CloneExpr(t.Cond)}
-	}
-	return ts
-}
-
-// CloneSelect returns a deep copy of a SELECT statement. Nil in, nil out.
-func CloneSelect(s *SelectStatement) *SelectStatement {
-	if s == nil {
-		return nil
-	}
-	c := &SelectStatement{
-		Distinct:   s.Distinct,
-		TopPercent: s.TopPercent,
-		Where:      CloneExpr(s.Where),
-		Having:     CloneExpr(s.Having),
-		SetOp:      s.SetOp,
-		SetRight:   CloneSelect(s.SetRight),
-	}
-	if s.Top != nil {
-		t := *s.Top
-		c.Top = &t
-	}
-	for _, it := range s.Items {
-		c.Items = append(c.Items, SelectItem{Expr: CloneExpr(it.Expr), Alias: it.Alias})
-	}
-	for _, ts := range s.From {
-		c.From = append(c.From, CloneTableSource(ts))
-	}
-	for _, g := range s.GroupBy {
-		c.GroupBy = append(c.GroupBy, CloneExpr(g))
-	}
-	for _, oi := range s.OrderBy {
-		c.OrderBy = append(c.OrderBy, OrderItem{Expr: CloneExpr(oi.Expr), Desc: oi.Desc})
-	}
-	return c
 }

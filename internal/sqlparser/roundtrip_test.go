@@ -194,43 +194,19 @@ func TestRandomASTPrintParseFixpoint(t *testing.T) {
 	}
 }
 
-// TestRandomASTCloneIndependence checks CloneSelect produces equal but
-// independent trees for random ASTs.
-func TestRandomASTCloneIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := &astGen{rng: rng}
-	for i := 0; i < 200; i++ {
-		stmt := g.selectStmt(2)
-		clone := sqlast.CloneSelect(stmt)
-		before := sqlast.Print(stmt, sqlast.PrintOptions{})
-		if got := sqlast.Print(clone, sqlast.PrintOptions{}); got != before {
-			t.Fatalf("case %d: clone differs", i)
-		}
-		// Mutate every literal in the clone; the original must not change.
-		sqlast.Walk(clone, func(n sqlast.Node) bool {
-			if l, ok := n.(*sqlast.Literal); ok {
-				l.Val = "MUTATED"
-				l.Kind = "str"
-			}
-			return true
-		})
-		if got := sqlast.Print(stmt, sqlast.PrintOptions{}); got != before {
-			t.Fatalf("case %d: mutation leaked into the original", i)
-		}
-	}
-}
-
 // TestRandomASTSkeletonInvariants checks that skeleton analysis never
 // panics and that fingerprints ignore literal values: rewriting every
 // literal's value must keep the fingerprint.
 func TestRandomASTSkeletonInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	g := &astGen{rng: rng}
+	// Two generators seeded alike, drawn in lockstep, build the same trees:
+	// the second gives an independent copy to mutate.
+	g := &astGen{rng: rand.New(rand.NewSource(99))}
+	g2 := &astGen{rng: rand.New(rand.NewSource(99))}
 	for i := 0; i < 300; i++ {
 		stmt := g.selectStmt(2)
 		in1 := skeleton.Analyze(stmt)
 
-		mutated := sqlast.CloneSelect(stmt)
+		mutated := g2.selectStmt(2)
 		sqlast.Walk(mutated, func(n sqlast.Node) bool {
 			if l, ok := n.(*sqlast.Literal); ok && l.Kind == "num" {
 				l.Val = "123456"

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sqlclean/internal/core"
+	"sqlclean/internal/dedup"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/stream"
@@ -76,7 +77,10 @@ func TestStreamMatchesBatchPipeline(t *testing.T) {
 // same duplicate count and the same distinct-user count as the serial batch
 // pipeline (order-normalized — emission order differs by construction). The
 // generator's log holds one or two sessions open at a time; the retimed
-// scale-1 log (denseLog) holds over a hundred.
+// scale-1 log (denseLog) holds over a hundred. Under dedup.Unrestricted
+// every later repeat is a duplicate, however far apart. A negative session
+// gap, which the batch pipeline reads as "no gap splitting", the stream
+// refuses: it would never close a session on silence.
 func TestShardedMatchesBatchPipeline(t *testing.T) {
 	sparse, _ := workload.Generate(workload.DefaultConfig().Scale(0.4))
 	sparse.SortStable()
@@ -86,18 +90,21 @@ func TestShardedMatchesBatchPipeline(t *testing.T) {
 		log              logmodel.Log
 		shards, workers  int
 		minOpenHighWater int
+		dup              time.Duration
 	}{
-		{"scale 0.4", sparse, 8, 1, 0},
-		{"scale 0.4", sparse, 8, 4, 0},
-		{"dense", dense, 1, 1, 100},
-		{"dense", dense, 8, 4, 100},
+		{"scale 0.4", sparse, 8, 1, 0, 0},
+		{"scale 0.4", sparse, 8, 4, 0, 0},
+		{"dense", dense, 1, 1, 100, 0},
+		{"dense", dense, 8, 4, 100, 0},
+		{"scale 0.4, unrestricted dedup", sparse, 1, 1, 0, dedup.Unrestricted},
+		{"scale 0.4, unrestricted dedup", sparse, 8, 4, 0, dedup.Unrestricted},
 	} {
 		name := fmt.Sprintf("%s, %d shards, %d workers", c.name, c.shards, c.workers)
-		batch, err := core.Run(c.log, core.Config{})
+		batch, err := core.Run(c.log, core.Config{DuplicateThreshold: c.dup})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := stream.NewSharded(stream.ShardedConfig{Shards: c.shards, Workers: c.workers})
+		eng := stream.NewSharded(stream.ShardedConfig{Shards: c.shards, Workers: c.workers, Config: stream.Config{DuplicateThreshold: c.dup}})
 		streamed, err := eng.Run(c.log)
 		if err != nil {
 			t.Fatal(err)
@@ -114,6 +121,12 @@ func TestShardedMatchesBatchPipeline(t *testing.T) {
 		}
 		if !reflect.DeepEqual(multiset(streamed), multiset(batch.Clean)) {
 			t.Errorf("%s: cleaned statement multiset differs from batch's", name)
+		}
+	}
+	for _, shards := range []int{1, 8} {
+		_, _, err := stream.RunSharded(sparse, stream.ShardedConfig{Shards: shards, Config: stream.Config{SessionGap: -time.Second}})
+		if err == nil || !strings.Contains(err.Error(), "-1s") {
+			t.Errorf("%d shards, session gap -1s: err = %v, want a refusal naming -1s", shards, err)
 		}
 	}
 }

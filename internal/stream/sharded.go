@@ -431,8 +431,12 @@ func (s *Sharded) Sketches() int { return s.DistinctUsers() }
 // its entries in log order and closes sessions on its own watermark, as Add
 // does, so the output multiset is the same at every shard count and equals
 // the batch pipeline's. The entries skip the MaxFutureSkew guard and leave
-// the global watermark unset.
+// the global watermark unset. A negative session gap is refused
+// (Config.Validate).
 func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, Stats{}, err
+	}
 	s := NewSharded(cfg)
 	out, err := s.run(l)
 	return out, s.Stats(), err

@@ -136,9 +136,9 @@ func (l *legacySketches) evidence() []templateWheres {
 
 // Snapshot serializes the shard's state. The dedup window is cut to
 // entries still reachable by a future in-order entry: anything older than
-// watermark − gap − threshold can never match again, so a restore without it
-// is byte-identical in outcome. (The live map drops such slots only when it
-// has doubled, so it may still hold some.)
+// watermark − gap − threshold can never match again (stale), so a restore
+// without it is byte-identical in outcome. (The live map drops such slots
+// only when it has doubled, so it may still hold some.)
 func (sh *shard) Snapshot() ShardSnapshot {
 	s := ShardSnapshot{Stats: sh.stats}
 	if !sh.watermark.IsZero() {
@@ -153,9 +153,8 @@ func (sh *shard) Snapshot() ShardSnapshot {
 		s.Open = append(s.Open, ss)
 	}
 	sort.Slice(s.Open, func(i, j int) bool { return s.Open[i].User < s.Open[j].User })
-	horizon := sh.dedupHorizon()
 	for k, last := range sh.lastSeen {
-		if last.Before(horizon) {
+		if sh.stale(last) {
 			continue
 		}
 		s.Dedup = append(s.Dedup, DedupSnapshot{User: k.user, Statement: k.stmt, LastNS: last.UnixNano()})

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"sqlclean/internal/antipattern"
+	"sqlclean/internal/dedup"
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/parsedlog"
@@ -98,6 +99,16 @@ func (c Config) withDefaults() Config {
 		c.MinRun = 2
 	}
 	return c
+}
+
+// Validate refuses a negative session gap. The batch pipeline reads one as
+// "never split sessions on silence", but a stream that never closes a
+// session on silence holds the whole log.
+func (c Config) Validate() error {
+	if c.SessionGap < 0 {
+		return fmt.Errorf("stream: session gap %v is negative: a stream that never closes a session on silence holds the whole log", c.SessionGap)
+	}
+	return nil
 }
 
 // Stats accumulates over the whole stream. The JSON names are the export
@@ -254,10 +265,11 @@ func (sh *shard) Add(e logmodel.Entry) (parsedlog.Log, error) {
 		k := dupKey{user: e.User, stmt: e.Statement}
 		prev, seen := sh.lastSeen[k]
 		sh.lastSeen[k] = e.Time
-		if len(sh.lastSeen) >= 2*sh.dedupPruned+minDedupPrune {
+		threshold := sh.cfg.DuplicateThreshold
+		if threshold != dedup.Unrestricted && len(sh.lastSeen) >= 2*sh.dedupPruned+minDedupPrune {
 			sh.pruneDedup()
 		}
-		if seen && e.Time.Sub(prev) <= sh.cfg.DuplicateThreshold {
+		if seen && (threshold == dedup.Unrestricted || e.Time.Sub(prev) <= threshold) {
 			sh.stats.Duplicates++
 			sh.met.dups.Inc()
 		} else {
@@ -342,21 +354,22 @@ func (sh *shard) recycle(os *openSession) {
 // a pass over the map.
 const minDedupPrune = 1024
 
-// dedupHorizon is the oldest last-seen time a future entry can still
-// duplicate: entries arrive at most SessionGap behind the watermark, and a
-// duplicate follows its predecessor within DuplicateThreshold. A slot older
-// than the horizon can never match again, so dropping it changes no output.
-func (sh *shard) dedupHorizon() time.Time {
-	return sh.watermark.Add(-sh.cfg.SessionGap - sh.cfg.DuplicateThreshold)
+// stale reports whether no future entry can duplicate a slot last seen at
+// t: entries arrive at most SessionGap behind the watermark, and a
+// duplicate follows its predecessor within DuplicateThreshold, so dropping
+// a stale slot changes no output. Under dedup.Unrestricted no slot is
+// stale.
+func (sh *shard) stale(t time.Time) bool {
+	return sh.cfg.DuplicateThreshold != dedup.Unrestricted &&
+		t.Before(sh.watermark.Add(-sh.cfg.SessionGap-sh.cfg.DuplicateThreshold))
 }
 
-// pruneDedup drops the dedup slots older than the horizon. Survivors move to
-// a fresh map because a Go map never returns the memory of deleted slots.
+// pruneDedup drops the stale dedup slots. Survivors move to a fresh map
+// because a Go map never returns the memory of deleted slots.
 func (sh *shard) pruneDedup() {
-	horizon := sh.dedupHorizon()
 	live := make(map[dupKey]time.Time, len(sh.lastSeen)/2)
 	for k, last := range sh.lastSeen {
-		if !last.Before(horizon) {
+		if !sh.stale(last) {
 			live[k] = last
 		}
 	}

@@ -12,12 +12,12 @@
 # `benchjson -compare`, and asserts GET /clusters returns a non-empty
 # clustering, /debug/requests holds completed traces, and the JSON log
 # carries slow-request lines with trace IDs. A fourth phase compacts the
-# journal into columnar blocks, scans them back and serves GET /history from
-# them. The last phase runs the CLI's streaming path: `sqlclean -stream` must
-# write the same lines as the batch `sqlclean -clean`, and its -json must
-# count the lines it wrote and the batch -json's distinct users, antipattern
-# templates and SWS templates. Run via
-# `make smoke` (which builds bin/ first).
+# journal into columnar blocks, requires their scan to give back the ingested
+# lines byte for byte, and serves GET /history from them. The last phase
+# runs the CLI's streaming path: `sqlclean -stream` must write the same lines
+# as the batch `sqlclean -clean`, and its -json must count the lines it wrote
+# and the batch -json's distinct users, antipattern templates and SWS
+# templates. Run via `make smoke` (which builds bin/ first).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -255,9 +255,9 @@ echo "smoke: replay ok ($(awk '/BenchmarkReplayIngestP99/{print $3}' "$TMP/repla
 
 # ---------------------------------------------------------------------------
 # Columnar retention: offline-compact the crash phase's surviving journal
-# into blocks, require a bit-identical scan (entry count matches), then start
-# the daemon with -retain on the same data dir and require GET /history to
-# answer from the blocks.
+# into blocks, require a bit-identical scan (the scanned TSV, sorted, equals
+# the ingested log, sorted), then start the daemon with -retain on the same
+# data dir and require GET /history to answer from the blocks.
 # ---------------------------------------------------------------------------
 
 "$CLI" -compact -data-dir "$TMP/data" -retain-dir "$TMP/blocks" \
@@ -268,9 +268,12 @@ grep -q "compacted $TOTAL entries into [1-9]" "$TMP/compact.txt" || {
 }
 
 "$CLI" -scan -retain-dir "$TMP/blocks" >"$TMP/scan.tsv" 2>>"$TMP/retention.log"
-SCANNED=$(wc -l <"$TMP/scan.tsv")
-[ "$SCANNED" -eq "$TOTAL" ] || {
-  echo "smoke: block scan returned $SCANNED of $TOTAL entries" >&2; exit 1
+LC_ALL=C sort "$TMP/log.tsv" >"$TMP/log-sorted.tsv"
+LC_ALL=C sort "$TMP/scan.tsv" >"$TMP/scan-sorted.tsv"
+cmp -s "$TMP/log-sorted.tsv" "$TMP/scan-sorted.tsv" || {
+  echo "smoke: block scan ($(wc -l <"$TMP/scan.tsv") lines) differs from the $TOTAL ingested lines:" >&2
+  diff "$TMP/log-sorted.tsv" "$TMP/scan-sorted.tsv" | head -20 >&2 || true
+  exit 1
 }
 
 "$BIN" -addr "$ADDR" -data-dir "$TMP/data" -retain -retain-dir "$TMP/blocks" \
