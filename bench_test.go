@@ -745,21 +745,28 @@ func BenchmarkParseParallel(b *testing.B) {
 // crossover visible in BENCH snapshots. Compare against the seed's
 // BenchmarkTable5Pipeline for the total win: the single-parse rework speeds
 // up every worker count, and parallelism stacks on top where cores exist.
+// The cluster=0.9 rows add the clustering stage, which runs inline at one
+// worker and beside the cleaning stages at more.
 func BenchmarkPipelineParallel(b *testing.B) {
 	log, _ := benchSetup(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(log, core.Config{Workers: w})
-				if err != nil {
-					b.Fatal(err)
+	for _, row := range []struct {
+		prefix  string
+		cluster float64
+	}{{"", 0}, {"cluster=0.9/", 0.9}} {
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%sworkers=%d", row.prefix, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := core.Run(log, core.Config{Workers: w, ClusterThreshold: row.cluster})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Report.FinalSize == 0 {
+						b.Fatal("empty clean log")
+					}
 				}
-				if res.Report.FinalSize == 0 {
-					b.Fatal("empty clean log")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

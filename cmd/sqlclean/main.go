@@ -42,7 +42,7 @@ func main() {
 		removalOut = flag.String("removal", "", "write the removal log (antipatterns dropped) to this file")
 		jsonOut    = flag.String("json", "", "write the full analysis (report, templates, instances) as JSON to this file")
 		streaming  = flag.Bool("stream", false, "bounded-memory streaming mode (TSV input only): sessions are cleaned and written as they close")
-		workers    = flag.Int("workers", 0, "parallelism for the parse/detect stages: 0 = all CPUs, 1 = serial")
+		workers    = flag.Int("workers", 0, "parallelism of the pipeline stages (and, with -cluster, clustering beside cleaning): 0 = all CPUs, 1 = serial")
 		clusterT   = flag.Float64("cluster", 0, "overlap-distance threshold for §6.9 access-area clustering (0 disables; the paper uses 0.9)")
 		top        = flag.Int("top", 15, "number of top patterns/antipatterns to print")
 		progress   = flag.Bool("progress", false, "render a live progress line (rate, ETA) on stderr")

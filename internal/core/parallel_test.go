@@ -12,7 +12,8 @@ import (
 // pipeline: a run with Workers: 8 must be byte-identical to the serial run
 // (Workers: 1) — same report, same clean and removal logs, same instances in
 // the same order, same templates — across several configurations that
-// exercise the fixpoint and SWS re-parse paths too.
+// exercise the fixpoint and SWS re-parse paths too. With clustering on and
+// more than one worker, the clustering branch runs beside those passes.
 func TestRunParallelDeterminism(t *testing.T) {
 	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.2))
 	cases := []struct {
@@ -25,6 +26,7 @@ func TestRunParallelDeterminism(t *testing.T) {
 		{"sws-union", Config{SWSMode: SWSUnion}},
 		{"no-dedup", Config{NoDedup: true}},
 		{"cluster", Config{ClusterThreshold: 0.9}},
+		{"cluster+fixpoint+sws-union", Config{ClusterThreshold: 0.9, SolveToFixpoint: true, SWSMode: SWSUnion}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

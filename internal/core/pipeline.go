@@ -16,12 +16,14 @@ import (
 	"sqlclean/internal/logmodel"
 	"sqlclean/internal/obs"
 	"sqlclean/internal/overlap"
+	"sqlclean/internal/parallel"
 	"sqlclean/internal/parsedlog"
 	"sqlclean/internal/pattern"
 	"sqlclean/internal/rewrite"
 	"sqlclean/internal/schema"
 	"sqlclean/internal/session"
 	"sqlclean/internal/skeleton"
+	"sqlclean/internal/sqlast"
 )
 
 // Config configures one pipeline run. The zero value is usable: it applies
@@ -70,12 +72,17 @@ type Config struct {
 	// 0.9. Clustering runs on overlap.ClusterInfos: each entry's flat box is
 	// built from its summary, identical boxes are grouped by hash with an
 	// exact comparison, and the exact grid clusters the distinct ones, so
-	// the output is identical to the quadratic leader scan's; Workers fans
-	// out only the box build.
+	// the output is identical to the quadratic leader scan's. The stage only
+	// summarises the pre-clean log, so with more than one worker it runs on
+	// its own goroutine beside the cleaning stages (sessionize through
+	// solve), fanning its box build out over Workers; the grid scan itself
+	// is serial.
 	ClusterThreshold float64
-	// Workers is the degree of parallelism for the embarrassingly parallel
-	// stages (statement parsing, per-session antipattern detection,
-	// per-template SWS classification): 0 selects runtime.GOMAXPROCS, 1
+	// Workers is the degree of parallelism: the parallel stages (statement
+	// parsing, dedup's hash and window passes, per-session antipattern
+	// detection, per-template SWS classification, the clustering box build)
+	// fan out over it, and with more than one worker the clustering stage
+	// runs beside the cleaning stages. 0 selects runtime.GOMAXPROCS, 1
 	// forces the serial path, n > 1 uses n workers. Results are identical
 	// for every value — only wall-clock time changes. With Workers != 1,
 	// custom ExtraRules must be safe for concurrent use.
@@ -83,7 +90,10 @@ type Config struct {
 	// Metrics is an optional observability registry. When non-nil the run
 	// updates hot-path counters in it (parse cache hits/misses, stage
 	// cardinalities, per-stage duration histograms) and keeps the
-	// pipeline_stage text current for live scraping. Nil — the default —
+	// pipeline_stage text current for live scraping. While the clustering
+	// stage runs beside the cleaning stages, the text names the cleaning
+	// stage; once those are done it reads "cluster" until the clustering
+	// stage ends, then "done". Nil — the default —
 	// keeps every hot path on the zero-overhead nil fast path. The stage-
 	// timing tree (Report.Stages) is collected either way: a handful of
 	// spans per run costs nothing measurable.
@@ -171,7 +181,9 @@ type Report struct {
 	// Stages is the hierarchical stage-timing tree: one node per pipeline
 	// stage with its duration and input/output cardinalities, and — for the
 	// parallel stages — one child per worker goroutine with its busy time.
-	// Serialized by the -json export.
+	// The optional cluster stage is listed right after dedup; with more than
+	// one worker it overlaps the stages after it, so the stage durations no
+	// longer sum to the run's. Serialized by the -json export.
 	Stages obs.StageTiming
 }
 
@@ -298,26 +310,71 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	endStage(met, sp)
 	met.Counter("pipeline_selects_total").Add(int64(pstats.Selects))
 
-	// Stage 3: the parsed pre-clean log. Dedup reports which entries it
-	// kept, so the stage-1 parse results are carried through by index — the
-	// pre-clean log is never re-parsed.
+	// Stage 3: the parsed pre-clean log. Dedup reads the parsed SELECTs in
+	// place and reports the positions it kept, so the stage-1 parse results
+	// are carried through by index — the pre-clean log is never re-parsed,
+	// and PreClean is the only log copy.
 	sp = beginStage(root, met, "dedup")
-	selParsed := parsedAll.Selects()
-	if cfg.NoDedup {
-		res.PreClean = selParsed.Raw()
-		res.Parsed = selParsed
-	} else {
-		var kept []int
-		res.PreClean, kept, res.Dedup = dedup.RemoveShardedIndexed(selParsed.Raw(), cfg.DuplicateThreshold, cfg.Workers)
-		res.Parsed = selParsed.Subset(kept)
+	sel := make([]int32, 0, pstats.Selects)
+	for i := range parsedAll {
+		if parsedAll[i].Class == sqlast.ClassSelect {
+			sel = append(sel, int32(i))
+		}
 	}
+	sp.SetInt("in", int64(len(sel)))
+	if !cfg.NoDedup {
+		entry := func(i int) *logmodel.Entry { return &parsedAll[sel[i]].Entry }
+		var kept []int
+		kept, res.Dedup = dedup.Kept(len(sel), entry, cfg.DuplicateThreshold, cfg.Workers)
+		for j, i := range kept {
+			sel[j] = sel[i]
+		}
+		sel = sel[:len(kept)]
+	}
+	// The kept SELECTs move to the front of the parse output, which nothing
+	// else holds (sel[j] >= j, so no entry is overwritten before it moves):
+	// Parsed costs no allocation, and PreClean is the stage's one new log.
+	for j, i := range sel {
+		parsedAll[j] = parsedAll[i]
+	}
+	clear(parsedAll[len(sel):])
+	res.Parsed = parsedAll[:len(sel)]
+	res.PreClean = make(logmodel.Log, len(sel))
+	parallel.Chunks(cfg.Workers, len(sel), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			res.PreClean[j] = res.Parsed[j].Entry
+		}
+	})
 	res.Report.DuplicatesFound = res.Dedup.Removed
 	res.Report.SizeAfterDedup = len(res.PreClean)
-	sp.SetInt("in", int64(len(selParsed)))
 	sp.SetInt("out", int64(len(res.PreClean)))
 	sp.SetInt("removed", int64(res.Dedup.Removed))
 	endStage(met, sp)
 	met.Counter("pipeline_duplicates_total").Add(int64(res.Dedup.Removed))
+
+	// The clustering branch (§6.9) summarises the parsed pre-clean log and
+	// writes only Clusters, ClusterStats and Report.Cluster*; nothing the
+	// cleaning branch below reads. So with more than one worker it runs on
+	// its own goroutine beside the cleaning branch, and the run joins it
+	// before the final size and the stage snapshot. With one worker it
+	// runs inline, here.
+	join := func() {}
+	if cfg.ClusterThreshold > 0 {
+		csp := beginStage(root, met, "cluster")
+		if parallel.Workers(cfg.Workers) <= 1 {
+			clusterBranch(res, met, csp)
+		} else {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				clusterBranch(res, met, csp)
+			}()
+			join = func() {
+				met.Text("pipeline_stage").Set("cluster")
+				<-done
+			}
+		}
+	}
 
 	// Stage 4: sessions, templates, patterns.
 	gap := cfg.SessionGap
@@ -354,33 +411,6 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	sp.SetInt("in", int64(len(res.Templates)))
 	sp.SetInt("sws_templates", int64(res.Report.SWSTemplates))
 	endStage(met, sp)
-
-	// Optional stage: overlap clustering of the accessed data regions
-	// (§6.9). Boxes are built from the already-parsed pre-clean log's
-	// summaries, so the stage costs no extra parsing; hash dedup plus the
-	// exact grid index keep it near-linear even on all-distinct predicate
-	// mixes.
-	if cfg.ClusterThreshold > 0 {
-		sp = beginStage(root, met, "cluster")
-		infos := make([]*skeleton.Info, len(res.Parsed))
-		for i, pe := range res.Parsed {
-			infos[i] = pe.Info
-		}
-		res.Clusters = overlap.ClusterInfos(infos, cfg.ClusterThreshold, cfg.Workers, &res.Report.ClusterWork)
-		res.ClusterStats = overlap.Summarize(res.Clusters)
-		res.Report.ClusterCount = res.ClusterStats.Count
-		res.Report.ClusterAvgSize = res.ClusterStats.AvgSize
-		sp.SetInt("in", int64(len(infos)))
-		sp.SetInt("clusters", int64(res.ClusterStats.Count))
-		sp.SetInt("comparisons", res.Report.ClusterWork.Comparisons)
-		sp.SetInt("comparisons_avoided", res.Report.ClusterWork.Avoided())
-		endStage(met, sp)
-		met.Counter("cluster_boxes_total").Add(int64(len(infos)))
-		met.Counter("cluster_clusters_total").Add(int64(res.ClusterStats.Count))
-		met.Counter("cluster_cells_probed_total").Add(res.Report.ClusterWork.CellsProbed)
-		met.Counter("cluster_comparisons_total").Add(res.Report.ClusterWork.Comparisons)
-		met.Counter("cluster_comparisons_avoided_total").Add(res.Report.ClusterWork.Avoided())
-	}
 
 	// Stage 5: detect antipatterns.
 	reg := antipattern.DefaultRegistry(cfg.Catalog, antipattern.Options{
@@ -473,6 +503,7 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 		sp.SetInt("out", int64(len(res.Clean)))
 		endStage(met, sp)
 	}
+	join()
 	res.Report.FinalSize = len(res.Clean)
 	met.Text("pipeline_stage").Set("done")
 
@@ -483,6 +514,35 @@ func Run(input logmodel.Log, cfg Config) (*Result, error) {
 	res.Report.Stages = root.Snapshot()
 	met.Histogram("pipeline_duration_ns", obs.DurationBucketsNS).Observe(int64(res.Report.Duration))
 	return res, nil
+}
+
+// clusterBranch is the optional overlap-clustering stage (§6.9) under the
+// span sp: boxes are built from the parsed pre-clean log's summaries, so it
+// costs no extra parsing, and hash dedup plus the exact grid index keep it
+// near-linear even on all-distinct predicate mixes. It reads res.Parsed and
+// res.Config and writes only res.Clusters, res.ClusterStats and
+// res.Report's Cluster fields, so it may run beside the cleaning branch;
+// it never touches the parser or the pipeline_stage text.
+func clusterBranch(res *Result, met *obs.Registry, sp *obs.Span) {
+	infos := make([]*skeleton.Info, len(res.Parsed))
+	for i, pe := range res.Parsed {
+		infos[i] = pe.Info
+	}
+	work := &res.Report.ClusterWork
+	res.Clusters = overlap.ClusterInfos(infos, res.Config.ClusterThreshold, res.Config.Workers, work)
+	res.ClusterStats = overlap.Summarize(res.Clusters)
+	res.Report.ClusterCount = res.ClusterStats.Count
+	res.Report.ClusterAvgSize = res.ClusterStats.AvgSize
+	sp.SetInt("in", int64(len(infos)))
+	sp.SetInt("clusters", int64(res.ClusterStats.Count))
+	sp.SetInt("comparisons", work.Comparisons)
+	sp.SetInt("comparisons_avoided", work.Avoided())
+	endStage(met, sp)
+	met.Counter("cluster_boxes_total").Add(int64(len(infos)))
+	met.Counter("cluster_clusters_total").Add(int64(res.ClusterStats.Count))
+	met.Counter("cluster_cells_probed_total").Add(work.CellsProbed)
+	met.Counter("cluster_comparisons_total").Add(work.Comparisons)
+	met.Counter("cluster_comparisons_avoided_total").Add(work.Avoided())
 }
 
 // applySWSMode drops or unions the clean log's SWS-template queries. The

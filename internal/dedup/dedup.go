@@ -48,6 +48,8 @@ func RemoveIndexed(l logmodel.Log, threshold time.Duration) (logmodel.Log, []int
 	return remove(l, threshold, true)
 }
 
+// remove is the serial window, keyed by the (user, statement) pair itself:
+// the reference the sharded, hash-keyed Kept is tested against.
 func remove(l logmodel.Log, threshold time.Duration, wantIndices bool) (logmodel.Log, []int, Result) {
 	last := make(map[dupKey]time.Time, len(l)/2+1)
 	out := make(logmodel.Log, 0, len(l))

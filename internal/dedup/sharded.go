@@ -21,109 +21,150 @@ import (
 // one shard, but 256 shards per ≤ 32 workers leaves plenty to steal).
 const shardCount = 256
 
-// shardedMinInput is the input size below which the three extra O(n) passes
-// (hash, bucket, assemble) cost more than the map work they parallelize.
-// A var so tests can force the sharded path on small inputs.
+// shardedMinInput is the input size below which bucketing entries across
+// shards costs more than the window work it parallelizes; smaller inputs
+// run the same window over one shard on the calling goroutine. A var so
+// tests can force the sharded path on small inputs.
 var shardedMinInput = 4096
 
-// shardSeed makes shard selection consistent within a process. It only picks
-// the shard a key lives in; equality inside a shard is exact, so hash
-// collisions cost balance, never correctness.
+// shardSeed makes key hashes consistent within a process. A hash picks the
+// shard a key lives in and keys the shard's window; every window hit is
+// confirmed by an exact comparison, so hash collisions cost a lookup in a
+// second map, never correctness.
 var shardSeed = maphash.MakeSeed()
 
+// keyHash hashes one (user, statement) key with h, which it resets. A var
+// so tests can force every key onto one hash.
+var keyHash = func(h *maphash.Hash, user, stmt string) uint64 {
+	h.Reset()
+	h.WriteString(user)
+	h.WriteByte(0)
+	h.WriteString(stmt)
+	return h.Sum64()
+}
+
 // RemoveSharded is Remove with the sliding window partitioned across up to
-// `workers` goroutines (0 selects GOMAXPROCS, 1 forces the serial scan).
-// Output, order and statistics are identical to Remove.
+// `workers` goroutines (0 selects GOMAXPROCS, 1 runs one window on the
+// calling goroutine). Output, order and statistics are identical to Remove.
 func RemoveSharded(l logmodel.Log, threshold time.Duration, workers int) (logmodel.Log, Result) {
-	out, _, res := removeSharded(l, threshold, workers, false)
+	out, _, res := removeSharded(l, threshold, workers)
 	return out, res
 }
 
 // RemoveShardedIndexed is RemoveSharded plus the kept-entry indices, the
 // parallel counterpart of RemoveIndexed.
 func RemoveShardedIndexed(l logmodel.Log, threshold time.Duration, workers int) (logmodel.Log, []int, Result) {
-	return removeSharded(l, threshold, workers, true)
+	return removeSharded(l, threshold, workers)
 }
 
-func removeSharded(l logmodel.Log, threshold time.Duration, workers int, wantIndices bool) (logmodel.Log, []int, Result) {
+func removeSharded(l logmodel.Log, threshold time.Duration, workers int) (logmodel.Log, []int, Result) {
+	kept, res := Kept(len(l), func(i int) *logmodel.Entry { return &l[i] }, threshold, workers)
+	out := make(logmodel.Log, len(kept))
+	for j, i := range kept {
+		out[j] = l[i]
+	}
+	return out, kept, res
+}
+
+// Kept runs Remove's sliding window over n entries that entry returns by
+// position, without copying them, and returns the positions it keeps in
+// ascending order: the positions of RemoveIndexed's output over the same
+// entries. The entries must be sorted by (Time, Seq) and must not change
+// during the call; entry must be safe for concurrent use. It lets a caller
+// deduplicate a log it holds in another form, such as the SELECTs of a
+// parsed log, in place. workers is RemoveSharded's.
+func Kept(n int, entry func(i int) *logmodel.Entry, threshold time.Duration, workers int) ([]int, Result) {
 	w := parallel.Workers(workers)
-	if w <= 1 || len(l) < shardedMinInput {
-		return remove(l, threshold, wantIndices)
+	mask := uint64(shardCount - 1)
+	if w <= 1 || n < shardedMinInput {
+		mask = 0
 	}
 
-	// Pass 1 (parallel): hash every (user, statement) key to its shard.
-	shardOf := make([]uint8, len(l))
-	parallel.Chunks(w, len(l), func(lo, hi int) {
+	// Pass 1 (parallel): hash every (user, statement) key once. The hash
+	// picks the key's shard and is its window's key.
+	hashes := make([]uint64, n)
+	parallel.Chunks(w, n, func(lo, hi int) {
 		var h maphash.Hash
+		h.SetSeed(shardSeed)
 		for i := lo; i < hi; i++ {
-			h.SetSeed(shardSeed)
-			h.WriteString(l[i].User)
-			h.WriteByte(0)
-			h.WriteString(l[i].Statement)
-			shardOf[i] = uint8(h.Sum64() & (shardCount - 1))
+			e := entry(i)
+			hashes[i] = keyHash(&h, e.User, e.Statement)
 		}
 	})
 
-	// Pass 2 (serial, O(n)): bucket indices per shard with a counting sort.
-	// The sort is stable, so each shard sees its entries in log order.
+	// Pass 2 (serial, O(n)): bucket positions per shard with a counting
+	// sort. The sort is stable, so each shard sees its entries in log order.
 	var counts [shardCount]int
-	for _, s := range shardOf {
-		counts[s]++
+	for _, h := range hashes {
+		counts[h&mask]++
 	}
 	var offs [shardCount + 1]int
 	for s, c := range counts {
 		offs[s+1] = offs[s] + c
 	}
-	byShard := make([]int32, len(l))
+	byShard := make([]int32, n)
 	next := offs
-	for i, s := range shardOf {
-		byShard[next[s]] = int32(i)
-		next[s]++
+	for i, h := range hashes {
+		byShard[next[h&mask]] = int32(i)
+		next[h&mask]++
 	}
 
-	// Pass 3 (parallel): one independent sliding window per shard. Shards
-	// write disjoint drop[i] slots and their own removed counter, so no
-	// synchronization is needed beyond the pool's completion barrier.
-	drop := make([]bool, len(l))
+	// Pass 3 (parallel): one independent sliding window per shard, keyed by
+	// hash. A window slot holds the position of the last entry of the first
+	// key seen with that hash; a hit is confirmed by comparing the keys
+	// exactly, and a key whose hash is already another key's slides in an
+	// exact map instead. Shards write disjoint drop[i] slots and their own
+	// removed counter, so no synchronization is needed beyond the pool's
+	// completion barrier.
+	drop := make([]bool, n)
 	var removed [shardCount]int
-	parallel.ShardRun(w, shardCount, func(s int) {
+	parallel.ShardRun(w, int(mask)+1, func(s int) {
 		idxs := byShard[offs[s]:offs[s+1]]
 		if len(idxs) == 0 {
 			return
 		}
-		last := make(map[dupKey]time.Time, len(idxs)/2+1)
-		n := 0
+		last := make(map[uint64]int32, len(idxs))
+		var collided map[dupKey]int32
+		r := 0
 		for _, i := range idxs {
-			e := &l[i]
-			k := dupKey{user: e.User, stmt: e.Statement}
-			prev, seen := last[k]
-			last[k] = e.Time
-			if seen && (threshold == Unrestricted || e.Time.Sub(prev) <= threshold) {
+			h := hashes[i]
+			prev, seen := last[h]
+			if !seen {
+				last[h] = i
+				continue
+			}
+			e := entry(int(i))
+			if p := entry(int(prev)); p.User == e.User && p.Statement == e.Statement {
+				last[h] = i
+			} else {
+				k := dupKey{user: e.User, stmt: e.Statement}
+				if collided == nil {
+					collided = map[dupKey]int32{}
+				}
+				prev, seen = collided[k]
+				collided[k] = i
+				if !seen {
+					continue
+				}
+			}
+			if threshold == Unrestricted || e.Time.Sub(entry(int(prev)).Time) <= threshold {
 				drop[i] = true
-				n++
+				r++
 			}
 		}
-		removed[s] = n
+		removed[s] = r
 	})
 
-	// Pass 4 (serial): assemble the kept entries in log order.
+	// Pass 4 (serial): collect the kept positions in log order.
 	res := Result{Threshold: threshold}
-	for _, n := range removed {
-		res.Removed += n
+	for _, r := range removed {
+		res.Removed += r
 	}
-	out := make(logmodel.Log, 0, len(l)-res.Removed)
-	var kept []int
-	if wantIndices {
-		kept = make([]int, 0, len(l)-res.Removed)
-	}
-	for i, e := range l {
-		if drop[i] {
-			continue
-		}
-		out = append(out, e)
-		if wantIndices {
+	kept := make([]int, 0, n-res.Removed)
+	for i, d := range drop {
+		if !d {
 			kept = append(kept, i)
 		}
 	}
-	return out, kept, res
+	return kept, res
 }

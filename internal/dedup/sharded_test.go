@@ -2,7 +2,9 @@ package dedup
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,6 +104,62 @@ func TestRemoveThresholdBoundary(t *testing.T) {
 // must agree with the serial one on every output, index and count.
 func TestRemoveShardedProperty(t *testing.T) {
 	forceSharded(t)
+	shardedProperty(t)
+}
+
+// TestRemoveShardedPropertyOneHash reruns the property with every key on
+// one hash, so every key after a window's first takes the exact map that
+// colliding keys slide in.
+func TestRemoveShardedPropertyOneHash(t *testing.T) {
+	forceSharded(t)
+	forceOneHash(t)
+	shardedProperty(t)
+}
+
+// TestCollidingKeysAtOneInstant pins the collision path's exact check: two
+// different keys on one hash at one timestamp are both first occurrences,
+// and each one's repeat is compared against its own previous entry.
+func TestCollidingKeysAtOneInstant(t *testing.T) {
+	forceSharded(t)
+	forceOneHash(t)
+	log := logmodel.Log{
+		mk("u", "SELECT 1", 0),
+		mk("v", "SELECT 1", 0),                    // other user, same hash and time: kept
+		mk("u", "SELECT 2", 0),                    // other statement, same hash and time: kept
+		mk("v", "SELECT 1", 500*time.Millisecond), // repeat of entry 1: duplicate
+		mk("u", "SELECT 2", 3*time.Second),        // repeat of entry 2, outside the window: kept
+		mk("u", "SELECT 1", 3*time.Second),        // repeat of entry 0, outside the window: kept
+	}
+	for i := range log {
+		log[i].Seq = int64(i)
+	}
+	want := []int{0, 1, 2, 4, 5}
+	for _, w := range []int{1, 4} {
+		out, kept, res := RemoveShardedIndexed(log, time.Second, w)
+		if res.Removed != 1 || !slices.Equal(kept, want) {
+			t.Fatalf("workers %d: kept %v (removed %d), want %v", w, kept, res.Removed, want)
+		}
+		for i, idx := range kept {
+			if out[i] != log[idx] {
+				t.Fatalf("workers %d: out[%d] = %+v, want input %d", w, i, out[i], idx)
+			}
+		}
+	}
+}
+
+// forceOneHash gives every key the same hash, restoring the hash on
+// cleanup.
+func forceOneHash(t *testing.T) {
+	t.Helper()
+	old := keyHash
+	keyHash = func(*maphash.Hash, string, string) uint64 { return 0 }
+	t.Cleanup(func() { keyHash = old })
+}
+
+// shardedProperty checks RemoveShardedIndexed against the serial
+// RemoveIndexed on 1000 seeded random logs.
+func shardedProperty(t *testing.T) {
+	t.Helper()
 	thresholds := []time.Duration{time.Second, 5 * time.Second, Unrestricted}
 	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
 	for seed := int64(0); seed < 1000; seed++ {

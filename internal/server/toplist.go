@@ -35,9 +35,10 @@ type ToplistEntry struct {
 	Count       int64  `json:"count"`
 }
 
-// Toplist assembles the payload from the engine's template table.
+// Toplist assembles the payload from the engine's template table, read
+// count-only: the payload carries no WHERE-clause figures.
 func (s *Server) Toplist(k int) ToplistPayload {
-	templates := s.eng.Templates()
+	templates := s.eng.TemplateCounts()
 	p := ToplistPayload{
 		K:                     k,
 		Tracked:               len(templates),

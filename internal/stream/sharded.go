@@ -19,7 +19,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -343,10 +342,22 @@ func (s *Sharded) Stats() Stats {
 // one WHERE clause can reach several shards, so DistinctWhere is the size
 // of the union of the shards' sets. These are the statistics the batch
 // miner computes, over every accepted SELECT, open sessions included.
-func (s *Sharded) Templates() []pattern.TemplateStats {
+func (s *Sharded) Templates() []pattern.TemplateStats { return s.templates(true) }
+
+// TemplateCounts is Templates without DistinctWhere, which it leaves zero:
+// the count-only read for callers that never look at WHERE clauses.
+func (s *Sharded) TemplateCounts() []pattern.TemplateStats { return s.templates(false) }
+
+// templates reads every shard's template table under that shard's lock.
+// With where set it also counts each template's distinct WHERE clauses
+// without copying a set: a template one shard holds takes that set's size
+// (a bot is one user, so its huge SWS set sits on one shard), and only a
+// template on several shards is unioned, into one reused scratch set, in a
+// second pass that locks one shard at a time again.
+func (s *Sharded) templates(where bool) []pattern.TemplateStats {
 	idx := map[uint64]int{}
 	var out []pattern.TemplateStats
-	var wcs []map[uint64]struct{}
+	var holders []int
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for fp, a := range sh.templateAgg {
@@ -355,19 +366,35 @@ func (s *Sharded) Templates() []pattern.TemplateStats {
 				i = len(out)
 				idx[fp] = i
 				out = append(out, pattern.TemplateStats{Fingerprint: fp, Skeleton: a.skeleton})
-				wcs = append(wcs, maps.Clone(a.wcs))
-			} else {
-				for h := range a.wcs {
-					wcs[i][h] = struct{}{}
+				holders = append(holders, 0)
+				if where {
+					out[i].DistinctWhere = len(a.wcs)
 				}
 			}
+			holders[i]++
 			out[i].Frequency += a.count
 			out[i].UserPopularity += len(a.users)
 		}
 		sh.mu.Unlock()
 	}
-	for i := range out {
-		out[i].DistinctWhere = len(wcs[i])
+	if where {
+		union := map[uint64]struct{}{}
+		for i := range out {
+			if holders[i] < 2 {
+				continue
+			}
+			clear(union)
+			for _, sh := range s.shards {
+				sh.mu.Lock()
+				if a := sh.templateAgg[out[i].Fingerprint]; a != nil {
+					for h := range a.wcs {
+						union[h] = struct{}{}
+					}
+				}
+				sh.mu.Unlock()
+			}
+			out[i].DistinctWhere = len(union)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frequency != out[j].Frequency {

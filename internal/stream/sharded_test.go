@@ -135,6 +135,27 @@ func TestAddShardBatchMatchesAddShard(t *testing.T) {
 	}
 }
 
+// TestTemplateCountsSkipWhere pins the count-only read: it is Templates
+// with every DistinctWhere left zero, at one shard and at 16, where some
+// template's WHERE sets are spread over several shards.
+func TestTemplateCountsSkipWhere(t *testing.T) {
+	log, _ := workload.Generate(workload.DefaultConfig().Scale(0.3))
+	log.SortStable()
+	for _, shards := range []int{1, 16} {
+		eng := NewSharded(ShardedConfig{Shards: shards})
+		if _, err := eng.run(log); err != nil {
+			t.Fatal(err)
+		}
+		want := eng.Templates()
+		for i := range want {
+			want[i].DistinctWhere = 0
+		}
+		if got := eng.TemplateCounts(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: TemplateCounts %+v, want %+v", shards, got, want)
+		}
+	}
+}
+
 // TestShardedConcurrentAdds hammers the engine from 8 goroutines (each
 // owning disjoint users, preserving the per-user ordering contract) and
 // checks nothing is lost or double-counted. Run with -race.
